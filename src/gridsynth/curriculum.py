@@ -12,7 +12,11 @@ before the next begins:
 The run directory holds one subdirectory per iteration plus a top-level
 run.json (config echo and history) and eval.csv.  solved.json, library.json
 and eval.csv contain no wall-clock times, so reruns with identical seeds are
-byte-identical regardless of --jobs.
+byte-identical regardless of --jobs.  Each history entry in run.json records
+the seconds spent in the dream, refit, solve and compress stages (stageSec)
+and how many searches stopped on their timeout (timeoutStops): a timeout stop
+depends on machine speed, so a nonzero count means the artifacts may differ
+on another machine.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ class RunConfig:
     t_min: int
     t_max: int
     d_max: int
-    programs_per_task: int
+    programs_per_task: int | None  # None: searches have no candidate cap
     search_timeout_sec: float
     top_k: int
     corpus_size: int
@@ -202,6 +206,7 @@ def run_curriculum(config: RunConfig) -> dict:
     while state.iteration < config.max_iterations:
         k = state.iteration
         t0 = time.monotonic()
+        stage_sec: dict[str, float] = {}
         iter_dir = out / f"iter-{k}"
         iter_dir.mkdir(exist_ok=True)
 
@@ -225,11 +230,15 @@ def run_curriculum(config: RunConfig) -> dict:
                 "lengths": [len(t.steps) for t in corpus],
             },
         )
+        t1 = time.monotonic()
+        stage_sec["dream"] = t1 - t0
 
         # Stage 2: refit on everything solved so far (uniform when empty).
         solved_terms = [term for _, term in _ordered(accumulated).values()]
         grammar = refit(grammar, solved_terms)
         save_grammar(grammar, iter_dir / "grammar.json")
+        t2 = time.monotonic()
+        stage_sec["refit"] = t2 - t1
 
         # Stage 3: solve the oracle task set at the current L.
         tasks = slice_tasks(oracle, state.L)
@@ -249,6 +258,9 @@ def run_curriculum(config: RunConfig) -> dict:
             res = results[task.task_id]
             if res.programs:
                 accumulated[_acc_key(state.L, task.task_id)] = (task, res.programs[0])
+        timeout_stops = sum(1 for r in results.values() if r.stop_reason == "timeout")
+        t3 = time.monotonic()
+        stage_sec["solve"] = t3 - t2
 
         # Stage 4: compress the accumulated corpus into the library.
         ordered = _ordered(accumulated)
@@ -262,6 +274,7 @@ def run_curriculum(config: RunConfig) -> dict:
         for key, new_term in res.rewritten.items():
             accumulated[key] = (accumulated[key][0], new_term)
         save_library(library, iter_dir / "library.json")
+        stage_sec["compress"] = time.monotonic() - t3
 
         # Stage 5: report.
         report = {
@@ -296,6 +309,8 @@ def run_curriculum(config: RunConfig) -> dict:
                 "dlBefore": res.dl_before,
                 "dlAfter": res.dl_after,
                 "advanced": nxt.L > state.L,
+                "timeoutStops": timeout_stops,
+                "stageSec": stage_sec,
                 "wallTimeSec": time.monotonic() - t0,
             }
         )

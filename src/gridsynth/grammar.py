@@ -99,6 +99,11 @@ class Tables:
         self.body_request = return_type(request)
         self.choices: dict[Ty, tuple[Choice, ...]] = {}
         self._build_choice_sets()
+        # (type, production name or variable index) -> the choice it derives
+        self.by_head: dict[tuple, Choice] = {}
+        for ty, cands in self.choices.items():
+            for c in cands:
+                self.by_head.setdefault((ty, _head_key(c)), c)
         self.min_depth = self._min_depths()
         self.min_dl = self._min_dls()
 
@@ -246,13 +251,36 @@ def description_length(grammar: Grammar, term: Term, request: Ty | None = None) 
     """Negative log-probability (nats) of the term's derivation."""
     if request is None:
         request = _match_request(grammar, term)
-    tables = tables_for(grammar, request)
+    return term_dl(tables_for(grammar, request), term)
+
+
+def term_dl(tables: Tables, term: Term) -> float:
+    """`description_length` under tables already looked up for the request."""
+    return _dl_node(tables, _strip_binders(tables, term), tables.body_request)
+
+
+def choice_counts(tables: Tables, term: Term) -> dict:
+    """Uses of each (type, production name or variable index) along the
+    term's derivation; `counts_dl` prices them under any grammar that keeps
+    these choices."""
+    counts: dict = {}
+    _count_choices(tables, _strip_binders(tables, term), tables.body_request, counts)
+    return counts
+
+
+def counts_dl(tables: Tables, counts: dict) -> float:
+    """Description length of a derivation given by `choice_counts`."""
+    by_head = tables.by_head
+    return sum(n * by_head[key].cost for key, n in counts.items())
+
+
+def _strip_binders(tables: Tables, term: Term) -> Term:
     body = term
     for _ in tables.binders:
         if not isinstance(body, Lambda):
             raise NotDerivableError("term has fewer binders than the request")
         body = body.body
-    return _dl_node(tables, body, tables.body_request)
+    return body
 
 
 def _match_request(grammar: Grammar, term: Term) -> Ty:
@@ -267,55 +295,44 @@ def _match_request(grammar: Grammar, term: Term) -> Ty:
     return grammar.requests[0]
 
 
-def _dl_node(tables: Tables, term: Term, ty: Ty) -> float:
+def _head_key(c: Choice):
+    return c.name if c.kind == "prim" else c.var_index
+
+
+def _derive(tables: Tables, term: Term, ty: Ty):
+    """The choice deriving `term` at type `ty`, and the term's arguments."""
     head, args = spine(term)
-    cands = tables.choices.get(ty, ())
     if isinstance(head, Var):
         if args:
             raise NotDerivableError("applied variable")
-        for c in cands:
-            if c.kind == "var" and c.var_index == head.index:
-                return c.cost
-        raise NotDerivableError(f"no variable of type {ty} at index {head.index}")
+        c = tables.by_head.get((ty, head.index))
+        if c is None:
+            raise NotDerivableError(f"no variable of type {ty} at index {head.index}")
+        return c, args
     if isinstance(head, Lambda):
         raise NotDerivableError("lambda at a base-type position")
-    for c in cands:
-        if c.kind == "prim" and c.name == head.name:
-            if len(args) != len(c.args):
-                raise NotDerivableError(f"partial application of {head.name}")
-            total = c.cost
-            for a, aty in zip(args, c.args):
-                total += _dl_node(tables, a, aty)
-            return total
-    raise NotDerivableError(f"production {head.name!r} unavailable at type {ty}")
+    c = tables.by_head.get((ty, head.name))
+    if c is None:
+        raise NotDerivableError(f"production {head.name!r} unavailable at type {ty}")
+    if len(args) != len(c.args):
+        raise NotDerivableError(f"partial application of {head.name}")
+    return c, args
 
 
-def count_usages(grammar: Grammar, term: Term, request: Ty | None = None):
-    """Production and variable usage counts along the term's derivation."""
-    if request is None:
-        request = _match_request(grammar, term)
-    tables = tables_for(grammar, request)
-    body = term
-    for _ in tables.binders:
-        body = body.body
-    counts: dict[str, int] = {}
-    holder = [0]
-    _count_node(tables, body, tables.body_request, counts, holder)
-    return counts, holder[0]
+def _dl_node(tables: Tables, term: Term, ty: Ty) -> float:
+    c, args = _derive(tables, term, ty)
+    total = c.cost
+    for a, aty in zip(args, c.args):
+        total += _dl_node(tables, a, aty)
+    return total
 
 
-def _count_node(tables: Tables, term: Term, ty: Ty, counts, var_holder):
-    head, args = spine(term)
-    if isinstance(head, Var):
-        var_holder[0] += 1
-        return
-    for c in tables.choices.get(ty, ()):
-        if c.kind == "prim" and c.name == head.name:
-            counts[head.name] = counts.get(head.name, 0) + 1
-            for a, aty in zip(args, c.args):
-                _count_node(tables, a, aty, counts, var_holder)
-            return
-    raise NotDerivableError(f"production {head.name!r} unavailable at type {ty}")
+def _count_choices(tables: Tables, term: Term, ty: Ty, counts: dict) -> None:
+    c, args = _derive(tables, term, ty)
+    key = (ty, _head_key(c))
+    counts[key] = counts.get(key, 0) + 1
+    for a, aty in zip(args, c.args):
+        _count_choices(tables, a, aty, counts)
 
 
 def refit(grammar: Grammar, solved: list[Term]) -> Grammar:
@@ -327,10 +344,12 @@ def refit(grammar: Grammar, solved: list[Term]) -> Grammar:
     counts: dict[str, int] = {}
     var_count = 0
     for term in solved:
-        c, v = count_usages(grammar, term)
-        for name, n in c.items():
-            counts[name] = counts.get(name, 0) + n
-        var_count += v
+        tables = tables_for(grammar, _match_request(grammar, term))
+        for (_, head), n in choice_counts(tables, term).items():
+            if isinstance(head, int):
+                var_count += n
+            else:
+                counts[head] = counts.get(head, 0) + n
     prods = tuple(
         Production(p.name, p.type, math.log1p(counts.get(p.name, 0)))
         for p in grammar.productions

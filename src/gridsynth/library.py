@@ -3,10 +3,20 @@
 Candidates come from anti-unifying pairs of full-application subtrees drawn
 from different corpus programs: mismatching subtrees become argument slots
 (at most three), repeated mismatches share a slot, and slots are numbered by
-first use. The greedy compressor scores each candidate by the change in total
+first use. Each candidate carries its match set: the programs holding a
+subtree its core matches, found by matching the core against the distinct
+fragments with its head, without building terms. Only candidates matched in
+at least two programs are kept.
+
+The greedy compressor scores each candidate by the change in total
 description length (corpus under the extended grammar, rewritten to call the
 candidate, plus the candidate body stored once) and keeps accepting the best
-candidate while that total strictly drops.
+candidate while that total strictly drops. Scoring touches only the match
+set: each greedy step counts every program's uses of each (type, production)
+once, the programs outside the match set keep their derivations and are
+priced as those counts times the extended grammar's costs, and only the
+matched programs are rewritten and walked, together with the abstraction
+bodies. The reported dl_before and dl_after are full passes over the corpus.
 
 Abstraction bodies are stored as closed lambda terms; their serialized form
 prints argument slots as $0..$2.
@@ -19,7 +29,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from gridsynth.errors import GridSynthError, UnknownAbstractionError
-from gridsynth.grammar import Grammar, add_abstractions, description_length
+from gridsynth.grammar import (
+    Grammar,
+    add_abstractions,
+    choice_counts,
+    counts_dl,
+    description_length,
+    tables_for,
+    term_dl,
+)
 from gridsynth.lang import (
     BOOL,
     Apply,
@@ -255,6 +273,7 @@ class _Candidate:
     arg_types: tuple
     ret: Ty
     text: str
+    programs: frozenset  # indices of the corpus programs containing a match
 
     @property
     def arity(self) -> int:
@@ -265,12 +284,17 @@ class _Candidate:
         return arrow(*self.arg_types, self.ret) if self.arg_types else self.ret
 
 
-def _matching_programs(cand: _Candidate, corpus_terms) -> int:
-    count = 0
-    for term in corpus_terms:
-        if count_calls(rewrite(term, cand.core, "$match", cand.arity), "$match"):
-            count += 1
-    return count
+def _matching_programs(core: Term, fragments: dict) -> frozenset:
+    """Programs holding a subterm that `core` matches.
+
+    A core is a full application of a primitive, so it can only match a
+    fragment with the same head and argument count; `fragments` maps each
+    such fragment to the programs it occurs in."""
+    found: set = set()
+    for frag, progs in fragments.items():
+        if not progs <= found and _match(core, frag, {}):
+            found |= progs
+    return frozenset(found)
 
 
 def _propose(corpus_terms, max_arity: int, prims: PrimTable, library) -> list:
@@ -283,10 +307,13 @@ def _propose(corpus_terms, max_arity: int, prims: PrimTable, library) -> list:
         for frag, ty in frags:
             frag_progs.setdefault((frag, ty), set()).add(pi)
     buckets: dict = {}
+    by_shape: dict = {}
     for (frag, ty), progs in frag_progs.items():
         head, args = spine(frag)
         if isinstance(head, Prim):
             buckets.setdefault((head.name, len(args), ty), []).append((frag, progs))
+            shape = by_shape.setdefault((head.name, len(args)), {})
+            shape.setdefault(frag, set()).update(progs)
     seen: dict = {}
     for (_, _, ty), bucket in sorted(buckets.items(), key=lambda kv: str(kv[0])):
         for i, (f1, p1) in enumerate(bucket):
@@ -299,10 +326,15 @@ def _propose(corpus_terms, max_arity: int, prims: PrimTable, library) -> list:
                 core = _anti_unify(f1, f2, ty, sig, slots)
                 if len(slots.types) > max_arity or _non_slot_nodes(core) < 2:
                     continue
-                cand = _Candidate(core, tuple(slots.types), ty, print_program(core))
-                seen.setdefault(cand.text, cand)
-    out = [seen[k] for k in sorted(seen)]
-    return [c for c in out if _matching_programs(c, corpus_terms) >= 2]
+                seen.setdefault(print_program(core), (core, tuple(slots.types), ty))
+    out = []
+    for text in sorted(seen):
+        core, arg_tys, ty = seen[text]
+        head, args = spine(core)
+        programs = _matching_programs(core, by_shape[(head.name, len(args))])
+        if len(programs) >= 2:
+            out.append(_Candidate(core, arg_tys, ty, text, programs))
+    return out
 
 
 def propose_candidates(corpus_terms, max_arity: int, prims: PrimTable, library=()) -> list:
@@ -335,7 +367,8 @@ def _abstraction_from(cand: _Candidate, name: str, use_count: int, library) -> A
 
 
 def _corpus_dl(corpus: dict, grammar: Grammar, request: Ty) -> float:
-    return sum(description_length(grammar, term, request) for term in corpus.values())
+    tables = tables_for(grammar, request)
+    return sum(term_dl(tables, term) for term in corpus.values())
 
 
 def _body_dl(a: Abstraction, grammar: Grammar) -> float:
@@ -358,26 +391,52 @@ def compress(
     new_abs: list[Abstraction] = []
     dl_before = _total_dl(current, g, request, [])
     while True:
-        candidates = _propose(list(current.values()), max_arity, prims, lib)
-        now = _total_dl(current, g, request, new_abs)
+        keys = list(current)
+        terms = list(current.values())
+        candidates = _propose(terms, max_arity, prims, lib)
+        tables = tables_for(g, request)
+        counts = [choice_counts(tables, t) for t in terms]
+        corpus_counts: dict = {}
+        for c in counts:
+            for key, n in c.items():
+                corpus_counts[key] = corpus_counts.get(key, 0) + n
+        now = counts_dl(tables, corpus_counts) + sum(_body_dl(a, g) for a in new_abs)
+        name = f"f{_next_index(lib)}"
+        # The extended grammar depends only on the candidate's type, so each
+        # step looks its tables up once per candidate type and request.
+        extended: dict = {}
         best = None
         for cand in candidates:
-            name = f"f{_next_index(lib)}"
             abs_ = _abstraction_from(cand, name, 0, lib)
+            bodies = new_abs + [abs_]
             g2 = add_abstractions(g, [abs_])
-            rewritten = {
-                tid: rewrite(t, cand.core, name, cand.arity) for tid, t in current.items()
-            }
-            used_in = sum(1 for t in rewritten.values() if count_calls(t, name))
-            if used_in < 2:
-                continue
-            total = _total_dl(rewritten, g2, request, new_abs + [abs_])
+            if abs_.type not in extended:
+                requests = {request, *(a.type for a in bodies)}
+                extended[abs_.type] = {r: tables_for(g2, r) for r in requests}
+            tables2 = extended[abs_.type]
+            # Programs without a match keep their derivation; only the
+            # choice costs change, so they are priced from their counts.
+            untouched = dict(corpus_counts)
+            rewritten = {}
+            touched_dl = 0.0
+            for i in sorted(cand.programs):
+                for key, n in counts[i].items():
+                    untouched[key] -= n
+                term = rewrite(terms[i], cand.core, name, cand.arity)
+                rewritten[keys[i]] = term
+                touched_dl += term_dl(tables2[request], term)
+            total = (
+                counts_dl(tables2[request], untouched)
+                + touched_dl
+                + sum(term_dl(tables2[a.type], a.body) for a in bodies)
+            )
             gain = now - total
             if gain > _EPS and (best is None or gain > best[0] + _EPS):
-                best = (gain, cand, abs_, g2, rewritten)
+                best = (gain, abs_, g2, rewritten)
         if best is None:
             break
-        _, cand, abs_, g, current = best
+        _, abs_, g, rewritten = best
+        current = {tid: rewritten.get(tid, t) for tid, t in current.items()}
         lib.append(abs_)
         new_abs.append(abs_)
     lib, new_abs, current, g = _drop_underused(lib, new_abs, current, g, grammar)

@@ -40,6 +40,9 @@ class SolvedTask:
     dl_nats: tuple[float, ...]
     candidates_tried: int
     wall_time_sec: float
+    # Why the search stopped: "top-k" hits found, the "candidates" cap reached,
+    # the "timeout" passed (machine-dependent), or the stream "exhausted".
+    stop_reason: str = "exhausted"
 
     @property
     def solved(self) -> bool:
@@ -166,6 +169,7 @@ def solve_task(
     tried = 0
     start = time.monotonic()
     deadline = None if budget.timeout_sec is None else start + budget.timeout_sec
+    stop_reason = "exhausted"
     for dl, term in _stream(tables, max_depth):
         tried += 1
         flat = inline(term, defs) if defs else term
@@ -177,10 +181,13 @@ def solve_task(
         if matched == n:
             hits.append((dl, print_program(term), term))
             if len(hits) >= budget.top_k:
+                stop_reason = "top-k"
                 break
         if budget.max_candidates is not None and tried >= budget.max_candidates:
+            stop_reason = "candidates"
             break
         if deadline is not None and tried % 128 == 0 and time.monotonic() > deadline:
+            stop_reason = "timeout"
             break
     hits.sort(key=lambda h: (h[0], h[1]))
     return SolvedTask(
@@ -189,6 +196,7 @@ def solve_task(
         dl_nats=tuple(h[0] for h in hits),
         candidates_tried=tried,
         wall_time_sec=time.monotonic() - start,
+        stop_reason=stop_reason,
     )
 
 

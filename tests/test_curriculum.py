@@ -189,6 +189,43 @@ class TestRunArtifacts:
         assert (out / "eval.csv").read_bytes() == before
 
 
+class TestRunRecord:
+    def test_stage_timers_in_history(self, micro_run):
+        _, doc, out = micro_run
+        for h in doc["history"]:
+            assert set(h["stageSec"]) == {"dream", "refit", "solve", "compress"}
+            assert all(v >= 0.0 for v in h["stageSec"].values())
+            assert sum(h["stageSec"].values()) <= h["wallTimeSec"]
+            assert h["timeoutStops"] >= 0
+        it = out / "iter-0"
+        for text in (
+            (it / "solved.json").read_text(),
+            (it / "library.json").read_text(),
+            (out / "eval.csv").read_text(),
+        ):
+            assert "stageSec" not in text and "timeoutStops" not in text
+
+    def test_timeout_stops_counted(self, tmp_path):
+        # No candidate cap and an unreachable top-k: every search runs until
+        # its first deadline check, which a near-zero timeout has passed.
+        cfg = default_config(
+            "maze",
+            out_dir=str(tmp_path / "timeout"),
+            seed=7,
+            corpus_size=0,
+            oracle_episodes=1,
+            max_iterations=1,
+            eval_episodes=1,
+            search_timeout_sec=1e-9,
+            programs_per_task=None,
+            top_k=10**6,
+        )
+        doc = run_curriculum(cfg)
+        h = doc["history"][0]
+        assert h["nTasks"] > 0
+        assert h["timeoutStops"] == h["nTasks"]
+
+
 class TestEdgeCases:
     def test_zero_solved_stops_with_empty_library(self, tmp_path):
         cfg = default_config(

@@ -6,6 +6,8 @@ import pytest
 from gridsynth.errors import DepthUnsatisfiableError, NotDerivableError
 from gridsynth.grammar import (
     SampleConfig,
+    choice_counts,
+    counts_dl,
     description_length,
     grammar_from_json,
     grammar_to_json,
@@ -155,6 +157,23 @@ def test_refit_normalizes(maze_prims):
             continue
         total = sum(math.exp(-c.cost) for c in cands)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_usage_counts_price_like_the_derivation(maze_grammar, maze_prims):
+    samples = [
+        sample_program(maze_grammar, SampleConfig(d_max=6, request=maze_prims.request, seed=s))
+        for s in range(40)
+    ]
+    wall_check = parse_program(LISTING_WALL_CHECK, maze_prims)
+    for grammar in (maze_grammar, refit(maze_grammar, samples)):
+        tables = tables_for(grammar, maze_prims.request)
+        for term in samples:
+            counts = choice_counts(tables, term)
+            assert counts_dl(tables, counts) == pytest.approx(
+                description_length(grammar, term), abs=1e-9
+            )
+        with pytest.raises(NotDerivableError):
+            choice_counts(tables, wall_check)  # one binder short of the request
 
 
 def test_grammar_json_round_trip(maze_grammar):

@@ -2,20 +2,40 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import maze_state
-from gridsynth.errors import EvalError, GridSynthError, UnknownAbstractionError
-from gridsynth.grammar import SampleConfig, sample_program, uniform_grammar
+from gridsynth.errors import (
+    EvalError,
+    GridSynthError,
+    NotDerivableError,
+    UnknownAbstractionError,
+)
+from gridsynth.grammar import (
+    SampleConfig,
+    add_abstractions,
+    description_length,
+    sample_program,
+    uniform_grammar,
+)
 from gridsynth.interp import exec_program
 from gridsynth.library import (
+    Abstraction,
+    CompressionResult,
+    _abstraction_from,
+    _drop_underused,
+    _next_index,
     body_text,
     compress,
+    count_calls,
     expand,
     library_from_json,
     library_report,
     library_to_json,
     load_library,
     propose_candidates,
+    rewrite,
     save_library,
 )
 from gridsynth.primitives import primitive_table
@@ -44,6 +64,105 @@ def random_states(n, seed=0):
         walls = [(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(6))]
         out.append(maze_state(wall_at=walls, direction=rng.randrange(4)))
     return out
+
+
+def sampled_corpus(grammar, prims, seeds, d_max):
+    return {
+        f"p{i}": sample_program(grammar, SampleConfig(d_max=d_max, request=prims.request, seed=seed))
+        for i, seed in enumerate(seeds)
+    }
+
+
+def fuzzed_corpora():
+    grammar = uniform_grammar(PRIMS)
+    rng = random.Random(11)
+    for _ in range(6):
+        yield sampled_corpus(grammar, PRIMS, [rng.randrange(1 << 30) for _ in range(14)], 5)
+
+
+def reference_compress(corpus, grammar, library=(), max_arity=3):
+    """The greedy scorer without usage counts: every candidate rewrites every
+    program and rescores the whole corpus with `description_length`."""
+    eps = 1e-9
+    prims = primitive_table(grammar.env_tag)
+    request = prims.request
+
+    def total_dl(programs, g, bodies):
+        return sum(description_length(g, t, request) for t in programs.values()) + sum(
+            description_length(g, a.body, a.type) for a in bodies
+        )
+
+    lib = list(library)
+    current = dict(corpus)
+    g = grammar
+    new_abs = []
+    dl_before = total_dl(current, g, [])
+    while True:
+        candidates = propose_candidates(current.values(), max_arity, prims, lib)
+        now = total_dl(current, g, new_abs)
+        best = None
+        for cand in candidates:
+            name = f"f{_next_index(lib)}"
+            abs_ = _abstraction_from(cand, name, 0, lib)
+            g2 = add_abstractions(g, [abs_])
+            rewritten = {
+                tid: rewrite(t, cand.core, name, cand.arity) for tid, t in current.items()
+            }
+            if sum(1 for t in rewritten.values() if count_calls(t, name)) < 2:
+                continue
+            gain = now - total_dl(rewritten, g2, new_abs + [abs_])
+            if gain > eps and (best is None or gain > best[0] + eps):
+                best = (gain, abs_, g2, rewritten)
+        if best is None:
+            break
+        _, abs_, g, current = best
+        lib.append(abs_)
+        new_abs.append(abs_)
+    lib, new_abs, current, g = _drop_underused(lib, new_abs, current, g, grammar)
+    counted = []
+    for a in lib:
+        uses = sum(count_calls(t, a.name) for t in current.values())
+        uses += sum(count_calls(b.body, a.name) for b in lib if b.name != a.name)
+        counted.append(Abstraction(a.name, a.body, a.type, a.arity, uses, a.children))
+    new_names = {a.name for a in new_abs}
+    counted_new = tuple(a for a in counted if a.name in new_names)
+    return CompressionResult(
+        grammar=g,
+        library=tuple(counted),
+        new_abstractions=counted_new,
+        rewritten=current,
+        dl_before=dl_before,
+        dl_after=total_dl(current, g, counted_new),
+    )
+
+
+def assert_matches_reference(corpus, grammar, library=()):
+    try:
+        want = reference_compress(corpus, grammar, library=library)
+    except NotDerivableError:
+        # A candidate whose core also matches a subterm of another type
+        # rewrites it into an underivable call; both scorers must fail alike.
+        with pytest.raises(NotDerivableError):
+            compress(corpus, grammar, library=library)
+        return
+    got = compress(corpus, grammar, library=library)
+    assert got.library == want.library
+    assert got.new_abstractions == want.new_abstractions
+    assert list(got.rewritten.items()) == list(want.rewritten.items())
+    assert got.grammar == want.grammar
+    assert got.dl_before == want.dl_before
+    assert got.dl_after == want.dl_after
+
+
+def assert_match_sets(corpus, prims, library=()):
+    terms = list(corpus.values())
+    for cand in propose_candidates(terms, 3, prims, library):
+        by_rewrite = {
+            i
+            for i, t in enumerate(terms)
+            if count_calls(rewrite(t, cand.core, "$match", cand.arity), "$match")
+        }
+        assert cand.programs == by_rewrite, cand.text
 
 
 def same_behavior(t1, t2, states):
@@ -142,22 +261,54 @@ class TestCompress:
 
     def test_fuzzed_corpora_hold_invariants(self):
         grammar = uniform_grammar(PRIMS)
-        rng = random.Random(11)
         states = random_states(20, seed=7)
-        for trial in range(6):
-            corpus = {}
-            for i in range(14):
-                term = sample_program(
-                    grammar,
-                    SampleConfig(d_max=5, request=PRIMS.request, seed=rng.randrange(1 << 30)),
-                )
-                corpus[f"p{i}"] = term
+        for corpus in fuzzed_corpora():
             res = compress(corpus, grammar)
             assert res.dl_after <= res.dl_before + 1e-9
             for a in res.new_abstractions:
                 assert a.use_count >= 2 and a.arity <= 3
             for tid, term in corpus.items():
                 assert same_behavior(term, expand(res.rewritten[tid], res.library), states)
+
+
+class TestScoringMatchesReference:
+    """`compress` scores candidates from match sets and usage counts; the
+    reference rewrites and rescores the whole corpus for every candidate."""
+
+    def test_ten_program_corpus(self):
+        assert_matches_reference(ten_program_corpus(), uniform_grammar(PRIMS))
+        assert_match_sets(ten_program_corpus(), PRIMS)
+
+    def test_fuzzed_corpora(self):
+        grammar = uniform_grammar(PRIMS)
+        for corpus in fuzzed_corpora():
+            assert_matches_reference(corpus, grammar)
+            assert_match_sets(corpus, PRIMS)
+
+    def test_fuzzed_corpora_with_starting_library(self):
+        base = compress(ten_program_corpus(), uniform_grammar(PRIMS))
+        for corpus in fuzzed_corpora():
+            corpus = {**corpus, **base.rewritten}
+            assert_matches_reference(corpus, base.grammar, base.library)
+            assert_match_sets(corpus, PRIMS, base.library)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        env_tag=st.sampled_from(["maze", "asterix"]),
+        seeds=st.lists(st.integers(0, 1 << 30), min_size=2, max_size=12),
+        d_max=st.integers(3, 6),
+        with_library=st.booleans(),
+    )
+    def test_sampled_corpora(self, env_tag, seeds, d_max, with_library):
+        prims = primitive_table(env_tag)
+        grammar = uniform_grammar(prims)
+        library = ()
+        if with_library:
+            first = compress(sampled_corpus(grammar, prims, range(12), 5), grammar)
+            grammar, library = first.grammar, first.library
+        corpus = sampled_corpus(grammar, prims, seeds, d_max)
+        assert_matches_reference(corpus, grammar, library)
+        assert_match_sets(corpus, prims, library)
 
 
 class TestExpand:

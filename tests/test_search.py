@@ -159,6 +159,20 @@ def test_solve_contradictory_task_fails(maze_grammar):
     assert result.candidates_tried == 3000
 
 
+def test_stop_reasons(maze_grammar):
+    easy = FakeTask("t0", "maze", [(maze_state(direction=0), "left")])
+    state = maze_state(direction=0)
+    never = FakeTask("t1", "maze", [(state, "left"), (state, "right")])
+    top_k = solve_task(maze_grammar, easy, SearchBudget(timeout_sec=10, top_k=1))
+    assert top_k.stop_reason == "top-k"
+    capped = solve_task(maze_grammar, never, SearchBudget(timeout_sec=None, max_candidates=50))
+    assert capped.stop_reason == "candidates" and capped.candidates_tried == 50
+    exhausted = solve_task(maze_grammar, never, SearchBudget(timeout_sec=10), max_depth=4)
+    assert exhausted.stop_reason == "exhausted" and exhausted.candidates_tried == 3
+    timed_out = solve_task(maze_grammar, never, SearchBudget(timeout_sec=1e-9, max_candidates=None))
+    assert timed_out.stop_reason == "timeout" and timed_out.candidates_tried == 128
+
+
 def test_solve_wall_check_task(maze_grammar, maze_prims):
     # States follow the wall-at-(1,0) rule; the solver must find a program
     # that behaves like the generator on these states.

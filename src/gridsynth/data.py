@@ -12,13 +12,11 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from gridsynth.envs import env_spec, make_env
 from gridsynth.errors import EvalError, GridSynthError, UnknownTaskIdError
 from gridsynth.grammar import Grammar, SampleConfig, sample_program
 from gridsynth.interp import exec_program
-from gridsynth.kernel import KernelUnsupportedError, compile_term, execute
+from gridsynth.kernel import compile_term, execute
 from gridsynth.lang import Term, inline
 from gridsynth.primitives import PrimTable, primitive_table
 from gridsynth.sexpr import parse_program, print_program
@@ -94,28 +92,23 @@ def _as_term(program, prims: PrimTable, library=None) -> Term:
 
 
 class ProgramRunner:
-    """Executes one program on observations: compiled kernel, interp fallback."""
+    """Executes one program on observations with the bytecode kernel.
+
+    The program is library-expanded and compiled once; `run` then executes
+    the bytecode on each state's flat grid.
+    """
 
     def __init__(self, term: Term, prims: PrimTable, library=None):
         defs = _defs(library)
         self.term = inline(term, defs) if defs else term
         self.prims = prims
-        try:
-            self.compiled = compile_term(self.term, prims)
-        except KernelUnsupportedError:
-            self.compiled = None
+        self.compiled = compile_term(self.term, prims)
 
     def run(self, state: GridState) -> str | None:
         """Action word for one state, or None if evaluation fails."""
-        if self.compiled is not None:
-            grid = np.asarray(state.flat(), dtype=np.int64)
-            direction = state.direction if state.direction is not None else 0
-            aid = execute(self.compiled.code, grid, state.width, state.height, direction)
-            return None if aid < 0 else self.prims.action_words[aid]
-        try:
-            return exec_program(self.term, state, self.prims)
-        except EvalError:
-            return None
+        direction = state.direction if state.direction is not None else 0
+        aid = execute(self.compiled.code, state.flat(), state.width, state.height, direction)
+        return None if aid < 0 else self.prims.action_words[aid]
 
 
 def collect_oracle_rollouts(env_tag: str, count: int, seed: int, max_steps: int = 200):

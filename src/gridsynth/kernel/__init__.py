@@ -1,29 +1,20 @@
-"""Execution kernel with a compiled core and a pure-Python fallback.
+"""The bytecode kernel: compile a library-expanded program once, then run it
+on many grids.
 
-The backend is chosen at import time: the Cython extension when it built,
-otherwise the Python twin. Set GRIDSYNTH_KERNEL=python to force the fallback
-(useful for the equivalence tests and the benchmark).
+`compile_term` turns a term into a tuple of ints; `execute` runs it on one
+flat grid and `check_trajectory` counts how many leading steps of a task it
+reproduces. Both run in pure Python (`pykernel`). The tree interpreter in
+`gridsynth.interp` stays the semantics of record, and the tests hold the
+kernel to it.
 """
-import os
-
-from gridsynth.kernel import pykernel
 from gridsynth.kernel.bytecode import (
     CompiledProgram,
     KernelUnsupportedError,
     compile_term,
 )
+from gridsynth.kernel.pykernel import check_trajectory, execute
 
-if os.environ.get("GRIDSYNTH_KERNEL", "").lower() in ("py", "python"):
-    _impl = pykernel
-else:
-    try:
-        from gridsynth.kernel import _ckernel as _impl
-    except ImportError:
-        _impl = pykernel
-
-BACKEND = _impl.BACKEND_NAME
-execute = _impl.execute
-check_trajectory = _impl.check_trajectory
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

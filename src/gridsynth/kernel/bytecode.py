@@ -1,22 +1,23 @@
 """Compiles expanded DSL terms to a flat integer bytecode.
 
-The stack machine works on int64 values: booleans as 0/1, object codes raw,
+The code is a tuple of Python ints, pairs of (op, arg), run by `pykernel`.
+The stack machine works on ints: booleans as 0/1, object codes raw,
 mapObject packed as (code << 16) | (x << 8) | y, actions as indices into the
 primitive table's action list. `get` reads the grid directly, so the map
-argument slot is a dummy. Out-of-bounds `get` aborts execution; the
-interpreter returns -1 and callers treat that as a failed imitation.
+argument slot is a dummy. Out-of-bounds `get` aborts execution with -1, where
+the interpreter raises; callers treat both as a failed imitation.
 
-Only library-expanded terms compile; callers inline abstractions first.
+Every closed, well-typed, library-expanded program compiles. Anything else
+(an unexpanded library call, an open term, an inner lambda) raises
+KernelUnsupportedError; callers inline abstractions first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from gridsynth.errors import GridSynthError
 from gridsynth.interp import ARITIES
-from gridsynth.lang import Lambda, Prim, Term, Var, spine
+from gridsynth.lang import Lambda, Term, Var, spine
 from gridsynth.primitives import PrimTable
 
 OP_CONST = 1
@@ -54,8 +55,6 @@ _SIMPLE_OPS = {
     "gt-y?": OP_GTY,
 }
 
-MAX_STACK = 128
-
 
 class KernelUnsupportedError(GridSynthError):
     """Term shape the bytecode compiler does not handle."""
@@ -63,7 +62,7 @@ class KernelUnsupportedError(GridSynthError):
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    code: np.ndarray  # int64, pairs of (op, arg)
+    code: tuple[int, ...]  # pairs of (op, arg)
     needs_direction: bool
     max_stack: int
 
@@ -163,7 +162,6 @@ def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
     em = _Emitter(prims, arity)
     em.emit(body)
     em.op(OP_RET)
-    if em.max_depth > MAX_STACK:
-        raise KernelUnsupportedError("stack too deep")
-    code = np.array(em.code, dtype=np.int64)
-    return CompiledProgram(code=code, needs_direction=arity == 2, max_stack=em.max_depth)
+    return CompiledProgram(
+        code=tuple(em.code), needs_direction=arity == 2, max_stack=em.max_depth
+    )

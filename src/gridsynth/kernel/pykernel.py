@@ -1,5 +1,8 @@
-"""Pure-Python bytecode interpreter, the fallback when the C extension is
-unavailable. Semantics must match _ckernel exactly, opcode for opcode."""
+"""The bytecode interpreter: runs `compile_term` output on flat grids.
+
+Code, grids, directions and actions may be lists, tuples or numpy arrays of
+ints; lists and tuples are the fast form and what the search passes.
+"""
 from __future__ import annotations
 
 from gridsynth.kernel.bytecode import (
@@ -24,12 +27,12 @@ from gridsynth.kernel.bytecode import (
     OP_VAR_MAP,
 )
 
-BACKEND_NAME = "python"
-
 
 def execute(code, grid, width, height, direction):
     """Run one program on one flat grid; action id, or -1 on out-of-bounds."""
-    stack = [0] * 128
+    # Each (op, arg) pair pushes at most one value, so half the code length
+    # bounds the stack depth.
+    stack = [0] * (len(code) >> 1)
     sp = 0
     pc = 0
     while True:
@@ -91,12 +94,8 @@ def execute(code, grid, width, height, direction):
 def check_trajectory(code, grids, dirs, acts, width, height):
     """Count how many leading steps the program reproduces; stops at the
     first mismatch or evaluation error."""
-    code = list(code)
     n = len(acts)
     for i in range(n):
-        row = grids[i]
-        grid = row if isinstance(row, list) else list(row)
-        got = execute(code, grid, width, height, int(dirs[i]))
-        if got != int(acts[i]):
+        if execute(code, grids[i], width, height, dirs[i]) != acts[i]:
             return i
     return n

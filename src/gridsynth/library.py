@@ -5,8 +5,9 @@ from different corpus programs: mismatching subtrees become argument slots
 (at most three), repeated mismatches share a slot, and slots are numbered by
 first use. Each candidate carries its match set: the programs holding a
 subtree its core matches, found by matching the core against the distinct
-fragments with its head, without building terms. Only candidates matched in
-at least two programs are kept.
+fragments with its head and type, without building terms. Only candidates
+matched in at least two programs are kept. Matching is typed because `if` is
+polymorphic: a core headed by `if` matches only at positions of its own type.
 
 The greedy compressor scores each candidate by the change in total
 description length (corpus under the extended grammar, rewritten to call the
@@ -254,19 +255,6 @@ def _match(core: Term, term: Term, binding: dict) -> bool:
     return core == term
 
 
-def rewrite(term: Term, core: Term, name: str, arity: int) -> Term:
-    """Replace pattern matches with calls to `name`, outermost first."""
-    binding: dict = {}
-    if _match(core, term, binding):
-        args = [rewrite(binding[i], core, name, arity) for i in range(arity)]
-        return apply_all(Prim(name), args)
-    if isinstance(term, Apply):
-        return Apply(rewrite(term.fn, core, name, arity), rewrite(term.arg, core, name, arity))
-    if isinstance(term, Lambda):
-        return Lambda(rewrite(term.body, core, name, arity))
-    return term
-
-
 @dataclass(frozen=True)
 class _Candidate:
     core: Term
@@ -284,14 +272,36 @@ class _Candidate:
         return arrow(*self.arg_types, self.ret) if self.arg_types else self.ret
 
 
-def _matching_programs(core: Term, fragments: dict) -> frozenset:
-    """Programs holding a subterm that `core` matches.
+def rewrite(term: Term, cand: _Candidate, name: str, ty: Ty, sig: dict) -> Term:
+    """Replace matches of the candidate's core with calls to `name`,
+    outermost first. `term` has type `ty` under the signatures `sig`.
+
+    The core matches only at positions of its own return type: a core headed
+    by the polymorphic `if` would otherwise also match an `if` of another
+    type, and the call put there would not be derivable."""
+    if isinstance(term, Lambda):
+        return Lambda(rewrite(term.body, cand, name, ty.dst, sig))
+    head, args = spine(term)
+    if not args or not isinstance(head, Prim):
+        return term
+    binding: dict = {}
+    if ty == cand.ret and _match(cand.core, term, binding):
+        return apply_all(
+            Prim(name),
+            [rewrite(binding[i], cand, name, t, sig) for i, t in enumerate(cand.arg_types)],
+        )
+    arg_ts = _arg_types_for(head.name, ty, sig)
+    return apply_all(head, [rewrite(a, cand, name, t, sig) for a, t in zip(args, arg_ts)])
+
+
+def _matching_programs(core: Term, fragments: list) -> frozenset:
+    """Programs holding a subterm that `core` matches at the core's type.
 
     A core is a full application of a primitive, so it can only match a
-    fragment with the same head and argument count; `fragments` maps each
-    such fragment to the programs it occurs in."""
+    fragment with the same head, argument count and type; `fragments` pairs
+    each such fragment with the programs it occurs in."""
     found: set = set()
-    for frag, progs in fragments.items():
+    for frag, progs in fragments:
         if not progs <= found and _match(core, frag, {}):
             found |= progs
     return frozenset(found)
@@ -307,13 +317,10 @@ def _propose(corpus_terms, max_arity: int, prims: PrimTable, library) -> list:
         for frag, ty in frags:
             frag_progs.setdefault((frag, ty), set()).add(pi)
     buckets: dict = {}
-    by_shape: dict = {}
     for (frag, ty), progs in frag_progs.items():
         head, args = spine(frag)
         if isinstance(head, Prim):
             buckets.setdefault((head.name, len(args), ty), []).append((frag, progs))
-            shape = by_shape.setdefault((head.name, len(args)), {})
-            shape.setdefault(frag, set()).update(progs)
     seen: dict = {}
     for (_, _, ty), bucket in sorted(buckets.items(), key=lambda kv: str(kv[0])):
         for i, (f1, p1) in enumerate(bucket):
@@ -326,12 +333,12 @@ def _propose(corpus_terms, max_arity: int, prims: PrimTable, library) -> list:
                 core = _anti_unify(f1, f2, ty, sig, slots)
                 if len(slots.types) > max_arity or _non_slot_nodes(core) < 2:
                     continue
-                seen.setdefault(print_program(core), (core, tuple(slots.types), ty))
+                seen.setdefault((print_program(core), ty), (core, tuple(slots.types)))
     out = []
-    for text in sorted(seen):
-        core, arg_tys, ty = seen[text]
+    for text, ty in sorted(seen, key=lambda k: (k[0], str(k[1]))):
+        core, arg_tys = seen[(text, ty)]
         head, args = spine(core)
-        programs = _matching_programs(core, by_shape[(head.name, len(args))])
+        programs = _matching_programs(core, buckets[(head.name, len(args), ty)])
         if len(programs) >= 2:
             out.append(_Candidate(core, arg_tys, ty, text, programs))
     return out
@@ -394,6 +401,7 @@ def compress(
         keys = list(current)
         terms = list(current.values())
         candidates = _propose(terms, max_arity, prims, lib)
+        sig = _signatures(prims, lib)
         tables = tables_for(g, request)
         counts = [choice_counts(tables, t) for t in terms]
         corpus_counts: dict = {}
@@ -422,7 +430,7 @@ def compress(
             for i in sorted(cand.programs):
                 for key, n in counts[i].items():
                     untouched[key] -= n
-                term = rewrite(terms[i], cand.core, name, cand.arity)
+                term = rewrite(terms[i], cand, name, request, sig)
                 rewritten[keys[i]] = term
                 touched_dl += term_dl(tables2[request], term)
             total = (

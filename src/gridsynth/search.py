@@ -14,10 +14,8 @@ import time
 from dataclasses import dataclass
 from multiprocessing import get_context
 
-import numpy as np
-
-from gridsynth.grammar import Grammar, SampleConfig, Tables, tables_for
-from gridsynth.kernel import KernelUnsupportedError, check_trajectory, compile_term
+from gridsynth.grammar import Grammar, Tables, tables_for
+from gridsynth.kernel import check_trajectory, compile_term
 from gridsynth.lang import Lambda, Prim, Term, Ty, Var, apply_all, inline
 from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import print_program
@@ -139,13 +137,10 @@ def enumerate_with_dl(
 
 
 def _prepare_task(task, prims):
-    grids = np.array([s.flat() for s, _ in task.steps], dtype=np.int64)
-    if task.steps[0][0].direction is not None:
-        dirs = np.array([s.direction for s, _ in task.steps], dtype=np.int64)
-    else:
-        dirs = np.zeros(len(task.steps), dtype=np.int64)
     ids = {w: i for i, w in enumerate(prims.action_words)}
-    acts = np.array([ids[a] for _, a in task.steps], dtype=np.int64)
+    grids = [s.flat() for s, _ in task.steps]
+    dirs = [s.direction or 0 for s, _ in task.steps]
+    acts = [ids[a] for _, a in task.steps]
     first = task.steps[0][0]
     return grids, dirs, acts, first.width, first.height
 
@@ -173,11 +168,8 @@ def solve_task(
     for dl, term in _stream(tables, max_depth):
         tried += 1
         flat = inline(term, defs) if defs else term
-        try:
-            code = compile_term(flat, prims).code
-            matched = check_trajectory(code, grids, dirs, acts, width, height)
-        except KernelUnsupportedError:
-            matched = _matched_by_interp(flat, task, prims)
+        code = compile_term(flat, prims).code
+        matched = check_trajectory(code, grids, dirs, acts, width, height)
         if matched == n:
             hits.append((dl, print_program(term), term))
             if len(hits) >= budget.top_k:
@@ -198,18 +190,6 @@ def solve_task(
         wall_time_sec=time.monotonic() - start,
         stop_reason=stop_reason,
     )
-
-
-def _matched_by_interp(term, task, prims) -> int:
-    from gridsynth.interp import exec_program
-
-    for i, (state, action) in enumerate(task.steps):
-        try:
-            if exec_program(term, state, prims) != action:
-                return i
-        except Exception:
-            return i
-    return len(task.steps)
 
 
 def _solve_one(packed):

@@ -25,7 +25,7 @@ from gridsynth.data import (
 from gridsynth.envs import ENV_TAGS, env_spec
 from gridsynth.errors import GridSynthError
 from gridsynth.explain import write_bundle
-from gridsynth.library import library_report, load_library
+from gridsynth.library import definitions, library_report, load_library
 from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import parse_program
 
@@ -179,8 +179,7 @@ def _cmd_explain(args, parser) -> int:
     task = tasks.by_id(args.task)
     prims = primitive_table(task.env_tag)
     library = load_library(it / "library.json", prims)
-    defs = {a.name: a.body for a in library}
-    program = parse_program(entry["programs"][0], prims, extra=defs)
+    program = parse_program(entry["programs"][0], prims, extra=definitions(library))
     formats = ("ascii", "svg") if args.format == "both" else (args.format,)
     out = args.out or run_dir / "explain" / args.task.replace(":", "-")
     bundle_dir = write_bundle(out, program, task, library=library, formats=formats)

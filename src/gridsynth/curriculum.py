@@ -40,7 +40,7 @@ from gridsynth.data import (
 from gridsynth.errors import GridSynthError
 from gridsynth.grammar import refit, save_grammar, uniform_grammar
 from gridsynth.lang import Term
-from gridsynth.library import compress, expand, library_to_json, save_library
+from gridsynth.library import compress, definitions, expand, library_to_json, save_library
 from gridsynth.primitives import primitive_table
 from gridsynth.search import SearchBudget, solve_many
 from gridsynth.sexpr import parse_program, print_program
@@ -100,6 +100,18 @@ class RunConfig:
     seed: int
     jobs: int
     out_dir: str
+
+    def __post_init__(self):
+        for name in ("top_k", "max_iterations", "oracle_episodes", "eval_episodes",
+                     "l_start", "t_min"):
+            if getattr(self, name) < 1:
+                raise GridSynthError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.programs_per_task is not None and self.programs_per_task < 1:
+            raise GridSynthError(
+                f"programs_per_task must be at least 1 or None, got {self.programs_per_task}"
+            )
+        if self.t_min > self.t_max:
+            raise GridSynthError(f"t_min {self.t_min} exceeds t_max {self.t_max}")
 
 
 _ENV_DEFAULTS = {
@@ -378,7 +390,7 @@ def eval_run(run_dir, seed: int | None = None, episodes: int | None = None) -> P
     last = final_iteration_dir(run_dir)
     prims = primitive_table(config["env_tag"])
     library = load_library(last / "library.json", prims)
-    defs = {a.name: a.body for a in library}
+    defs = definitions(library)
     report = json.loads((last / "report.json").read_text())
     texts = sorted({entry["program"] for entry in report["rewritten"]})
     programs = [

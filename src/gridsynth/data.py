@@ -18,6 +18,7 @@ from gridsynth.grammar import Grammar, SampleConfig, sample_program
 from gridsynth.interp import exec_program
 from gridsynth.kernel import compile_term, execute
 from gridsynth.lang import Term, inline
+from gridsynth.library import definitions
 from gridsynth.primitives import PrimTable, primitive_table
 from gridsynth.sexpr import parse_program, print_program
 from gridsynth.state import GridState
@@ -77,17 +78,9 @@ class TaskSet:
         raise UnknownTaskIdError(f"no task with id {task_id!r}")
 
 
-def _defs(library) -> dict:
-    if not library:
-        return {}
-    if isinstance(library, dict):
-        return dict(library)
-    return {a.name: a.body for a in library}
-
-
 def _as_term(program, prims: PrimTable, library=None) -> Term:
     if isinstance(program, str):
-        return parse_program(program, prims, extra=_defs(library))
+        return parse_program(program, prims, extra=definitions(library))
     return program
 
 
@@ -99,7 +92,7 @@ class ProgramRunner:
     """
 
     def __init__(self, term: Term, prims: PrimTable, library=None):
-        defs = _defs(library)
+        defs = definitions(library)
         self.term = inline(term, defs) if defs else term
         self.prims = prims
         self.compiled = compile_term(self.term, prims)
@@ -200,7 +193,7 @@ def imitates(program, task: Task, prims: PrimTable | None = None, library=None) 
     """True iff the program reproduces every recorded action; errors are False."""
     prims = prims or primitive_table(task.env_tag)
     term = _as_term(program, prims, library)
-    defs = _defs(library)
+    defs = definitions(library)
     if defs:
         term = inline(term, defs)
     for state, action in task.steps:

@@ -202,14 +202,6 @@ def _apply_abstraction(ctx: _Ctx, name: str, args, env):
     return result
 
 
-def program_arity(term: Term) -> int:
-    n = 0
-    while isinstance(term, Lambda):
-        n += 1
-        term = term.body
-    return n
-
-
 def exec_program(
     term: Term,
     state: GridState,
@@ -241,22 +233,3 @@ def exec_program(
             expected="action", found=value, location="program result"
         )
     return value
-
-
-def render_value(value, prims: PrimTable) -> str:
-    """Human-readable value rendering used in traces."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, MapObj):
-        return f"{prims.object_name(value.code)}@({value.x},{value.y})"
-    if isinstance(value, Obj):
-        return prims.object_name(value.code)
-    if isinstance(value, GridState):
-        return "map"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (Closure, Builtin)):
-        return "<fn>"
-    return repr(value)

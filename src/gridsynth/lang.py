@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from gridsynth.errors import GridSynthError
+
 
 # ---------------------------------------------------------------------------
 # Types
@@ -187,20 +189,6 @@ def depth(term: Term) -> int:
     return 1 + max(depth(c) for c in children)
 
 
-def subterms(term: Term):
-    """All spine-level subtrees (the term itself, lambda bodies, arguments)."""
-    yield term
-    head, args = spine(term)
-    if not args:
-        if isinstance(head, Lambda):
-            yield from subterms(head.body)
-    else:
-        if not isinstance(head, Prim):
-            yield from subterms(head)
-        for a in args:
-            yield from subterms(a)
-
-
 def free_vars(term: Term, cutoff: int = 0) -> set[int]:
     """Indices of variables free at the given binder depth."""
     if isinstance(term, Var):
@@ -212,82 +200,67 @@ def free_vars(term: Term, cutoff: int = 0) -> set[int]:
     return set()
 
 
-def shift(term: Term, amount: int, cutoff: int = 0) -> Term:
-    """Shift free variable indices by `amount`."""
-    if isinstance(term, Var):
-        return Var(term.index + amount) if term.index >= cutoff else term
-    if isinstance(term, Lambda):
-        return Lambda(shift(term.body, amount, cutoff + 1))
-    if isinstance(term, Apply):
-        return Apply(shift(term.fn, amount, cutoff), shift(term.arg, amount, cutoff))
-    return term
-
-
-def substitute(term: Term, index: int, replacement: Term) -> Term:
-    """Capture-avoiding substitution of `replacement` for Var(index)."""
-    if isinstance(term, Var):
-        if term.index == index:
-            return replacement
-        if term.index > index:
-            return Var(term.index - 1)
-        return term
-    if isinstance(term, Lambda):
-        return Lambda(substitute(term.body, index + 1, shift(replacement, 1)))
-    if isinstance(term, Apply):
-        return Apply(
-            substitute(term.fn, index, replacement),
-            substitute(term.arg, index, replacement),
-        )
-    return term
-
-
-def beta_reduce(term: Term) -> Term:
-    """Normal-order beta reduction to normal form.
-
-    The DSL has no recursion, so this always terminates.
-    """
-    while True:
-        reduced = _beta_step(term)
-        if reduced is None:
-            return term
-        term = reduced
-
-
 def inline(term: Term, defs) -> Term:
-    """Replace named Prims by their definitions and beta-reduce.
+    """Expand every call of a defined name into the name's body.
 
-    `defs` maps names to closed Lambda-terms. Definitions may reference other
-    defined names; they form a DAG, so repeated passes terminate.
+    `defs` maps names to closed bodies `λ^n. core` whose core holds no
+    lambda, and every call applies its name to exactly n arguments (an
+    arity-0 name is a bare leaf). A call `(f a1 .. an)` becomes f's core
+    with parameter i replaced by the expanded a_i; with no binder inside
+    the core, the arguments go in as they are. Bodies may call other
+    defined names (a DAG); each body is expanded at most once per call of
+    `inline`. Subterms without calls are returned as they are, not rebuilt.
     """
-    while True:
-        replaced = _replace_prims(term, defs)
-        if replaced == term:
-            return term
-        term = beta_reduce(replaced)
+    return _inline(term, defs, {})
 
 
-def _replace_prims(term: Term, defs) -> Term:
-    if isinstance(term, Prim) and term.name in defs:
-        return defs[term.name]
-    if isinstance(term, Lambda):
-        return Lambda(_replace_prims(term.body, defs))
+def _inline(term: Term, defs, bodies: dict) -> Term:
     if isinstance(term, Apply):
-        return Apply(_replace_prims(term.fn, defs), _replace_prims(term.arg, defs))
+        head = term.fn
+        while isinstance(head, Apply):
+            head = head.fn
+        if isinstance(head, Prim) and head.name in defs:
+            return _call(head.name, term, defs, bodies)
+        fn = _inline(term.fn, defs, bodies)
+        arg = _inline(term.arg, defs, bodies)
+        return term if fn is term.fn and arg is term.arg else Apply(fn, arg)
+    if isinstance(term, Prim):
+        return _call(term.name, term, defs, bodies) if term.name in defs else term
+    if isinstance(term, Lambda):
+        body = _inline(term.body, defs, bodies)
+        return term if body is term.body else Lambda(body)
     return term
 
 
-def _beta_step(term: Term):
-    if isinstance(term, Apply):
-        if isinstance(term.fn, Lambda):
-            return substitute(term.fn.body, 0, term.arg)
-        step = _beta_step(term.fn)
-        if step is not None:
-            return Apply(step, term.arg)
-        step = _beta_step(term.arg)
-        if step is not None:
-            return Apply(term.fn, step)
-        return None
-    if isinstance(term, Lambda):
-        step = _beta_step(term.body)
-        return Lambda(step) if step is not None else None
-    return None
+def _call(name: str, term: Term, defs, bodies: dict) -> Term:
+    """Expand a full application of the defined `name`."""
+    _, args = spine(term)
+    arity, core = _expanded_body(name, defs, bodies)
+    if len(args) != arity:
+        raise GridSynthError(
+            f"abstraction {name} takes {arity} arguments, applied to {len(args)}"
+        )
+    if not args:
+        return core
+    return _instantiate(core, [_inline(a, defs, bodies) for a in reversed(args)])
+
+
+def _expanded_body(name: str, defs, bodies: dict) -> tuple[int, Term]:
+    """(arity, core with its own calls expanded), memoized in `bodies`."""
+    if name not in bodies:
+        arity, core = 0, defs[name]
+        while isinstance(core, Lambda):
+            arity, core = arity + 1, core.body
+        bodies[name] = arity, _inline(core, defs, bodies)
+    return bodies[name]
+
+
+def _instantiate(core: Term, args_rev: list[Term]) -> Term:
+    """Replace Var(i) by args_rev[i] in a lambda-free core."""
+    if isinstance(core, Apply):
+        return Apply(_instantiate(core.fn, args_rev), _instantiate(core.arg, args_rev))
+    if isinstance(core, Var):
+        return args_rev[core.index]
+    if isinstance(core, Prim):
+        return core
+    raise GridSynthError("abstraction body holds an inner lambda")

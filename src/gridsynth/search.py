@@ -17,6 +17,7 @@ from multiprocessing import get_context
 from gridsynth.grammar import Grammar, Tables, tables_for
 from gridsynth.kernel import check_trajectory, compile_term
 from gridsynth.lang import Lambda, Prim, Term, Ty, Var, apply_all, inline
+from gridsynth.library import definitions
 from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import print_program
 
@@ -159,7 +160,7 @@ def solve_task(
     tables = tables_for(grammar, grammar.requests[0])
     grids, dirs, acts, width, height = _prepare_task(task, prims)
     n = len(acts)
-    defs = {a.name: a.body for a in library}
+    defs = definitions(library)
     hits: list[tuple[float, str, Term]] = []
     tried = 0
     start = time.monotonic()

@@ -44,6 +44,13 @@ class TestExitCodes:
         assert main(["run", "--out", str(tmp_path / "x")]) == 1
         assert "requires --env" in capsys.readouterr().err
 
+    def test_run_settings_that_cannot_run_are_runtime_errors(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["run", "--env", "maze", "--out", str(out), "--t-min", "10", "--t-max", "5"]) == 2
+        assert main(["run", "--env", "maze", "--out", str(out), "--top-k", "0"]) == 2
+        assert "top_k must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_run_dir_is_runtime_error(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err

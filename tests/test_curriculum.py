@@ -102,6 +102,31 @@ class TestConfig:
         with pytest.raises(GridSynthError):
             default_config("maze", profile="galaxy")
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(top_k=0), "top_k"),
+            (dict(programs_per_task=0), "programs_per_task"),
+            (dict(programs_per_task=-5), "programs_per_task"),
+            (dict(max_iterations=0), "max_iterations"),
+            (dict(oracle_episodes=0), "oracle_episodes"),
+            (dict(eval_episodes=0), "eval_episodes"),
+            (dict(l_start=0), "l_start"),
+            (dict(t_min=0), "t_min"),
+            (dict(t_min=10, t_max=5), "exceeds t_max"),
+        ],
+    )
+    def test_settings_that_cannot_run_are_rejected(self, overrides, message):
+        with pytest.raises(GridSynthError, match=message):
+            default_config("maze", **overrides)
+
+    def test_boundary_settings_are_accepted(self):
+        cfg = default_config(
+            "maze", top_k=1, programs_per_task=None, max_iterations=1, oracle_episodes=1,
+            eval_episodes=1, l_start=1, t_min=5, t_max=5,
+        )
+        assert cfg.programs_per_task is None and cfg.t_min == cfg.t_max == 5
+
 
 @pytest.fixture(scope="module")
 def micro_run(tmp_path_factory):

@@ -1,6 +1,7 @@
-"""Term and type machinery: depth, substitution, parsing of type strings."""
+"""Term and type machinery: depth, library inlining, parsing of type strings."""
 import pytest
 
+from gridsynth.errors import GridSynthError
 from gridsynth.lang import (
     ACTION,
     BOOL,
@@ -15,13 +16,12 @@ from gridsynth.lang import (
     apply_all,
     arg_types,
     arrow,
-    beta_reduce,
     depth,
     free_vars,
+    inline,
     parse_type,
     return_type,
     spine,
-    subterms,
 )
 from gridsynth.sexpr import parse_program
 
@@ -75,32 +75,70 @@ def test_free_vars_and_closedness():
     assert free_vars(Lambda(term)) == set()
 
 
-def test_beta_reduce_simple():
-    # (λ(x) x) applied to a constant
-    term = Apply(Lambda(Var(0)), Prim("left-action"))
-    assert beta_reduce(term) == Prim("left-action")
+# Library bodies as `library.json` stores them: λ^n. core, with $0 the
+# innermost (last) parameter.
+_PAIR = Lambda(Lambda(apply_all(Prim("and"), [Var(1), Var(0)])))  # (and a b)
+_TWICE = Lambda(apply_all(Prim("or"), [Var(0), Var(0)]))  # (or a a)
+_NESTED = Lambda(Lambda(apply_all(Prim("f0"), [Var(0), apply_all(Prim("f1"), [Var(1)])])))
+_DEFS = {"f0": _PAIR, "f1": _TWICE, "f2": _NESTED, "f3": Prim("true")}
 
 
-def test_beta_reduce_nested_binders():
-    # (λ(x) λ(y) x) a b -> a
-    term = apply_all(Lambda(Lambda(Var(1))), [Prim("a"), Prim("b")])
-    assert beta_reduce(term) == Prim("a")
-    term = apply_all(Lambda(Lambda(Var(0))), [Prim("a"), Prim("b")])
-    assert beta_reduce(term) == Prim("b")
+def test_inline_substitutes_parameters_in_order():
+    term = apply_all(Prim("f0"), [Prim("a"), Prim("b")])
+    assert inline(term, _DEFS) == apply_all(Prim("and"), [Prim("a"), Prim("b")])
 
 
-def test_beta_reduce_under_lambda():
-    # λ(z) ((λ(x) x) z) -> λ(z) z
-    term = Lambda(Apply(Lambda(Var(0)), Var(0)))
-    assert beta_reduce(term) == Lambda(Var(0))
+def test_inline_parameter_used_twice():
+    term = Apply(Prim("f1"), Prim("a"))
+    assert inline(term, _DEFS) == apply_all(Prim("or"), [Prim("a"), Prim("a")])
 
 
-def test_subterms_walks_spine_nodes(maze_prims):
-    term = parse_program(LISTING_WALL_CHECK, maze_prims)
-    subs = list(subterms(term))
-    assert term in subs
-    get_term = apply_all(Prim("get"), [Var(0), Prim("1"), Prim("0")])
-    assert get_term in subs
+def test_inline_nested_bodies():
+    # (f2 a b) = (f0 b (f1 a)) = (and b (or a a))
+    term = apply_all(Prim("f2"), [Prim("a"), Prim("b")])
+    or_aa = apply_all(Prim("or"), [Prim("a"), Prim("a")])
+    assert inline(term, _DEFS) == apply_all(Prim("and"), [Prim("b"), or_aa])
+    # A call inside an argument is expanded before it is substituted.
+    term = apply_all(Prim("f0"), [Apply(Prim("f1"), Prim("a")), Prim("f3")])
+    assert inline(term, _DEFS) == apply_all(Prim("and"), [or_aa, Prim("true")])
+
+
+def test_inline_argument_mentions_program_variables():
+    # λ(x) λ(y) (f0 x (f1 y)): the program's variables stay as they are.
+    term = Lambda(Lambda(apply_all(Prim("f0"), [Var(1), Apply(Prim("f1"), Var(0))])))
+    or_yy = apply_all(Prim("or"), [Var(0), Var(0)])
+    assert inline(term, _DEFS) == Lambda(Lambda(apply_all(Prim("and"), [Var(1), or_yy])))
+
+
+def test_inline_arity_zero_is_a_bare_name():
+    term = Lambda(apply_all(Prim("if"), [Prim("f3"), Prim("a"), Var(0)]))
+    assert inline(term, _DEFS) == Lambda(apply_all(Prim("if"), [Prim("true"), Prim("a"), Var(0)]))
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        Prim("f0"),
+        Apply(Prim("f0"), Prim("a")),
+        apply_all(Prim("f1"), [Prim("a"), Prim("b")]),
+        Apply(Prim("f3"), Prim("a")),
+        Lambda(apply_all(Prim("and"), [Var(0), Apply(Prim("f0"), Var(0))])),
+    ],
+)
+def test_inline_rejects_wrong_arity(term):
+    with pytest.raises(GridSynthError, match=r"abstraction f\d"):
+        inline(term, _DEFS)
+
+
+def test_inline_rejects_a_body_with_an_inner_lambda():
+    defs = {"f0": Lambda(Apply(Lambda(Var(1)), Var(0)))}
+    with pytest.raises(GridSynthError, match="inner lambda"):
+        inline(Apply(Prim("f0"), Prim("a")), defs)
+
+
+def test_inline_returns_call_free_terms_unchanged():
+    term = Lambda(apply_all(Prim("get"), [Var(0), Prim("1"), Prim("0")]))
+    assert inline(term, _DEFS) is term
 
 
 def test_tyvar_str():

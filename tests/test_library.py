@@ -19,6 +19,7 @@ from gridsynth.grammar import (
     uniform_grammar,
 )
 from gridsynth.interp import exec_program
+from gridsynth.kernel import compile_term, execute
 from gridsynth.lang import ACTION, MAP
 from gridsynth.library import (
     Abstraction,
@@ -360,6 +361,54 @@ class TestExpand:
             flat = expand(res.rewritten[tid], res.library)
             assert not any(a.name in print_program(flat) for a in res.library)
             assert same_behavior(term, flat, states)
+
+
+_CLOSED_BOOL = (
+    "(and (eq-direction? direction-0 direction-1) (eq-direction? direction-2 direction-3))"
+)
+
+
+def closed_bool_corpus():
+    """The closed bool under four different parents: it compresses to an
+    arity-0 abstraction."""
+    c = _CLOSED_BOOL
+    texts = [
+        f"(λ(x) (λ(y) (if {c} left-action forward-action)))",
+        f"(λ(x) (λ(y) (if (or {c} (eq-direction? y direction-1)) right-action left-action)))",
+        f"(λ(x) (λ(y) (if (and (eq-obj? wall-obj (get x 1 0)) {c}) forward-action right-action)))",
+        f"(λ(x) (λ(y) (if (or (eq-direction? y direction-2) {c}) left-action right-action)))",
+    ]
+    return {f"t{i}": parse(t) for i, t in enumerate(texts)}
+
+
+class TestArityZero:
+    @pytest.fixture(scope="class")
+    def result(self):
+        res = compress(closed_bool_corpus(), uniform_grammar(PRIMS))
+        assert [(a.name, a.arity, str(a.type)) for a in res.library] == [("f0", 0, "bool")]
+        assert body_text(res.library[0]) == _CLOSED_BOOL
+        assert all(count_calls(t, "f0") == 1 for t in res.rewritten.values())
+        return res
+
+    def test_round_trips_through_library_json(self, result, tmp_path):
+        path = tmp_path / "library.json"
+        save_library(result.library, path)
+        loaded = load_library(path, PRIMS)
+        assert loaded == list(result.library)
+        for term in result.rewritten.values():
+            assert parse_program(print_program(term), PRIMS, extra=["f0"]) == term
+
+    def test_expands_compiles_and_agrees_with_interpreter(self, result):
+        states = random_states(60, seed=5)
+        corpus = closed_bool_corpus()
+        for tid, term in result.rewritten.items():
+            flat = expand(term, result.library)
+            assert flat == corpus[tid]
+            code = compile_term(flat, PRIMS).code
+            for s in states:
+                want = exec_program(term, s, PRIMS, library=result.library)
+                got = execute(code, s.flat(), s.width, s.height, s.direction)
+                assert PRIMS.action_words[got] == want
 
 
 class TestSerialization:

@@ -12,11 +12,13 @@ before the next begins:
 The run directory holds one subdirectory per iteration plus a top-level
 run.json (config echo and history) and eval.csv.  solved.json, library.json
 and eval.csv contain no wall-clock times, so reruns with identical seeds are
-byte-identical regardless of --jobs.  Each history entry in run.json records
-the seconds spent in the dream, refit, solve and compress stages (stageSec)
-and how many searches stopped on their timeout (timeoutStops): a timeout stop
-depends on machine speed, so a nonzero count means the artifacts may differ
-on another machine.
+byte-identical regardless of --jobs.  run.json names the package version
+that ran.  Each history entry in run.json records the seconds spent in the
+dream, refit, solve and compress stages (stageSec), how many searches stopped
+for each reason (stopReasons) and on their timeout (timeoutStops), and how
+many candidates the solve stage compiled into its shared candidate lists
+(candidatesCompiled).  A timeout stop depends on machine speed, so a nonzero
+count means the artifacts may differ on another machine.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from gridsynth import __version__
 from gridsynth.data import (
     RolloutParams,
     Task,
@@ -38,11 +41,11 @@ from gridsynth.data import (
     slice_tasks,
 )
 from gridsynth.errors import GridSynthError
-from gridsynth.grammar import refit, save_grammar, uniform_grammar
+from gridsynth.grammar import refit, save_grammar, tables_for, uniform_grammar
 from gridsynth.lang import Term
 from gridsynth.library import compress, definitions, expand, library_to_json, save_library
 from gridsynth.primitives import primitive_table
-from gridsynth.search import SearchBudget, solve_many
+from gridsynth.search import STOP_REASONS, SearchBudget, solve_many
 from gridsynth.sexpr import parse_program, print_program
 
 SOLVED_SCHEMA = "gridsynth-solved-v1"
@@ -112,6 +115,22 @@ class RunConfig:
             )
         if self.t_min > self.t_max:
             raise GridSynthError(f"t_min {self.t_min} exceeds t_max {self.t_max}")
+        if self.jobs < 1:
+            raise GridSynthError(f"jobs must be at least 1, got {self.jobs}")
+        if self.corpus_size < 0:
+            raise GridSynthError(f"corpus_size must be at least 0, got {self.corpus_size}")
+        if not self.search_timeout_sec > 0:
+            raise GridSynthError(
+                f"search_timeout_sec must be positive, got {self.search_timeout_sec}"
+            )
+        prims = primitive_table(self.env_tag)
+        tables = tables_for(uniform_grammar(prims), prims.request)
+        least = len(tables.binders) + tables.min_depth[tables.body_request]
+        if self.d_max < least:
+            raise GridSynthError(
+                f"d_max {self.d_max} is below {least}, the depth of the smallest"
+                f" {self.env_tag} program"
+            )
 
 
 _ENV_DEFAULTS = {
@@ -270,7 +289,9 @@ def run_curriculum(config: RunConfig) -> dict:
             res = results[task.task_id]
             if res.programs:
                 accumulated[_acc_key(state.L, task.task_id)] = (task, res.programs[0])
-        timeout_stops = sum(1 for r in results.values() if r.stop_reason == "timeout")
+        stop_reasons = {reason: 0 for reason in STOP_REASONS}
+        for r in results.values():
+            stop_reasons[r.stop_reason] += 1
         t3 = time.monotonic()
         stage_sec["solve"] = t3 - t2
 
@@ -321,7 +342,9 @@ def run_curriculum(config: RunConfig) -> dict:
                 "dlBefore": res.dl_before,
                 "dlAfter": res.dl_after,
                 "advanced": nxt.L > state.L,
-                "timeoutStops": timeout_stops,
+                "timeoutStops": stop_reasons["timeout"],
+                "stopReasons": stop_reasons,
+                "candidatesCompiled": results.candidates_compiled,
                 "stageSec": stage_sec,
                 "wallTimeSec": time.monotonic() - t0,
             }
@@ -344,6 +367,7 @@ def _ordered(accumulated: dict) -> dict:
 def _write_run_json(out: Path, config, history, state, stop_reason) -> dict:
     doc = {
         "schema": RUN_SCHEMA,
+        "version": __version__,
         "config": asdict(config),
         "history": history,
         "finalL": state.L,

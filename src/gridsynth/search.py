@@ -5,6 +5,14 @@ a stack of typed holes plus the path of choices taken so far; the priority is
 accumulated cost plus an admissible completion bound (the per-type minimum
 description length), so terms stream out in exactly non-decreasing DL order.
 Terms are only materialized when a derivation completes.
+
+The stream depends only on the grammar, the library and the depth bound, which
+a solve stage fixes for all of its tasks. So `solve_many` keeps the stream as
+one `CandidateList` per stage: each candidate is enumerated, expanded and
+compiled the first time any task's scan reaches it, and every task scans the
+list from its start with its own top-k, candidate cap and deadline. With
+`jobs` > 1 the tasks are split into contiguous chunks, one forked worker and
+one shared list per chunk, and the results are joined in task order.
 """
 from __future__ import annotations
 
@@ -32,6 +40,11 @@ class SearchBudget:
     max_candidates: int | None = None
 
 
+# Why a search stopped: "top-k" hits found, the "candidates" cap reached, the
+# "timeout" passed (machine-dependent), or the stream "exhausted".
+STOP_REASONS = ("top-k", "candidates", "timeout", "exhausted")
+
+
 @dataclass(frozen=True)
 class SolvedTask:
     task_id: str
@@ -39,9 +52,7 @@ class SolvedTask:
     dl_nats: tuple[float, ...]
     candidates_tried: int
     wall_time_sec: float
-    # Why the search stopped: "top-k" hits found, the "candidates" cap reached,
-    # the "timeout" passed (machine-dependent), or the stream "exhausted".
-    stop_reason: str = "exhausted"
+    stop_reason: str = "exhausted"  # one of STOP_REASONS
 
     @property
     def solved(self) -> bool:
@@ -146,30 +157,71 @@ def _prepare_task(task, prims):
     return grids, dirs, acts, first.width, first.height
 
 
+class CandidateList:
+    """A solve stage's candidate stream, extended lazily and shared by its tasks.
+
+    Entry i is (dl, term, code) for the i-th term of `_stream`: its DL, the
+    term itself, and the bytecode of its library expansion. An entry is
+    enumerated, expanded and compiled the first time a scan reaches it.
+    Iterating yields the entries from the first; a scan that passes the end of
+    the list extends it, and the scan's caller pays for that.
+    """
+
+    def __init__(self, grammar: Grammar, prims, library=(), max_depth: int | None = None):
+        self.key = (grammar, prims.env_tag, tuple(library), max_depth)
+        self.entries: list[tuple[float, Term, tuple[int, ...]]] = []
+        self._stream = _stream(tables_for(grammar, grammar.requests[0]), max_depth)
+        self._defs = definitions(library)
+        self._prims = prims
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self):
+        entries = self.entries
+        i = 0
+        while True:
+            if i == len(entries):
+                nxt = next(self._stream, None)
+                if nxt is None:
+                    return
+                dl, term = nxt
+                flat = inline(term, self._defs) if self._defs else term
+                entries.append((dl, term, compile_term(flat, self._prims).code))
+            yield entries[i]
+            i += 1
+
+
 def solve_task(
     grammar: Grammar,
     task,
     budget: SearchBudget,
     library=(),
     max_depth: int | None = None,
+    candidates: CandidateList | None = None,
 ) -> SolvedTask:
-    """Filter the enumeration stream through the imitation check."""
+    """Filter the enumeration stream through the imitation check.
+
+    `candidates` is a list shared with other tasks, built for the same
+    grammar, library, depth bound and environment; without it the task builds
+    its own.
+    """
     if budget.timeout_sec is None and budget.max_candidates is None:
         raise ValueError("search budget needs a timeout or a candidate cap")
     prims = primitive_table(task.env_tag)
-    tables = tables_for(grammar, grammar.requests[0])
+    if candidates is None:
+        candidates = CandidateList(grammar, prims, library, max_depth)
+    elif candidates.key != (grammar, prims.env_tag, tuple(library), max_depth):
+        raise ValueError("candidate list was built for another grammar, library, depth or environment")
     grids, dirs, acts, width, height = _prepare_task(task, prims)
     n = len(acts)
-    defs = definitions(library)
     hits: list[tuple[float, str, Term]] = []
     tried = 0
     start = time.monotonic()
     deadline = None if budget.timeout_sec is None else start + budget.timeout_sec
     stop_reason = "exhausted"
-    for dl, term in _stream(tables, max_depth):
+    for dl, term, code in candidates:
         tried += 1
-        flat = inline(term, defs) if defs else term
-        code = compile_term(flat, prims).code
         matched = check_trajectory(code, grids, dirs, acts, width, height)
         if matched == n:
             hits.append((dl, print_program(term), term))
@@ -193,9 +245,18 @@ def solve_task(
     )
 
 
-def _solve_one(packed):
-    grammar, task, budget, library, max_depth = packed
-    return solve_task(grammar, task, budget, library, max_depth)
+class StageResults(dict):
+    """Solved tasks keyed by task id, in task order, plus `candidates_compiled`:
+    the total length of the candidate lists the stage built."""
+
+    candidates_compiled: int = 0
+
+
+def _solve_chunk(grammar, tasks, budget, library, max_depth):
+    """Solve tasks in order against one shared candidate list."""
+    shared = CandidateList(grammar, primitive_table(grammar.env_tag), library, max_depth)
+    results = [solve_task(grammar, t, budget, library, max_depth, shared) for t in tasks]
+    return results, len(shared)
 
 
 def solve_many(
@@ -205,16 +266,28 @@ def solve_many(
     library=(),
     max_depth: int | None = None,
     jobs: int = 1,
-) -> dict[str, SolvedTask]:
+) -> StageResults:
     """Solve tasks independently; results keyed by task id in task order.
 
-    The per-task work is identical regardless of `jobs`, so the solved set
-    and every program list are too.
+    The tasks share one `CandidateList`, so each candidate is enumerated,
+    expanded and compiled at most once, while each task's scan, stop reason
+    and hits are exactly those of a lone `solve_task` call; only a timeout
+    can come later, since reading entries another task compiled is faster
+    than compiling them. With a candidate cap the list never exceeds
+    `budget.max_candidates`; without one it grows to the longest scan, which
+    only the timeout bounds. `jobs` > 1 splits the tasks into contiguous
+    chunks, each solved in a forked worker with its own list, so the solved
+    set and every program list do not depend on `jobs`.
     """
     if jobs <= 1 or len(tasks) <= 1:
-        results = [solve_task(grammar, t, budget, library, max_depth) for t in tasks]
+        parts = [_solve_chunk(grammar, tasks, budget, library, max_depth)]
     else:
-        packed = [(grammar, t, budget, library, max_depth) for t in tasks]
+        jobs = min(jobs, len(tasks))
+        chunks = [tasks[i * len(tasks) // jobs:(i + 1) * len(tasks) // jobs] for i in range(jobs)]
         with get_context("fork").Pool(processes=jobs) as pool:
-            results = pool.map(_solve_one, packed)
-    return {r.task_id: r for r in results}
+            parts = pool.starmap(
+                _solve_chunk, [(grammar, c, budget, library, max_depth) for c in chunks]
+            )
+    out = StageResults((r.task_id, r) for results, _ in parts for r in results)
+    out.candidates_compiled = sum(n for _, n in parts)
+    return out

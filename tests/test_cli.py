@@ -49,6 +49,9 @@ class TestExitCodes:
         assert main(["run", "--env", "maze", "--out", str(out), "--t-min", "10", "--t-max", "5"]) == 2
         assert main(["run", "--env", "maze", "--out", str(out), "--top-k", "0"]) == 2
         assert "top_k must be at least 1" in capsys.readouterr().err
+        assert main(["run", "--env", "maze", "--out", str(out), "--d-max", "1"]) == 2
+        assert "d_max 1 is below 3" in capsys.readouterr().err
+        assert main(["run", "--env", "maze", "--out", str(out), "--jobs", "0"]) == 2
         assert not out.exists()
 
     def test_missing_run_dir_is_runtime_error(self, tmp_path, capsys):

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from gridsynth import __version__
 from gridsynth.curriculum import (
     ADVANCE_RATE,
     CORPUS_SCHEMA,
@@ -22,6 +24,7 @@ from gridsynth.curriculum import (
     run_curriculum,
 )
 from gridsynth.errors import GridSynthError
+from gridsynth.search import STOP_REASONS
 
 
 def walk_rates(rates):
@@ -114,18 +117,35 @@ class TestConfig:
             (dict(l_start=0), "l_start"),
             (dict(t_min=0), "t_min"),
             (dict(t_min=10, t_max=5), "exceeds t_max"),
+            (dict(jobs=0), "jobs"),
+            (dict(jobs=-2), "jobs"),
+            (dict(corpus_size=-5), "corpus_size"),
+            (dict(search_timeout_sec=0), "search_timeout_sec"),
+            (dict(search_timeout_sec=-1), "search_timeout_sec"),
+            (dict(d_max=2), "d_max 2 is below 3"),
+            (dict(d_max=1), "d_max 1 is below 3"),
+            (dict(d_max=0), "d_max"),
+            (dict(d_max=-3), "d_max"),
+            (dict(env_tag="spaceinvaders", d_max=1), "d_max 1 is below 2"),
+            (dict(env_tag="asterix", d_max=1), "d_max 1 is below 2"),
         ],
     )
     def test_settings_that_cannot_run_are_rejected(self, overrides, message):
+        overrides = dict(overrides)
+        env_tag = overrides.pop("env_tag", "maze")
         with pytest.raises(GridSynthError, match=message):
-            default_config("maze", **overrides)
+            default_config(env_tag, **overrides)
 
     def test_boundary_settings_are_accepted(self):
         cfg = default_config(
             "maze", top_k=1, programs_per_task=None, max_iterations=1, oracle_episodes=1,
-            eval_episodes=1, l_start=1, t_min=5, t_max=5,
+            eval_episodes=1, l_start=1, t_min=5, t_max=5, jobs=1, corpus_size=0,
+            search_timeout_sec=1e-9, d_max=3,
         )
         assert cfg.programs_per_task is None and cfg.t_min == cfg.t_max == 5
+        assert cfg.d_max == 3 and cfg.corpus_size == 0
+        for env_tag in ("spaceinvaders", "asterix"):
+            assert default_config(env_tag, d_max=2).d_max == 2
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +248,28 @@ class TestRunRecord:
             (it / "library.json").read_text(),
             (out / "eval.csv").read_text(),
         ):
-            assert "stageSec" not in text and "timeoutStops" not in text
+            for field in ("stageSec", "timeoutStops", "stopReasons", "candidatesCompiled"):
+                assert field not in text
+
+    def test_stop_reasons_and_compiled_candidates(self, micro_run):
+        cfg, doc, out = micro_run
+        for h in doc["history"]:
+            assert list(h["stopReasons"]) == list(STOP_REASONS)
+            assert sum(h["stopReasons"].values()) == h["nTasks"]
+            assert h["stopReasons"]["timeout"] == h["timeoutStops"] == 0
+            # One process shares one list, so the stage compiles no more
+            # candidates than one task's cap, and at least its longest scan.
+            solved = json.loads((out / f"iter-{h['iteration']}" / "solved.json").read_text())
+            longest = max((e["candidatesTried"] for e in solved["solved"]), default=0)
+            assert longest <= h["candidatesCompiled"] <= cfg.programs_per_task
+
+    def test_version_recorded(self, micro_run):
+        _, doc, out = micro_run
+        assert doc["version"] == __version__
+        assert json.loads((out / "run.json").read_text())["version"] == __version__
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        match = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+        assert match and match.group(1) == __version__
 
     def test_timeout_stops_counted(self, tmp_path):
         # No candidate cap and an unreachable top-k: every search runs until
@@ -249,6 +290,10 @@ class TestRunRecord:
         h = doc["history"][0]
         assert h["nTasks"] > 0
         assert h["timeoutStops"] == h["nTasks"]
+        assert h["stopReasons"] == {"top-k": 0, "candidates": 0, "timeout": h["nTasks"], "exhausted": 0}
+        # Every search stops at its first deadline check, after 128 candidates
+        # of the list the first task built.
+        assert h["candidatesCompiled"] == 128
 
 
 class TestEdgeCases:

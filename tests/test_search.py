@@ -1,9 +1,13 @@
-"""Enumeration order, completeness against a brute-force oracle, solving."""
+"""Enumeration order, completeness against a brute-force oracle, solving, and
+the shared candidate list against per-task searches."""
 import itertools
 import math
+from functools import lru_cache
 
 import pytest
 
+from gridsynth import search
+from gridsynth.data import collect_oracle_rollouts, slice_tasks
 from gridsynth.grammar import (
     SampleConfig,
     description_length,
@@ -12,8 +16,10 @@ from gridsynth.grammar import (
     uniform_grammar,
 )
 from gridsynth.lang import Lambda, Prim, Term, TyVar, Var, apply_all, arg_types, depth, return_type
-from gridsynth.primitives import instantiate
+from gridsynth.library import compress
+from gridsynth.primitives import instantiate, primitive_table
 from gridsynth.search import (
+    CandidateList,
     SearchBudget,
     enumerate_programs,
     enumerate_with_dl,
@@ -239,3 +245,109 @@ def test_solve_many_matches_sequential(maze_grammar):
         assert seq[key].programs == par[key].programs
         assert seq[key].dl_nats == par[key].dl_nats
         assert seq[key].candidates_tried == par[key].candidates_tried
+
+
+# --- the shared candidate list against per-task reference searches ---------
+
+_STAGE_CAP = 500
+
+
+@lru_cache(maxsize=None)
+def _stage(env_tag, learned):
+    """Grammar, library, tasks and depth bound of one solve stage on oracle
+    windows of length 3. `learned` refits on the library-free stage's first
+    programs and compresses them into a library, as the curriculum does."""
+    prims = primitive_table(env_tag)
+    grammar = uniform_grammar(prims)
+    episodes, d_max = {"maze": (4, 6), "spaceinvaders": (2, 20)}[env_tag]
+    tasks = tuple(slice_tasks(collect_oracle_rollouts(env_tag, episodes, seed=3), 3).tasks)
+    if not learned:
+        return grammar, (), tasks, d_max
+    budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=2)
+    solved = solve_many(grammar, tasks, budget, max_depth=d_max)
+    corpus = {tid: r.programs[0] for tid, r in solved.items() if r.programs}
+    res = compress(corpus, refit(grammar, list(corpus.values())), max_arity=3)
+    assert res.library
+    return res.grammar, res.library, tasks, d_max
+
+
+def _outcome(result):
+    return result.programs, result.dl_nats, result.candidates_tried, result.stop_reason
+
+
+def assert_shared_matches_reference(grammar, tasks, budget, library, max_depth):
+    """solve_many at jobs 1, 2 and 3 gives every task exactly what a lone
+    solve_task, enumerating its own stream, gives it. Returns the reference."""
+    want = {t.task_id: solve_task(grammar, t, budget, library, max_depth) for t in tasks}
+    for jobs in (1, 2, 3):
+        got = solve_many(grammar, tasks, budget, library=library, max_depth=max_depth, jobs=jobs)
+        assert list(got) == list(want)
+        for tid, ref in want.items():
+            assert _outcome(got[tid]) == _outcome(ref), (jobs, tid)
+    return want
+
+
+@pytest.mark.parametrize("learned", [False, True], ids=["no-library", "learned-library"])
+@pytest.mark.parametrize("env_tag", ["maze", "spaceinvaders"])
+def test_shared_list_matches_per_task_search(env_tag, learned):
+    grammar, library, tasks, d_max = _stage(env_tag, learned)
+    budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=2)
+    want = assert_shared_matches_reference(grammar, tasks, budget, library, d_max)
+    assert {r.stop_reason for r in want.values()} == {"top-k", "candidates"}
+
+
+def test_scans_stopping_for_each_reason_share_one_list(maze_grammar):
+    # At depth 5 the maze stream holds 228 terms. The first two tasks stop on
+    # top-k, the last on the cap or the stream's end, and each task scans
+    # past the prefix that the tasks before it built.
+    state = maze_state(direction=0)
+    easy = FakeTask("easy", "maze", [(state, "left")])
+    turn = FakeTask("turn", "maze", [(maze_state(direction=2), "forward"),
+                                     (maze_state(direction=1), "left")])
+    never = FakeTask("never", "maze", [(state, "left"), (state, "right")])
+    tasks = [easy, turn, never]
+    capped = SearchBudget(timeout_sec=None, max_candidates=150, top_k=1)
+    want = assert_shared_matches_reference(maze_grammar, tasks, capped, (), 5)
+    assert [r.stop_reason for r in want.values()] == ["top-k", "top-k", "candidates"]
+    uncapped = SearchBudget(timeout_sec=60, max_candidates=None, top_k=1)
+    want = assert_shared_matches_reference(maze_grammar, tasks, uncapped, (), 5)
+    assert [r.stop_reason for r in want.values()] == ["top-k", "top-k", "exhausted"]
+    assert want["never"].candidates_tried == 228
+    assert want["easy"].candidates_tried < want["turn"].candidates_tried == 87
+
+
+@pytest.mark.parametrize("learned", [False, True], ids=["no-library", "learned-library"])
+def test_each_candidate_compiled_once_per_stage(monkeypatch, learned):
+    grammar, library, tasks, d_max = _stage("spaceinvaders", learned)
+    compiled = []
+    compile_term = search.compile_term
+
+    def counting(term, prims):
+        compiled.append(term)
+        return compile_term(term, prims)
+
+    monkeypatch.setattr(search, "compile_term", counting)
+    budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=2)
+    got = solve_many(grammar, tasks, budget, library=library, max_depth=d_max)
+    longest = max(r.candidates_tried for r in got.values())
+    assert got.candidates_compiled == len(compiled) == longest == _STAGE_CAP
+    assert sum(r.candidates_tried for r in got.values()) > 10 * len(compiled)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_solve_many_of_no_tasks_is_empty(maze_grammar, jobs):
+    budget = SearchBudget(timeout_sec=None, max_candidates=10)
+    got = solve_many(maze_grammar, [], budget, jobs=jobs)
+    assert got == {} and got.candidates_compiled == 0
+
+
+def test_candidate_list_for_another_stage_is_refused(maze_grammar, si_prims):
+    task = FakeTask("t0", "maze", [(maze_state(direction=0), "left")])
+    budget = SearchBudget(timeout_sec=10, top_k=1)
+    shallow = CandidateList(maze_grammar, primitive_table("maze"), max_depth=4)
+    assert solve_task(maze_grammar, task, budget, max_depth=4, candidates=shallow).solved
+    with pytest.raises(ValueError, match="candidate list"):
+        solve_task(maze_grammar, task, budget, max_depth=6, candidates=shallow)
+    other = CandidateList(uniform_grammar(si_prims), si_prims)
+    with pytest.raises(ValueError, match="candidate list"):
+        solve_task(maze_grammar, task, budget, candidates=other)

@@ -56,16 +56,16 @@ class AsterixEnv:
         return self.observe()
 
     def observe(self) -> GridState:
-        rows = [[EMPTY] * SIZE for _ in range(SIZE)]
+        cells = [EMPTY] * (SIZE * SIZE)
         for e in self.entities:
             if not e.gold and e.trail_x is not None and 0 <= e.trail_x < SIZE:
-                rows[e.row][e.trail_x] = TRAIL
+                cells[e.row * SIZE + e.trail_x] = TRAIL
         for e in self.entities:
             if 0 <= e.x < SIZE:
-                rows[e.row][e.x] = GOLD if e.gold else ENEMY
+                cells[e.row * SIZE + e.x] = GOLD if e.gold else ENEMY
         px, py = self.player
-        rows[py][px] = PLAYER
-        return GridState.from_rows(rows, direction=None)
+        cells[py * SIZE + px] = PLAYER
+        return GridState(tuple(cells), SIZE)
 
     def step(self, action: str) -> tuple[GridState, bool]:
         if action not in ACTIONS:

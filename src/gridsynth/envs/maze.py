@@ -4,8 +4,10 @@ The world is a 13x13 grid of wall and floor cells carved with a seeded
 recursive backtracker, so every pair of floor cells is joined by exactly
 one path (verified with union-find after carving). The agent observes a
 5x5 window rotated into its own frame: it sits at view cell (0, 2) facing
-+x, which shows four cells ahead and two to each side. Cells outside the
-world read as walls. Codes: 1 empty, 2 wall, 3 goal.
++x, which shows four cells ahead and two to each side. The world is kept
+as one flat row-major tuple inside a border of VIEW - 1 walls, so cells
+outside the world read as walls and the view is 25 fixed offsets per
+direction. Codes: 1 empty, 2 wall, 3 goal.
 
 Directions are absolute: 0 east, 1 south, 2 west, 3 north (screen axes,
 y grows downward). `left` and `right` rotate in place, `forward` advances
@@ -16,6 +18,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from gridsynth.errors import GridSynthError, IllegalActionError
 from gridsynth.state import GridState
@@ -23,10 +26,26 @@ from gridsynth.state import GridState
 EMPTY, WALL, GOAL = 1, 2, 3
 MAZE_CELLS = 6
 VIEW = 5
+PAD = VIEW - 1  # walls around the world: the view reaches VIEW - 1 cells out
 ACTIONS = ("left", "right", "forward")
 
 # Heading vectors indexed by direction; right-hand vector is (-ay, ax).
 DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+@lru_cache(maxsize=None)
+def view_offsets(stride: int) -> tuple[tuple[int, ...], ...]:
+    """Per direction, the offset of each view cell (row-major) from the
+    agent's own cell, in a padded world `stride` cells wide: view cell
+    (vx, vy) lies vx cells ahead and vy - 2 cells to the right."""
+    return tuple(
+        tuple(
+            (ay * vx + ax * (vy - 2)) * stride + ax * vx - ay * (vy - 2)
+            for vy in range(VIEW)
+            for vx in range(VIEW)
+        )
+        for ax, ay in DIRS
+    )
 
 
 def carve_maze(cells: int, rng: random.Random) -> list[list[int]]:
@@ -89,16 +108,13 @@ class MazeEnv:
 
     env_tag = "maze"
     cells: int = MAZE_CELLS
-    grid: tuple[tuple[int, ...], ...] = ()
+    world: tuple[int, ...] = ()  # padded, row-major, `stride` cells wide
+    stride: int = 0
     pos: tuple[int, int] = (1, 1)
     direction: int = 0
     goal: tuple[int, int] = (1, 1)
     done: bool = False
-    _dist: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def size(self) -> int:
-        return 2 * self.cells + 1
+    _dist: dict | None = field(default=None, repr=False)
 
     def reset(self, layout_seed: int, dynamics_seed: int = 0) -> GridState:
         del dynamics_seed  # the maze has no stochastic dynamics
@@ -108,30 +124,36 @@ class MazeEnv:
         spots = [(2 * cx + 1, 2 * cy + 1) for cy in range(self.cells) for cx in range(self.cells)]
         start, goal = rng.sample(spots, 2)
         raw[goal[1]][goal[0]] = GOAL
-        self.grid = tuple(tuple(row) for row in raw)
+        return self.install(raw, start, goal, rng.randrange(4))
+
+    def install(self, grid, start, goal, direction: int) -> GridState:
+        """Pad a square world (grid[y][x], goal marked) with walls, place
+        the agent, and return its first observation."""
+        self.stride = len(grid) + 2 * PAD
+        world = [WALL] * (self.stride * self.stride)
+        for y, row in enumerate(grid):
+            at = self._index(0, y)
+            world[at : at + len(row)] = row
+        self.world = tuple(world)
         self.pos = start
         self.goal = goal
-        self.direction = rng.randrange(4)
+        self.direction = direction
         self.done = False
-        self._dist = self._distances()
+        self._dist = None
         return self.observe()
 
-    def cell(self, x: int, y: int) -> int:
-        if 0 <= x < self.size and 0 <= y < self.size:
-            return self.grid[y][x]
-        return WALL
+    def _index(self, x: int, y: int) -> int:
+        return (y + PAD) * self.stride + x + PAD
+
+    def _moves(self) -> tuple[int, ...]:
+        """World-index step of each heading in DIRS."""
+        return tuple(dy * self.stride + dx for dx, dy in DIRS)
 
     def observe(self) -> GridState:
-        ax, ay = DIRS[self.direction]
-        rx, ry = -ay, ax
-        px, py = self.pos
-        rows = []
-        for vy in range(VIEW):
-            side = vy - 2
-            rows.append(
-                [self.cell(px + ax * vx + rx * side, py + ay * vx + ry * side) for vx in range(VIEW)]
-            )
-        return GridState.from_rows(rows, direction=self.direction)
+        at = self._index(*self.pos)
+        world = self.world
+        view = [world[at + o] for o in view_offsets(self.stride)[self.direction]]
+        return GridState(tuple(view), VIEW, self.direction)
 
     def step(self, action: str) -> tuple[GridState, bool]:
         if action not in ACTIONS:
@@ -143,21 +165,24 @@ class MazeEnv:
         else:
             ax, ay = DIRS[self.direction]
             nx, ny = self.pos[0] + ax, self.pos[1] + ay
-            if self.cell(nx, ny) != WALL:
+            if self.world[self._index(nx, ny)] != WALL:
                 self.pos = (nx, ny)
         self.done = self.pos == self.goal
         return self.observe(), self.done
 
     def _distances(self) -> dict:
-        """BFS distance to the goal for every floor cell."""
-        dist = {self.goal: 0}
-        queue = deque([self.goal])
+        """BFS distance to the goal for every floor cell, by world index."""
+        world = self.world
+        moves = self._moves()
+        goal = self._index(*self.goal)
+        dist = {goal: 0}
+        queue = deque([goal])
         while queue:
-            x, y = queue.popleft()
-            for dx, dy in DIRS:
-                n = (x + dx, y + dy)
-                if n not in dist and self.cell(*n) != WALL:
-                    dist[n] = dist[(x, y)] + 1
+            at = queue.popleft()
+            for move in moves:
+                n = at + move
+                if n not in dist and world[n] != WALL:
+                    dist[n] = dist[at] + 1
                     queue.append(n)
         return dist
 
@@ -170,10 +195,12 @@ class MazeEnv:
         """
         if self.pos == self.goal:
             return "forward"
+        if self._dist is None:
+            self._dist = self._distances()
+        at = self._index(*self.pos)
         best = None
-        for i, (dx, dy) in enumerate(DIRS):
-            n = (self.pos[0] + dx, self.pos[1] + dy)
-            d = self._dist.get(n)
+        for i, move in enumerate(self._moves()):
+            d = self._dist.get(at + move)
             if d is not None and (best is None or d < best[0]):
                 best = (d, i)
         if best is None:

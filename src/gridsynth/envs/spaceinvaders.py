@@ -57,18 +57,18 @@ class SpaceInvadersEnv:
         return self.observe()
 
     def observe(self) -> GridState:
-        rows = [[EMPTY] * SIZE for _ in range(SIZE)]
+        cells = [EMPTY] * (SIZE * SIZE)
         for x, y in self.aliens:
-            rows[y][x] = ALIEN
+            cells[y * SIZE + x] = ALIEN
         for x, y in self.bombs:
             if 0 <= y < SIZE:
-                rows[y][x] = BOMB
+                cells[y * SIZE + x] = BOMB
         if self.shot is not None:
             sx, sy = self.shot
             if 0 <= sy < SIZE:
-                rows[sy][sx] = FRIENDLY
-        rows[CANNON_ROW][self.cannon_x] = CANNON
-        return GridState.from_rows(rows, direction=None)
+                cells[sy * SIZE + sx] = FRIENDLY
+        cells[CANNON_ROW * SIZE + self.cannon_x] = CANNON
+        return GridState(tuple(cells), SIZE)
 
     def step(self, action: str) -> tuple[GridState, bool]:
         if action not in ACTIONS:

@@ -132,15 +132,16 @@ def _agent_cell(env_tag: str, state: GridState) -> tuple[int, int] | None:
 def render_ascii(expl: StepExplanation, env_tag: str) -> str:
     """Characters: A agent, # wall, . empty, * accessed; MinAtar codes other
     than empty render as their digit.  Maze gets a direction label line."""
-    rows = expl.state.rows
-    agent = _agent_cell(env_tag, expl.state)
+    state = expl.state
+    agent = _agent_cell(env_tag, state)
     lines = []
-    if env_tag == "maze" and expl.state.direction is not None:
-        d = expl.state.direction
+    if env_tag == "maze" and state.direction is not None:
+        d = state.direction
         lines.append(f"facing direction-{d} ({_DIR_WORDS[d]})")
-    for y, row in enumerate(rows):
+    for y in range(state.height):
         chars = []
-        for x, code in enumerate(row):
+        for x in range(state.width):
+            code = state.cell(x, y)
             if agent == (x, y) or (env_tag != "maze" and code == 1):
                 chars.append("A")
             elif (x, y) in expl.highlighted_cells:
@@ -157,21 +158,20 @@ def render_ascii(expl: StepExplanation, env_tag: str) -> str:
 
 def render_svg(expl: StepExplanation, env_tag: str) -> str:
     """One SVG panel; base cells first, then yellow overlays, then the agent."""
-    rows = expl.state.rows
-    height = len(rows)
-    width = len(rows[0])
+    state = expl.state
+    width, height = state.width, state.height
     palette = _PALETTES[env_tag]
-    agent = _agent_cell(env_tag, expl.state)
+    agent = _agent_cell(env_tag, state)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width * CELL_PX}"'
         f' height="{height * CELL_PX}" viewBox="0 0 {width * CELL_PX} {height * CELL_PX}">'
     ]
-    if env_tag == "maze" and expl.state.direction is not None:
-        d = expl.state.direction
+    if env_tag == "maze" and state.direction is not None:
+        d = state.direction
         parts.append(f"<!-- facing direction-{d} ({_DIR_WORDS[d]}) -->")
-    for y, row in enumerate(rows):
-        for x, code in enumerate(row):
-            fill = palette.get(code, COLOR_EMPTY)
+    for y in range(height):
+        for x in range(width):
+            fill = palette.get(state.cell(x, y), COLOR_EMPTY)
             parts.append(
                 f'<rect x="{x * CELL_PX}" y="{y * CELL_PX}"'
                 f' width="{CELL_PX}" height="{CELL_PX}" fill="{fill}"/>'

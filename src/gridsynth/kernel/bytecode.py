@@ -63,8 +63,6 @@ class KernelUnsupportedError(GridSynthError):
 @dataclass(frozen=True)
 class CompiledProgram:
     code: tuple[int, ...]  # pairs of (op, arg)
-    needs_direction: bool
-    max_stack: int
 
 
 class _Emitter:
@@ -72,21 +70,12 @@ class _Emitter:
         self.prims = prims
         self.arity = arity
         self.code: list[int] = []
-        self.depth = 0
-        self.max_depth = 0
         self.action_ids = {w: i for i, w in enumerate(prims.action_words)}
 
     def op(self, opcode: int, arg: int = 0) -> int:
         at = len(self.code)
         self.code.extend((opcode, arg))
         return at
-
-    def push(self, n: int = 1):
-        self.depth += n
-        self.max_depth = max(self.max_depth, self.depth)
-
-    def pop(self, n: int = 1):
-        self.depth -= n
 
     def emit(self, term: Term):
         head, args = spine(term)
@@ -101,10 +90,8 @@ class _Emitter:
         if name == "if" and len(args) == 3:
             self.emit(args[0])
             jf = self.op(OP_JF, 0)
-            self.pop()
             self.emit(args[1])
             jmp = self.op(OP_JMP, 0)
-            self.pop()  # branches merge: only one value materializes
             self.code[jf + 1] = len(self.code)
             self.emit(args[2])
             self.code[jmp + 1] = len(self.code)
@@ -123,7 +110,6 @@ class _Emitter:
             for a in args:
                 self.emit(a)
             self.op(OP_GET)
-            self.pop(2)
             return
         opcode = _SIMPLE_OPS.get(name)
         if opcode is None:
@@ -131,7 +117,6 @@ class _Emitter:
         for a in args:
             self.emit(a)
         self.op(opcode)
-        self.pop(len(args) - 1)
 
     def _emit_var(self, var: Var):
         # arity 2: Var(1) = map, Var(0) = direction; arity 1: Var(0) = map
@@ -139,7 +124,6 @@ class _Emitter:
             raise KernelUnsupportedError("unbound variable")
         is_map = var.index == self.arity - 1
         self.op(OP_VAR_MAP if is_map else OP_VAR_DIR)
-        self.push()
 
     def _emit_const(self, entry):
         if entry.kind == "action":
@@ -147,7 +131,6 @@ class _Emitter:
         else:
             value = int(entry.value)
         self.op(OP_CONST, value)
-        self.push()
 
 
 def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
@@ -162,6 +145,4 @@ def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
     em = _Emitter(prims, arity)
     em.emit(body)
     em.op(OP_RET)
-    return CompiledProgram(
-        code=tuple(em.code), needs_direction=arity == 2, max_stack=em.max_depth
-    )
+    return CompiledProgram(code=tuple(em.code))

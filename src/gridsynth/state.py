@@ -10,48 +10,37 @@ from gridsynth.errors import MultiDigitCodeError
 class GridState:
     """An egocentric observation grid plus optional facing direction.
 
-    `rows` is indexed rows[y][x] with y increasing downward; cell values are
-    small integer object codes. `direction` is set for environments whose
-    programs take a direction argument (maze) and None otherwise.
+    `cells` holds the grid row-major: cell (x, y), with y increasing
+    downward, is cells[y * width + x]. This one tuple is what the kernel, the
+    search and the task-set JSON read. Cell values are small integer object
+    codes. `direction` is set for environments whose programs take a
+    direction argument (maze) and None otherwise.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    cells: tuple[int, ...]
+    width: int
     direction: int | None = None
 
     @property
     def height(self) -> int:
-        return len(self.rows)
-
-    @property
-    def width(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.cells) // self.width
 
     def cell(self, x: int, y: int) -> int:
-        return self.rows[y][x]
+        return self.cells[y * self.width + x]
 
-    def flat(self) -> list[int]:
-        return [code for row in self.rows for code in row]
+    def flat(self) -> tuple[int, ...]:
+        return self.cells
 
     def digits(self) -> str:
         """Row-major digit string; rejects codes that need more than one digit."""
-        out = []
-        for row in self.rows:
-            for code in row:
-                if not 0 <= code <= 9:
-                    raise MultiDigitCodeError(
-                        f"cell code {code} does not fit a single digit"
-                    )
-                out.append(str(code))
-        return "".join(out)
-
-    @staticmethod
-    def from_rows(rows, direction: int | None = None) -> "GridState":
-        return GridState(tuple(tuple(int(c) for c in r) for r in rows), direction)
+        for code in self.cells:
+            if not 0 <= code <= 9:
+                raise MultiDigitCodeError(f"cell code {code} does not fit a single digit")
+        return "".join(map(str, self.cells))
 
     @staticmethod
     def from_flat(flat, width: int, direction: int | None = None) -> "GridState":
-        flat = list(flat)
-        if width <= 0 or len(flat) % width != 0:
-            raise ValueError(f"flat length {len(flat)} not divisible by width {width}")
-        rows = [flat[i : i + width] for i in range(0, len(flat), width)]
-        return GridState.from_rows(rows, direction)
+        cells = tuple(int(c) for c in flat)
+        if width <= 0 or len(cells) % width != 0:
+            raise ValueError(f"flat length {len(cells)} not divisible by width {width}")
+        return GridState(cells, width, direction)

@@ -30,7 +30,7 @@ def si_prims():
 
 def maze_state(wall_at=(), direction=0) -> GridState:
     """A 5x5 maze observation: all empty except walls at the given cells."""
-    rows = [[1] * 5 for _ in range(5)]
+    cells = [1] * 25
     for x, y in wall_at:
-        rows[y][x] = 2
-    return GridState.from_rows(rows, direction=direction)
+        cells[y * 5 + x] = 2
+    return GridState.from_flat(cells, 5, direction=direction)

@@ -325,7 +325,7 @@ def test_criterion_08_accuracy_matches_brute_force():
 
 class _RecordingState(GridState):
     def __init__(self, state):
-        super().__init__(rows=state.rows, direction=state.direction)
+        super().__init__(cells=state.cells, width=state.width, direction=state.direction)
         object.__setattr__(self, "reads", set())
 
     def cell(self, x, y):

@@ -64,12 +64,12 @@ class TestEncodePrompt:
         assert encode_prompt(golden_task()) == GOLDEN_PROMPT
 
     def test_tiny_grid_concatenation(self):
-        state = GridState.from_rows([[1, 1], [1, 1]])
+        state = GridState.from_flat([1, 1, 1, 1], 2)
         task = Task("t", "maze", ((state, "no-op"),))
         assert encode_prompt(task) == "1111 no-op"
 
     def test_spaceinvaders_segment_is_100_digits(self):
-        state = GridState.from_rows([[0] * 10 for _ in range(10)])
+        state = GridState.from_flat([0] * 100, 10)
         task = Task("t", "spaceinvaders", ((state, "fire"),))
         digits, word = encode_prompt(task).split()
         assert len(digits) == 100 and word == "fire"
@@ -80,7 +80,7 @@ class TestEncodePrompt:
             assert len(digits) == 26
 
     def test_multi_digit_code_rejected(self):
-        state = GridState.from_rows([[12]])
+        state = GridState.from_flat([12], 1)
         with pytest.raises(MultiDigitCodeError):
             encode_prompt(Task("t", "maze", ((state, "left"),)))
 

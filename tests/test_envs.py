@@ -4,11 +4,14 @@ from collections import deque
 
 import pytest
 
+from gridsynth.data import collect_oracle_rollouts, collect_program_rollouts, default_params
 from gridsynth.envs import env_spec, make_env
 from gridsynth.envs.asterix import AsterixEnv, Entity
-from gridsynth.envs.maze import EMPTY, GOAL, WALL, MazeEnv, carve_maze
+from gridsynth.envs.maze import DIRS, EMPTY, GOAL, MAZE_CELLS, PAD, VIEW, WALL, MazeEnv, carve_maze
 from gridsynth.envs.spaceinvaders import SpaceInvadersEnv
 from gridsynth.errors import IllegalActionError
+from gridsynth.grammar import uniform_grammar
+from gridsynth.primitives import primitive_table
 
 
 def fresh_maze(seed=0):
@@ -20,19 +23,47 @@ def fresh_maze(seed=0):
 def hand_maze():
     """2-cell test world: agent at (1,1) facing east, wall ahead, goal south."""
     env = MazeEnv(cells=2)
-    env.grid = (
-        (2, 2, 2, 2, 2),
-        (2, 1, 2, 1, 2),
-        (2, 1, 2, 1, 2),
-        (2, 3, 1, 1, 2),
-        (2, 2, 2, 2, 2),
-    )
-    env.pos = (1, 1)
-    env.direction = 0
-    env.goal = (1, 3)
-    env.done = False
-    env._dist = env._distances()
+    env.install(HAND_GRID, start=(1, 1), goal=(1, 3), direction=0)
     return env
+
+
+HAND_GRID = (
+    (2, 2, 2, 2, 2),
+    (2, 1, 2, 1, 2),
+    (2, 1, 2, 1, 2),
+    (2, 3, 1, 1, 2),
+    (2, 2, 2, 2, 2),
+)
+
+
+def reference_view(grid, pos, direction):
+    """The maze view by its definition: view cell (vx, vy) is the world cell
+    vx steps ahead and vy - 2 steps to the right of the agent, rotated by
+    its heading, and a wall outside the world."""
+    size = len(grid)
+    ax, ay = DIRS[direction]
+    rx, ry = -ay, ax
+    px, py = pos
+    view = []
+    for vy in range(VIEW):
+        side = vy - 2
+        for vx in range(VIEW):
+            x, y = px + ax * vx + rx * side, py + ay * vx + ry * side
+            view.append(grid[y][x] if 0 <= x < size and 0 <= y < size else WALL)
+    return tuple(view)
+
+
+def assert_views_match_reference(env, grid):
+    """Every floor cell of `grid`, in all four directions."""
+    for y, row in enumerate(grid):
+        for x, code in enumerate(row):
+            if code == WALL:
+                continue
+            for d in range(4):
+                env.pos, env.direction = (x, y), d
+                obs = env.observe()
+                assert obs.width == VIEW and obs.direction == d
+                assert obs.flat() == reference_view(grid, (x, y), d), (x, y, d)
 
 
 class TestMaze:
@@ -42,7 +73,7 @@ class TestMaze:
         assert a.digits() == b.digits() and a.direction == b.direction
 
     def test_reset_varies_with_seed(self):
-        layouts = {fresh_maze(s).grid for s in range(10)}
+        layouts = {fresh_maze(s).world for s in range(10)}
         assert len(layouts) > 1
 
     def test_perfect_maze_independent_check(self):
@@ -89,7 +120,8 @@ class TestMaze:
                 assert obs.height == 5 and obs.width == 5
                 assert set(obs.flat()) <= {EMPTY, WALL, GOAL}
                 assert obs.direction in (0, 1, 2, 3)
-                assert env.grid[env.pos[1]][env.pos[0]] != WALL
+                x, y = env.pos
+                assert env.world[(y + PAD) * env.stride + x + PAD] != WALL
                 if env.done:
                     break
                 env.step(env.oracle_action())
@@ -137,6 +169,46 @@ class TestMaze:
     def test_illegal_action(self):
         with pytest.raises(IllegalActionError):
             fresh_maze().step("fire")
+
+    def test_padded_view_matches_reference_on_seeded_mazes(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            grid = carve_maze(MAZE_CELLS, rng)
+            goal = (2 * rng.randrange(MAZE_CELLS) + 1, 2 * rng.randrange(MAZE_CELLS) + 1)
+            grid[goal[1]][goal[0]] = GOAL
+            env = MazeEnv()
+            env.install(grid, start=(1, 1), goal=goal, direction=0)
+            assert_views_match_reference(env, grid)
+
+    def test_padded_view_matches_reference_at_the_border(self):
+        assert_views_match_reference(hand_maze(), HAND_GRID)
+
+    def test_reset_view_matches_reference(self):
+        for seed in range(5):
+            env = MazeEnv()
+            obs = env.reset(seed)
+            rng = random.Random(seed)
+            grid = carve_maze(MAZE_CELLS, rng)
+            grid[env.goal[1]][env.goal[0]] = GOAL
+            assert obs.flat() == reference_view(grid, env.pos, env.direction)
+
+    def test_distances_built_only_for_the_oracle(self, monkeypatch):
+        calls = []
+        distances = MazeEnv._distances
+
+        def counted(env):
+            calls.append(env)
+            return distances(env)
+
+        monkeypatch.setattr(MazeEnv, "_distances", counted)
+        prims = primitive_table("maze")
+        dreams = collect_program_rollouts(
+            uniform_grammar(prims), "maze", 10, default_params("maze"), seed=3, d_max=5
+        )
+        assert sum(len(t.steps) for t in dreams) > 0
+        assert calls == []
+        oracle = collect_oracle_rollouts("maze", 3, seed=3)
+        assert len(calls) == len(oracle) == 3
 
     def test_goal_ends_episode(self):
         env = hand_maze()

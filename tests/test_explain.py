@@ -35,7 +35,7 @@ class RecordingState(GridState):
     """Independent read-set oracle: records every cell the evaluator reads."""
 
     def __init__(self, state: GridState):
-        super().__init__(rows=state.rows, direction=state.direction)
+        super().__init__(cells=state.cells, width=state.width, direction=state.direction)
         object.__setattr__(self, "reads", set())
 
     def cell(self, x, y):

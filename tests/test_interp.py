@@ -21,7 +21,7 @@ def test_wall_check_chooses_forward_otherwise(maze_prims):
 
 def test_constant_program(si_prims):
     term = parse_program("(λ(m) no-op-action)", si_prims)
-    state = GridState.from_rows([[0] * 10 for _ in range(10)])
+    state = GridState.from_flat([0] * 100, 10)
     assert exec_program(term, state, si_prims) == "no-op"
 
 
@@ -35,7 +35,7 @@ def test_two_argument_program_receives_direction(maze_prims):
 def test_direction_required(maze_prims):
     text = "(λ(m) (λ(d) left-action))"
     term = parse_program(text, maze_prims)
-    state = GridState.from_rows([[1] * 5 for _ in range(5)], direction=None)
+    state = GridState.from_flat([1] * 25, 5, direction=None)
     with pytest.raises((EvalError, TypeMismatchError)):
         exec_program(term, state, maze_prims)
 
@@ -80,17 +80,17 @@ def test_boolean_operators(maze_prims):
 
 def test_coordinate_projections(asterix_prims):
     text = "(λ(m) (if (eq-obj? gold-obj (get m 3 4)) up-action down-action))"
-    rows = [[0] * 10 for _ in range(10)]
-    rows[4][3] = 2
+    cells = [0] * 100
+    cells[4 * 10 + 3] = 2
     term = parse_program(text, asterix_prims)
-    state = GridState.from_rows(rows)
+    state = GridState.from_flat(cells, 10)
     assert exec_program(term, state, asterix_prims) == "up"
 
 
 def test_get_x_get_y(asterix_prims):
     text = "(λ(m) (if (eq-x? (get-x (get m 7 2)) 7) up-action down-action))"
     term = parse_program(text, asterix_prims)
-    state = GridState.from_rows([[0] * 10 for _ in range(10)])
+    state = GridState.from_flat([0] * 100, 10)
     assert exec_program(term, state, asterix_prims) == "up"
     text = "(λ(m) (if (gt-y? (get-y (get m 7 2)) 3) up-action down-action))"
     term = parse_program(text, asterix_prims)

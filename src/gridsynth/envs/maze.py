@@ -7,7 +7,8 @@ one path (verified with union-find after carving). The agent observes a
 +x, which shows four cells ahead and two to each side. The world is kept
 as one flat row-major tuple inside a border of VIEW - 1 walls, so cells
 outside the world read as walls and the view is 25 fixed offsets per
-direction. Codes: 1 empty, 2 wall, 3 goal.
+direction. The world does not change within an episode, so each view is
+gathered once per cell and heading. Codes: 1 empty, 2 wall, 3 goal.
 
 Directions are absolute: 0 east, 1 south, 2 west, 3 north (screen axes,
 y grows downward). `left` and `right` rotate in place, `forward` advances
@@ -19,6 +20,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from gridsynth.errors import GridSynthError, IllegalActionError
 from gridsynth.state import GridState
@@ -48,30 +50,64 @@ def view_offsets(stride: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+class _Cells(NamedTuple):
+    """Tables of a (2*cells+1)^2 wall grid, with cell (cx, cy) numbered
+    cy * cells + cx and a set of cells held as a bitmask of those numbers."""
+
+    near: tuple[int, ...]  # per cell, the set of its in-bounds neighbours
+    free: tuple[dict, ...]  # per cell, each subset of `near` -> its members in DIRS order
+    spots: tuple[tuple[int, int], ...]  # per cell, its grid (x, y)
+    at: tuple[int, ...]  # per cell, its row-major grid index
+    edges: tuple[tuple[int, int, int, int], ...]  # each east or south pair (a, b) and the (x, y) of its wall
+
+
+@lru_cache(maxsize=None)
+def _cell_tables(cells: int) -> _Cells:
+    size = 2 * cells + 1
+    near, free = [], []
+    for cy in range(cells):
+        for cx in range(cells):
+            nbrs = [
+                (cy + dy) * cells + cx + dx
+                for dx, dy in DIRS
+                if 0 <= cx + dx < cells and 0 <= cy + dy < cells
+            ]
+            near.append(sum(1 << n for n in nbrs))
+            picks = (tuple(n for j, n in enumerate(nbrs) if k >> j & 1) for k in range(1 << len(nbrs)))
+            free.append({sum(1 << n for n in pick): pick for pick in picks})
+    spots = tuple((2 * cx + 1, 2 * cy + 1) for cy in range(cells) for cx in range(cells))
+    edges = tuple(
+        (cy * cells + cx, (cy + dy) * cells + cx + dx, 2 * cx + dx + 1, 2 * cy + dy + 1)
+        for cy in range(cells)
+        for cx in range(cells)
+        for dx, dy in ((1, 0), (0, 1))
+        if cx + dx < cells and cy + dy < cells
+    )
+    return _Cells(tuple(near), tuple(free), spots, tuple(y * size + x for x, y in spots), edges)
+
+
 def carve_maze(cells: int, rng: random.Random) -> list[list[int]]:
     """Recursive-backtracker carving on a (2*cells+1)^2 wall grid."""
     size = 2 * cells + 1
-    grid = [[WALL] * size for _ in range(size)]
-    start = (rng.randrange(cells), rng.randrange(cells))
-    grid[2 * start[1] + 1][2 * start[0] + 1] = EMPTY
-    seen = {start}
+    near, free, _, at, _ = _cell_tables(cells)
+    grid = [WALL] * (size * size)
+    sx = rng.randrange(cells)
+    start = rng.randrange(cells) * cells + sx
+    grid[at[start]] = EMPTY
+    unseen = ((1 << cells * cells) - 1) ^ (1 << start)
     stack = [start]
     while stack:
-        cx, cy = stack[-1]
-        nbrs = [
-            (cx + dx, cy + dy)
-            for dx, dy in DIRS
-            if 0 <= cx + dx < cells and 0 <= cy + dy < cells and (cx + dx, cy + dy) not in seen
-        ]
+        here = stack[-1]
+        nbrs = free[here][near[here] & unseen]  # unseen neighbours, in DIRS order
         if not nbrs:
             stack.pop()
             continue
-        nx, ny = rng.choice(nbrs)
-        grid[cy + ny + 1][cx + nx + 1] = EMPTY
-        grid[2 * ny + 1][2 * nx + 1] = EMPTY
-        seen.add((nx, ny))
-        stack.append((nx, ny))
-    return grid
+        n = rng.choice(nbrs)
+        grid[(at[here] + at[n]) >> 1] = EMPTY  # the wall between the two cells
+        grid[at[n]] = EMPTY
+        unseen ^= 1 << n
+        stack.append(n)
+    return [grid[y * size : (y + 1) * size] for y in range(size)]
 
 
 def verify_perfect(grid: list[list[int]], cells: int) -> None:
@@ -85,19 +121,14 @@ def verify_perfect(grid: list[list[int]], cells: int) -> None:
         return i
 
     edges = 0
-    for cy in range(cells):
-        for cx in range(cells):
-            for dx, dy in ((1, 0), (0, 1)):
-                nx, ny = cx + dx, cy + dy
-                if nx >= cells or ny >= cells:
-                    continue
-                if grid[cy + ny + 1][cx + nx + 1] != EMPTY:
-                    continue
-                edges += 1
-                a, b = find(cy * cells + cx), find(ny * cells + nx)
-                if a == b:
-                    raise GridSynthError("maze carving produced a cycle")
-                parent[a] = b
+    for a, b, x, y in _cell_tables(cells).edges:
+        if grid[y][x] != EMPTY:
+            continue
+        edges += 1
+        a, b = find(a), find(b)
+        if a == b:
+            raise GridSynthError("maze carving produced a cycle")
+        parent[a] = b
     if edges != cells * cells - 1:
         raise GridSynthError("maze carving left disconnected cells")
 
@@ -115,14 +146,14 @@ class MazeEnv:
     goal: tuple[int, int] = (1, 1)
     done: bool = False
     _dist: dict | None = field(default=None, repr=False)
+    _seen: dict | None = field(default=None, repr=False)  # this episode's observations
 
     def reset(self, layout_seed: int, dynamics_seed: int = 0) -> GridState:
         del dynamics_seed  # the maze has no stochastic dynamics
         rng = random.Random(layout_seed)
         raw = carve_maze(self.cells, rng)
         verify_perfect(raw, self.cells)
-        spots = [(2 * cx + 1, 2 * cy + 1) for cy in range(self.cells) for cx in range(self.cells)]
-        start, goal = rng.sample(spots, 2)
+        start, goal = rng.sample(_cell_tables(self.cells).spots, 2)
         raw[goal[1]][goal[0]] = GOAL
         return self.install(raw, start, goal, rng.randrange(4))
 
@@ -140,6 +171,7 @@ class MazeEnv:
         self.direction = direction
         self.done = False
         self._dist = None
+        self._seen = {}
         return self.observe()
 
     def _index(self, x: int, y: int) -> int:
@@ -150,10 +182,16 @@ class MazeEnv:
         return tuple(dy * self.stride + dx for dx, dy in DIRS)
 
     def observe(self) -> GridState:
+        """The view from the agent's cell and heading, kept for the rest of
+        the episode."""
         at = self._index(*self.pos)
-        world = self.world
-        view = [world[at + o] for o in view_offsets(self.stride)[self.direction]]
-        return GridState(tuple(view), VIEW, self.direction)
+        key = 4 * at + self.direction
+        obs = self._seen.get(key)
+        if obs is None:
+            world = self.world
+            view = tuple([world[at + o] for o in view_offsets(self.stride)[self.direction]])
+            obs = self._seen[key] = GridState(view, VIEW, self.direction)
+        return obs
 
     def step(self, action: str) -> tuple[GridState, bool]:
         if action not in ACTIONS:

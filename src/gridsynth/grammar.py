@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from gridsynth.errors import DepthUnsatisfiableError, NotDerivableError
 from gridsynth.lang import (
@@ -54,6 +56,20 @@ class Grammar:
                 return p
         return None
 
+    def __hash__(self) -> int:
+        # `tables_for` is keyed by the grammar and looked up once per sampled
+        # dream, and hashing walks every production's type; so the hash is
+        # computed once. It stays out of pickles, since string hashes differ
+        # between processes.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.env_tag, self.productions, self.var_logp, self.requests))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -85,7 +101,8 @@ class Choice:
 
 
 class Tables:
-    """Per-request candidate sets, min depths, and admissible DL bounds.
+    """Per-request candidate sets, min depths, admissible DL bounds, and the
+    `site` of each (type, remaining depth) that sampling or search visits.
 
     Binder environments are constant throughout a program body (no primitive
     takes a function argument), so one table serves the whole search.
@@ -106,6 +123,7 @@ class Tables:
                 self.by_head.setdefault((ty, _head_key(c)), c)
         self.min_depth = self._min_depths()
         self.min_dl = self._min_dls()
+        self._sites: dict[tuple, Site] = {}
 
     def _reachable_types(self) -> list[Ty]:
         seen = {self.body_request}
@@ -177,17 +195,51 @@ class Tables:
                 break
         return dl
 
-    def feasible(self, ty: Ty, remaining: int) -> list[int]:
-        """Indices of choices completable within the remaining depth."""
-        out = []
-        for i, c in enumerate(self.choices.get(ty, ())):
+    def site(self, ty: Ty, remaining: int | None) -> "Site":
+        """The choices completable within the remaining depth (or at all
+        when `remaining` is None) and their weights, built on first use and
+        kept."""
+        key = (ty, remaining)
+        site = self._sites.get(key)
+        if site is None:
+            site = self._sites[key] = self._site(ty, remaining)
+        return site
+
+    def _site(self, ty: Ty, remaining: int | None) -> "Site":
+        cands = self.choices.get(ty, ())
+        feasible = []
+        for i, c in enumerate(cands):
             if not c.args:
-                out.append(i)
+                feasible.append(i)
+            elif remaining is None:
+                if all(self.min_depth.get(a, math.inf) < math.inf for a in c.args):
+                    feasible.append(i)
             elif remaining >= 2:
                 need = max(self.min_depth.get(a, math.inf) for a in c.args)
                 if need <= remaining - 1:
-                    out.append(i)
-        return out
+                    feasible.append(i)
+        weights = [math.exp(-cands[i].cost) for i in feasible]
+        return Site(
+            tuple(feasible),
+            tuple(cands[i] for i in feasible),
+            tuple(accumulate(weights)),
+            sum(weights),
+        )
+
+
+@dataclass(frozen=True)
+class Site:
+    """The choices open at one (type, remaining depth) of a derivation.
+
+    `bounds` are the running sums of the choices' weights exp(-cost), added
+    left to right. A draw scales by `total`, the builtin `sum` of the
+    weights, which since Python 3.12 can differ from the last bound in the
+    last digit."""
+
+    feasible: tuple[int, ...]  # indices into `Tables.choices[ty]`
+    choices: tuple[Choice, ...]
+    bounds: tuple[float, ...]
+    total: float
 
 
 @lru_cache(maxsize=64)
@@ -221,9 +273,7 @@ def sample_program(grammar: Grammar, cfg: SampleConfig) -> Term:
 
 
 def _sample_node(tables: Tables, ty: Ty, remaining: int, rng) -> Term:
-    cands = tables.choices[ty]
-    idx = _pick(tables, ty, remaining, rng)
-    choice = cands[idx]
+    choice = _pick(tables, ty, remaining, rng)
     if choice.kind == "var":
         return Var(choice.var_index)
     head = Prim(choice.name)
@@ -231,20 +281,14 @@ def _sample_node(tables: Tables, ty: Ty, remaining: int, rng) -> Term:
     return apply_all(head, args)
 
 
-def _pick(tables: Tables, ty: Ty, remaining: int, rng) -> int:
-    feasible = tables.feasible(ty, remaining)
-    if not feasible:
+def _pick(tables: Tables, ty: Ty, remaining: int, rng) -> Choice:
+    """Draw a feasible choice with probability proportional to its weight:
+    the first whose running weight sum reaches rng.random() * total."""
+    site = tables.site(ty, remaining)
+    if not site.choices:
         raise DepthUnsatisfiableError(f"no {ty} term fits remaining depth {remaining}")
-    cands = tables.choices[ty]
-    weights = [math.exp(-cands[i].cost) for i in feasible]
-    total = sum(weights)
-    r = rng.random() * total
-    acc = 0.0
-    for i, w in zip(feasible, weights):
-        acc += w
-        if r <= acc:
-            return i
-    return feasible[-1]
+    k = bisect_left(site.bounds, rng.random() * site.total)
+    return site.choices[k] if k < len(site.choices) else site.choices[-1]
 
 
 def description_length(grammar: Grammar, term: Term, request: Ty | None = None) -> float:

@@ -42,19 +42,18 @@ class PrimTable:
     entries: tuple[PrimDef, ...]
     request: Ty
     by_name: dict = field(repr=False, hash=False, compare=False, default=None)
+    action_words: tuple[str, ...] = field(init=False, repr=False, hash=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "by_name", {p.name: p for p in self.entries})
+        words = tuple(p.value for p in self.entries if p.kind == "action")
+        object.__setattr__(self, "action_words", words)
 
     def __contains__(self, name: str) -> bool:
         return name in self.by_name
 
     def get(self, name: str) -> PrimDef:
         return self.by_name[name]
-
-    @property
-    def action_words(self) -> tuple[str, ...]:
-        return tuple(p.value for p in self.entries if p.kind == "action")
 
     def object_code(self, name: str) -> int:
         return self.get(name).value

@@ -77,7 +77,7 @@ def _stream(tables: Tables, max_depth: int | None):
             continue
         (ty, remaining), rest = holes
         cands = tables.choices[ty]
-        for idx in _feasible(tables, ty, remaining):
+        for idx in tables.site(ty, remaining).feasible:
             c = cands[idx]
             new_g = g + c.cost
             new_h = f - g - tables.min_dl[ty]
@@ -90,16 +90,6 @@ def _stream(tables: Tables, max_depth: int | None):
                 heap, (new_g + new_h, seq, new_g, new_holes, (idx, path))
             )
             seq += 1
-
-
-def _feasible(tables: Tables, ty: Ty, remaining):
-    if remaining is None:
-        return [
-            i
-            for i, c in enumerate(tables.choices[ty])
-            if all(tables.min_depth.get(a, math.inf) < math.inf for a in c.args)
-        ]
-    return tables.feasible(ty, remaining)
 
 
 def _reconstruct(tables: Tables, path) -> Term:

@@ -53,6 +53,53 @@ def reference_view(grid, pos, direction):
     return tuple(view)
 
 
+def reference_carve(cells, rng):
+    """Recursive-backtracker carving by its definition: from a random cell,
+    step to a random unvisited neighbour (listed in DIRS order) and open the
+    wall between, backing up when none is left."""
+    size = 2 * cells + 1
+    grid = [[WALL] * size for _ in range(size)]
+    start = (rng.randrange(cells), rng.randrange(cells))
+    grid[2 * start[1] + 1][2 * start[0] + 1] = EMPTY
+    seen = {start}
+    stack = [start]
+    while stack:
+        cx, cy = stack[-1]
+        nbrs = [
+            (cx + dx, cy + dy)
+            for dx, dy in DIRS
+            if 0 <= cx + dx < cells and 0 <= cy + dy < cells and (cx + dx, cy + dy) not in seen
+        ]
+        if not nbrs:
+            stack.pop()
+            continue
+        nx, ny = rng.choice(nbrs)
+        grid[cy + ny + 1][cx + nx + 1] = EMPTY
+        grid[2 * ny + 1][2 * nx + 1] = EMPTY
+        seen.add((nx, ny))
+        stack.append((nx, ny))
+    return grid
+
+
+def reference_reset(seed):
+    """(world, pos, goal, direction) of `MazeEnv.reset(seed)`: a carved
+    maze, two distinct cells for the start and goal, a heading, and the
+    world padded with PAD walls on every side."""
+    rng = random.Random(seed)
+    grid = reference_carve(MAZE_CELLS, rng)
+    spots = [(2 * cx + 1, 2 * cy + 1) for cy in range(MAZE_CELLS) for cx in range(MAZE_CELLS)]
+    start, goal = rng.sample(spots, 2)
+    grid[goal[1]][goal[0]] = GOAL
+    direction = rng.randrange(4)
+    size = len(grid)
+    world = tuple(
+        grid[y - PAD][x - PAD] if PAD <= x < size + PAD and PAD <= y < size + PAD else WALL
+        for y in range(size + 2 * PAD)
+        for x in range(size + 2 * PAD)
+    )
+    return world, start, goal, direction
+
+
 def assert_views_match_reference(env, grid):
     """Every floor cell of `grid`, in all four directions."""
     for y, row in enumerate(grid):
@@ -101,6 +148,32 @@ class TestMaze:
                         seen.add((nx, ny))
                         queue.append((nx, ny))
             assert len(seen) == 36
+
+    def test_carving_matches_reference(self):
+        for cells in (1, 2, 3, MAZE_CELLS):
+            for seed in range(500 if cells == MAZE_CELLS else 50):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert carve_maze(cells, rng) == reference_carve(cells, ref), (cells, seed)
+                assert rng.random() == ref.random()  # the same draws were taken
+
+    def test_reset_matches_reference(self):
+        env = MazeEnv()
+        for seed in range(100):
+            obs = env.reset(seed)
+            world, pos, goal, direction = reference_reset(seed)
+            assert (env.world, env.pos, env.goal, env.direction) == (world, pos, goal, direction)
+            assert env.stride * env.stride == len(world)
+            assert obs.direction == direction and not env.done
+
+    def test_install_forgets_the_last_worlds_views(self):
+        env = hand_maze()
+        before = env.observe()
+        assert env.observe() == before
+        opened = [list(row) for row in HAND_GRID]
+        opened[1][2] = EMPTY  # the wall ahead of the agent
+        obs = env.install(opened, start=(1, 1), goal=(1, 3), direction=0)
+        assert obs != before
+        assert obs.flat() == reference_view(opened, (1, 1), 0)
 
     def test_oracle_reaches_goal_100_of_100(self):
         budget = 4 * 36

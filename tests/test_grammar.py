@@ -1,11 +1,19 @@
 """Grammar sampling, description length, and refit."""
 import math
+import os
+import pickle
+import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import gridsynth
 from gridsynth.errors import DepthUnsatisfiableError, NotDerivableError
 from gridsynth.grammar import (
     SampleConfig,
+    Tables,
     choice_counts,
     counts_dl,
     description_length,
@@ -16,7 +24,9 @@ from gridsynth.grammar import (
     tables_for,
     uniform_grammar,
 )
-from gridsynth.lang import ACTION, MAP, arrow, depth
+from gridsynth.lang import ACTION, MAP, Lambda, Prim, Var, apply_all, arrow, depth
+from gridsynth.library import compress
+from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import parse_program, print_program
 from gridsynth.typecheck import infer_type
 
@@ -180,3 +190,144 @@ def test_grammar_json_round_trip(maze_grammar):
     doc = grammar_to_json(maze_grammar)
     assert doc["schema"] == "gridsynth-grammar-v1"
     assert grammar_from_json(doc) == maze_grammar
+
+
+# --- the memoized sampler against the uncached one --------------------------
+
+
+def reference_feasible(tables, ty, remaining):
+    """The feasible choice indices at (ty, remaining), computed anew."""
+    out = []
+    for i, c in enumerate(tables.choices.get(ty, ())):
+        if not c.args:
+            out.append(i)
+        elif remaining is None:
+            if all(tables.min_depth.get(a, math.inf) < math.inf for a in c.args):
+                out.append(i)
+        elif remaining >= 2:
+            need = max(tables.min_depth.get(a, math.inf) for a in c.args)
+            if need <= remaining - 1:
+                out.append(i)
+    return out
+
+
+def reference_pick(tables, ty, remaining, rng):
+    feasible = reference_feasible(tables, ty, remaining)
+    if not feasible:
+        raise DepthUnsatisfiableError(f"no {ty} term fits remaining depth {remaining}")
+    cands = tables.choices[ty]
+    weights = [math.exp(-cands[i].cost) for i in feasible]
+    total = sum(weights)
+    r = rng.random() * total
+    acc = 0.0
+    for i, w in zip(feasible, weights):
+        acc += w
+        if r <= acc:
+            return i
+    return feasible[-1]
+
+
+def reference_sample(grammar, cfg):
+    """`sample_program` on freshly built tables, weighing every node anew."""
+    tables = Tables(grammar, cfg.request)
+    budget = cfg.d_max - len(tables.binders)
+    if budget < tables.min_depth.get(tables.body_request, math.inf):
+        raise DepthUnsatisfiableError(f"no term fits depth {cfg.d_max}")
+    rng = random.Random(cfg.seed)
+
+    def node(ty, remaining):
+        choice = tables.choices[ty][reference_pick(tables, ty, remaining, rng)]
+        if choice.kind == "var":
+            return Var(choice.var_index)
+        return apply_all(Prim(choice.name), [node(a, remaining - 1) for a in choice.args])
+
+    body = node(tables.body_request, budget)
+    for _ in tables.binders:
+        body = Lambda(body)
+    return body
+
+
+_D_MAX = {"maze": range(3, 9), "asterix": range(2, 9), "spaceinvaders": range(2, 9)}
+
+
+def _learned_grammar(prims):
+    """A refit grammar whose productions include the library that `compress`
+    learns from six programs of one shape."""
+    objs = [p.name for p in prims.entries if p.kind == "object"]
+    acts = [p.name for p in prims.entries if p.kind == "action"]
+    corpus = {}
+    for i in range(6):
+        body = (
+            f"(if (and (eq-obj? {objs[i % len(objs)]} (get x {i % 3} 1))"
+            f" (eq-obj? {objs[(i + 1) % len(objs)]} (get x 1 {i % 4}))) {acts[i % 2]} {acts[2]})"
+        )
+        text = f"(λ(x) (λ(y) {body}))" if prims.env_tag == "maze" else f"(λ(x) {body})"
+        corpus[f"p{i}"] = parse_program(text, prims)
+    res = compress(corpus, uniform_grammar(prims), max_arity=3)
+    assert len(res.library) >= 2
+    return refit(res.grammar, list(res.rewritten.values()))
+
+
+@pytest.mark.parametrize("learned", [False, True], ids=["uniform", "learned-library"])
+@pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
+def test_sampler_matches_uncached_reference(env_tag, learned):
+    prims = primitive_table(env_tag)
+    grammar = _learned_grammar(prims) if learned else uniform_grammar(prims)
+    d_maxes = _D_MAX[env_tag]
+    for seed in range(200):
+        cfg = SampleConfig(d_max=d_maxes[seed % len(d_maxes)], request=prims.request, seed=seed)
+        assert sample_program(grammar, cfg) == reference_sample(grammar, cfg), cfg
+    tables = tables_for(grammar, prims.request)
+    for ty in tables.choices:
+        for remaining in (None, *range(10)):
+            assert list(tables.site(ty, remaining).feasible) == reference_feasible(tables, ty, remaining)
+
+
+# --- the grammar's kept hash ------------------------------------------------
+
+
+def test_equal_grammars_hash_equal_and_share_tables(maze_grammar, maze_prims):
+    grammar = refit(maze_grammar, [parse_program("(λ(x) (λ(y) left-action))", maze_prims)])
+    twin = grammar_from_json(grammar_to_json(grammar))
+    assert twin is not grammar and twin == grammar
+    assert hash(grammar) == hash(twin) == hash(grammar)
+    assert vars(grammar)["_hash"] == hash(grammar)  # kept after the first call
+    assert tables_for(grammar, maze_prims.request) is tables_for(twin, maze_prims.request)
+    assert hash(grammar) != hash(maze_grammar)
+
+
+def test_pickled_grammar_carries_no_hash(maze_grammar):
+    hash(maze_grammar)
+    data = pickle.dumps(maze_grammar)
+    assert b"_hash" not in data
+    copy = pickle.loads(data)
+    assert copy == maze_grammar and "_hash" not in vars(copy)
+    assert hash(copy) == hash(maze_grammar)
+
+
+def test_unpickled_grammar_hashes_like_one_built_in_its_process(maze_grammar):
+    # String hashes differ between processes with different hash seeds, so a
+    # hash carried over in the pickle would not match a grammar built there.
+    hash(maze_grammar)
+    child = textwrap.dedent(
+        """
+        import pickle, sys
+        from gridsynth.grammar import uniform_grammar
+        from gridsynth.primitives import primitive_table
+        got = pickle.loads(sys.stdin.buffer.read())
+        built = uniform_grammar(primitive_table("maze"))
+        print(hash("maze"), hash(got) == hash(built), got == built)
+        """
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = os.path.dirname(os.path.dirname(gridsynth.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", child],
+        input=pickle.dumps(maze_grammar),
+        env=env,
+        capture_output=True,
+        check=True,
+    ).stdout.decode().split()
+    assert int(out[0]) != hash("maze")  # the child really hashes differently
+    assert out[1:] == ["True", "True"]

@@ -35,18 +35,19 @@ from gridsynth.data import (
     TaskSet,
     collect_oracle_rollouts,
     collect_program_rollouts,
+    compile_program,
     default_params,
-    imitates,
+    imitated,
     save_task_set,
     slice_tasks,
 )
 from gridsynth.errors import GridSynthError
 from gridsynth.grammar import refit, save_grammar, tables_for, uniform_grammar
 from gridsynth.lang import Term
-from gridsynth.library import compress, definitions, expand, library_to_json, save_library
+from gridsynth.library import compress, save_library
 from gridsynth.primitives import primitive_table
 from gridsynth.search import STOP_REASONS, SearchBudget, solve_many
-from gridsynth.sexpr import parse_program, print_program
+from gridsynth.sexpr import print_program
 
 SOLVED_SCHEMA = "gridsynth-solved-v1"
 CORPUS_SCHEMA = "gridsynth-corpus-v1"
@@ -414,21 +415,15 @@ def eval_run(run_dir, seed: int | None = None, episodes: int | None = None) -> P
     last = final_iteration_dir(run_dir)
     prims = primitive_table(config["env_tag"])
     library = load_library(last / "library.json", prims)
-    defs = definitions(library)
     report = json.loads((last / "report.json").read_text())
     texts = sorted({entry["program"] for entry in report["rewritten"]})
-    programs = [
-        expand(parse_program(text, prims, extra=defs), library) for text in texts
-    ]
+    codes = [compile_program(text, prims, library) for text in texts]
     fresh = collect_oracle_rollouts(config["env_tag"], episodes, seed=seed)
     lengths = sorted({entry["L"] for entry in doc["history"]})
     lines = [EVAL_HEADER]
     for L in lengths:
         tasks = slice_tasks(fresh, L)
-        hits = 0
-        for task in tasks.tasks:
-            if any(imitates(p, task, prims) for p in programs):
-                hits += 1
+        hits = sum(imitated(codes, task, prims) for task in tasks.tasks)
         acc = hits / tasks.n if tasks.n else 0.0
         lines.append(f"{L},{acc:.6f},{tasks.n}")
     path = run_dir / "eval.csv"

@@ -4,6 +4,8 @@ Trajectories come either from the scripted oracle or from sampled programs
 run inside a seeded environment. A trajectory is sliced into non-overlapping
 length-L windows, each of which becomes one imitation task: find a program
 whose action matches the recorded action on every state of the window.
+Rollouts of sampled programs, `imitates` and `accuracy` run programs on the
+bytecode kernel, which reads a task as flat inputs (`task_inputs`).
 """
 from __future__ import annotations
 
@@ -13,15 +15,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from gridsynth.envs import env_spec, make_env
-from gridsynth.errors import EvalError, GridSynthError, UnknownTaskIdError
+from gridsynth.errors import GridSynthError, IllegalActionError, TypeMismatchError, UnknownTaskIdError
 from gridsynth.grammar import Grammar, SampleConfig, sample_program
-from gridsynth.interp import exec_program
-from gridsynth.kernel import compile_term, execute
-from gridsynth.lang import Term, inline
+from gridsynth.kernel import check_trajectory, compile_term, execute
+from gridsynth.lang import ACTION, MAP, Term, arrow, inline
 from gridsynth.library import definitions
 from gridsynth.primitives import PrimTable, primitive_table
 from gridsynth.sexpr import parse_program, print_program
 from gridsynth.state import GridState
+from gridsynth.typecheck import infer_type
 
 TASKSET_SCHEMA = "gridsynth-taskset-v1"
 ROLLOUTS_SCHEMA = "gridsynth-rollouts-v1"
@@ -189,20 +191,50 @@ def slice_tasks(trajs, L: int) -> TaskSet:
     return TaskSet(env_tag, L, tuple(tasks))
 
 
-def imitates(program, task: Task, prims: PrimTable | None = None, library=None) -> bool:
-    """True iff the program reproduces every recorded action; errors are False."""
-    prims = prims or primitive_table(task.env_tag)
+def compile_program(program, prims: PrimTable, library=None) -> tuple[int, ...]:
+    """Bytecode of a program, given as text or as a term, expanded with its
+    library.
+
+    The kernel runs whatever it is given, so the program is type-checked
+    first: it must take the map (on the maze, the direction too) and return
+    an action, or TypeMismatchError is raised.
+    """
     term = _as_term(program, prims, library)
+    ty = infer_type(term, prims, library)
+    if ty not in (prims.request, arrow(MAP, ACTION)):
+        raise TypeMismatchError(expected=str(prims.request), found=str(ty), location="program")
     defs = definitions(library)
-    if defs:
-        term = inline(term, defs)
-    for state, action in task.steps:
-        try:
-            if exec_program(term, state, prims) != action:
-                return False
-        except EvalError:
-            return False
-    return True
+    return compile_term(inline(term, defs) if defs else term, prims).code
+
+
+def task_inputs(task: Task, prims: PrimTable):
+    """A task as `check_trajectory` reads it: flat grids, directions (0 where
+    a state has none), action ids, and the grids' width and height."""
+    ids = {w: i for i, w in enumerate(prims.action_words)}
+    illegal = [a for _, a in task.steps if a not in ids]
+    if illegal:
+        raise IllegalActionError(f"task {task.task_id} records {illegal[0]!r}, not one of {prims.action_words}")
+    states = [s for s, _ in task.steps]
+    grids = [s.flat() for s in states]
+    dirs = [s.direction or 0 for s in states]
+    acts = [ids[a] for _, a in task.steps]
+    width, height = (states[0].width, states[0].height) if states else (0, 0)
+    return grids, dirs, acts, width, height
+
+
+def imitated(codes, task: Task, prims: PrimTable) -> bool:
+    """True iff one of the compiled programs reproduces every recorded action
+    of the task; a program that fails to evaluate on a step does not."""
+    grids, dirs, acts, width, height = task_inputs(task, prims)
+    return any(check_trajectory(code, grids, dirs, acts, width, height) == len(acts) for code in codes)
+
+
+def imitates(program, task: Task, prims: PrimTable | None = None, library=None) -> bool:
+    """True iff the program reproduces every recorded action; a step it fails
+    to evaluate is a mismatch. An empty task is imitated by every program, and
+    an ill-typed program raises TypeMismatchError."""
+    prims = prims or primitive_table(task.env_tag)
+    return imitated([compile_program(program, prims, library)], task, prims)
 
 
 def accuracy(solutions: dict, tasks: TaskSet, library=None) -> float:

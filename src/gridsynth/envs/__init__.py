@@ -26,10 +26,6 @@ class EnvSpec:
     obs_shape: tuple[int, int]  # (height, width)
     request: Ty
 
-    @property
-    def code_table(self) -> dict:
-        return dict(self.codes)
-
 
 _ENV_CLASSES = {
     "maze": MazeEnv,

@@ -82,9 +82,7 @@ def _render_value(value, prims: PrimTable):
         return f"{prims.object_name(value.code)}@({value.x},{value.y})"
     if isinstance(value, Obj):
         return prims.object_name(value.code)
-    if isinstance(value, (bool, int, str)):
-        return value
-    return f"<{type(value).__name__}>"
+    return value  # a bool, an int or an action word
 
 
 def trace_execution(

@@ -294,7 +294,7 @@ def _pick(tables: Tables, ty: Ty, remaining: int, rng) -> Choice:
 def description_length(grammar: Grammar, term: Term, request: Ty | None = None) -> float:
     """Negative log-probability (nats) of the term's derivation."""
     if request is None:
-        request = _match_request(grammar, term)
+        request = grammar.requests[0]
     return term_dl(tables_for(grammar, request), term)
 
 
@@ -325,18 +325,6 @@ def _strip_binders(tables: Tables, term: Term) -> Term:
             raise NotDerivableError("term has fewer binders than the request")
         body = body.body
     return body
-
-
-def _match_request(grammar: Grammar, term: Term) -> Ty:
-    n = 0
-    body = term
-    while isinstance(body, Lambda):
-        n += 1
-        body = body.body
-    for req in grammar.requests:
-        if len(arg_types(req)) == n:
-            return req
-    return grammar.requests[0]
 
 
 def _head_key(c: Choice):
@@ -387,8 +375,8 @@ def refit(grammar: Grammar, solved: list[Term]) -> Grammar:
     """
     counts: dict[str, int] = {}
     var_count = 0
+    tables = tables_for(grammar, grammar.requests[0])
     for term in solved:
-        tables = tables_for(grammar, _match_request(grammar, term))
         for (_, head), n in choice_counts(tables, term).items():
             if isinstance(head, int):
                 var_count += n

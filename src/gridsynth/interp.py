@@ -1,9 +1,18 @@
 """Reference evaluator for DSL programs.
 
+Programs are first-order: every primitive, constant and library name is
+applied to exactly its arity, and the only binders are the program's own
+(the map, and on the maze the direction) and those of library bodies. So a
+term is a variable, a full application of a primitive, or a full call of a
+library abstraction; anything else (a partial or over-application, an
+applied variable, an inner lambda, a name the library lacks) raises
+EvalError. A primitive's arity is the number of arguments in its type.
+
 Call-by-value except `if`, which evaluates its condition and then only the
 taken branch. This is the semantics of record; the bytecode kernel must agree
 with it exactly, including error behavior. A tracer hook receives one event
-per completed primitive or abstraction call, in evaluation order.
+per completed primitive or abstraction call, in evaluation order; the events
+of an abstraction's body sit one level deeper than the call's own event.
 """
 from __future__ import annotations
 
@@ -11,26 +20,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from gridsynth.errors import EvalError, OutOfBoundsGetError, TypeMismatchError
-from gridsynth.lang import Apply, Lambda, Prim, Term, Var, spine
+from gridsynth.lang import Lambda, Prim, Term, Var, spine
 from gridsynth.primitives import PrimTable
 from gridsynth.state import GridState
-
-ARITIES = {
-    "if": 3,
-    "eq-obj?": 2,
-    "eq-direction?": 2,
-    "get": 3,
-    "get-game-obj": 1,
-    "not": 1,
-    "and": 2,
-    "or": 2,
-    "get-x": 1,
-    "get-y": 1,
-    "eq-x?": 2,
-    "eq-y?": 2,
-    "gt-x?": 2,
-    "gt-y?": 2,
-}
 
 
 @dataclass(frozen=True)
@@ -45,18 +37,6 @@ class MapObj:
 @dataclass(frozen=True)
 class Obj:
     code: int
-
-
-@dataclass(frozen=True)
-class Closure:
-    body: Term
-    env: tuple
-
-
-@dataclass(frozen=True)
-class Builtin:
-    name: str
-    got: tuple = ()
 
 
 # Tracer callback signature: (callee, args, result, level, accessed_cell, branch)
@@ -76,6 +56,14 @@ class _Ctx:
 def _emit(ctx: _Ctx, callee, args, result, accessed_cell=None, branch=None):
     if ctx.tracer is not None:
         ctx.tracer(callee, tuple(args), result, ctx.level, accessed_cell, branch)
+
+
+def _peel(term: Term) -> tuple[int, Term]:
+    """(number of leading binders, the body under them)."""
+    arity = 0
+    while isinstance(term, Lambda):
+        arity, term = arity + 1, term.body
+    return arity, term
 
 
 def _apply_builtin(ctx: _Ctx, name: str, args: list):
@@ -110,96 +98,48 @@ def _apply_builtin(ctx: _Ctx, name: str, args: list):
         result = args[0] > args[1]
     elif name == "gt-y?":
         result = args[0] > args[1]
-    elif name == "if":
-        # Reached only through exotic partial application; the normal path
-        # handles `if` lazily at the spine.
-        result = args[1] if args[0] else args[2]
     else:
         raise EvalError(f"unknown builtin {name!r}")
     _emit(ctx, name, args, result)
     return result
 
 
-def _apply_value(ctx: _Ctx, fn, arg):
-    if isinstance(fn, Closure):
-        return _eval(ctx, fn.body, (arg,) + fn.env)
-    if isinstance(fn, Builtin):
-        got = fn.got + (arg,)
-        if len(got) == ARITIES[fn.name]:
-            return _apply_builtin(ctx, fn.name, list(got))
-        return Builtin(fn.name, got)
-    raise EvalError(f"cannot apply non-function value {fn!r}")
-
-
-def _const_value(ctx: _Ctx, entry):
-    if entry.kind == "object":
-        return Obj(entry.value)
-    return entry.value
-
-
 def _eval(ctx: _Ctx, term: Term, env: tuple):
-    if isinstance(term, Var):
-        return env[term.index]
-    if isinstance(term, Lambda):
-        return Closure(term.body, env)
-    if isinstance(term, Prim):
-        return _prim_value(ctx, term.name)
     head, args = spine(term)
-    if isinstance(head, Prim):
-        name = head.name
-        if name == "if" and len(args) >= 3:
-            cond = _eval(ctx, args[0], env)
-            if not isinstance(cond, bool):
-                raise EvalError(f"if condition evaluated to {cond!r}, not a bool")
-            taken = args[1] if cond else args[2]
-            result = _eval(ctx, taken, env)
-            _emit(ctx, "if", [cond], result, branch="then" if cond else "else")
-            for extra in args[3:]:
-                result = _apply_value(ctx, result, _eval(ctx, extra, env))
-            return result
-        if name in ctx.defs:
-            return _apply_abstraction(ctx, name, args, env)
-        entry = ctx.prims.get(name)
-        if entry.kind == "function" and len(args) == ARITIES.get(name, -1):
-            vals = [_eval(ctx, a, env) for a in args]
-            return _apply_builtin(ctx, name, vals)
-    result = _eval(ctx, head, env)
-    for a in args:
-        result = _apply_value(ctx, result, _eval(ctx, a, env))
-    return result
-
-
-def _prim_value(ctx: _Ctx, name: str):
+    if isinstance(head, Var):
+        if args:
+            raise EvalError("applied variable")
+        return env[head.index]
+    if not isinstance(head, Prim):
+        raise EvalError("inner lambda")
+    name = head.name
     if name in ctx.defs:
-        return _eval(ctx, ctx.defs[name], ())
-    entry = ctx.prims.get(name)
-    if entry.kind == "function":
-        return Builtin(name)
-    return _const_value(ctx, entry)
-
-
-def _apply_abstraction(ctx: _Ctx, name: str, args, env):
-    body = ctx.defs[name]
-    arity = 0
-    while isinstance(body, Lambda):
-        arity += 1
-        body = body.body
-    if len(args) < arity:
-        result = _eval(ctx, ctx.defs[name], ())
-        for a in args:
-            result = _apply_value(ctx, result, _eval(ctx, a, env))
+        arity, body = ctx.defs[name]
+        if len(args) != arity:
+            raise EvalError(f"{name} takes {arity} arguments, applied to {len(args)}")
+        vals = [_eval(ctx, a, env) for a in args]
+        ctx.level += 1
+        try:
+            result = _eval(ctx, body, tuple(reversed(vals)))
+        finally:
+            ctx.level -= 1
+        _emit(ctx, name, vals, result)
         return result
-    vals = [_eval(ctx, a, env) for a in args[:arity]]
-    inner_env = tuple(reversed(vals))
-    ctx.level += 1
-    try:
-        result = _eval(ctx, body, inner_env)
-    finally:
-        ctx.level -= 1
-    _emit(ctx, name, vals, result)
-    for extra in args[arity:]:
-        result = _apply_value(ctx, result, _eval(ctx, extra, env))
-    return result
+    entry = ctx.prims.by_name.get(name)
+    if entry is None:
+        raise EvalError(f"{name!r} is neither a primitive nor in the library")
+    if len(args) != entry.arity:
+        raise EvalError(f"{name} takes {entry.arity} arguments, applied to {len(args)}")
+    if entry.kind != "function":
+        return Obj(entry.value) if entry.kind == "object" else entry.value
+    if name == "if":
+        cond = _eval(ctx, args[0], env)
+        if not isinstance(cond, bool):
+            raise EvalError(f"if condition evaluated to {cond!r}, not a bool")
+        result = _eval(ctx, args[1] if cond else args[2], env)
+        _emit(ctx, "if", [cond], result, branch="then" if cond else "else")
+        return result
+    return _apply_builtin(ctx, name, [_eval(ctx, a, env) for a in args])
 
 
 def exec_program(
@@ -211,19 +151,23 @@ def exec_program(
 ) -> str:
     """Run a program on an observation and return the chosen action word.
 
-    Programs of type map -> action get the grid; map -> direction -> action
-    programs also get the state's facing direction. Evaluation errors
-    (OutOfBoundsGet in particular) propagate to the caller.
+    A program of one binder gets the grid; one of two binders (map ->
+    direction -> action) also gets the state's facing direction, bound
+    innermost as in the kernel. Evaluation errors (OutOfBoundsGet in
+    particular) propagate to the caller.
     """
-    defs = {a.name: a.body for a in library} if library else {}
+    defs = {a.name: _peel(a.body) for a in library} if library else {}
     ctx = _Ctx(prims, defs, tracer)
-    value = _eval(ctx, term, ())
-    if isinstance(value, (Closure, Builtin)):
-        value = _apply_value(ctx, value, state)
-    if isinstance(value, (Closure, Builtin)):
+    arity, body = _peel(term)
+    if arity == 1:
+        env = (state,)
+    elif arity == 2:
         if state.direction is None:
             raise EvalError("program expects a direction but the state has none")
-        value = _apply_value(ctx, value, state.direction)
+        env = (state.direction, state)
+    else:
+        raise EvalError(f"program takes {arity} arguments; expected 1 or 2")
+    value = _eval(ctx, body, env)
     if not isinstance(value, str):
         raise TypeMismatchError(
             expected="action", found=repr(value), location="program result"

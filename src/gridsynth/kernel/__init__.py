@@ -3,8 +3,10 @@ on many grids.
 
 `compile_term` turns a term into a tuple of ints; `execute` runs it on one
 flat grid and `check_trajectory` counts how many leading steps of a task it
-reproduces. Both run in pure Python (`pykernel`). The tree interpreter in
-`gridsynth.interp` stays the semantics of record, and the tests hold the
+reproduces. Both run in pure Python (`pykernel`). Every run-time check of a
+program goes through here: the search's candidate checks, dream rollouts,
+`data.imitates` and evaluation. The tree interpreter in `gridsynth.interp`
+stays the semantics of record: it drives `explain`, and the tests hold the
 kernel to it.
 """
 from gridsynth.kernel.bytecode import (

@@ -7,8 +7,9 @@ primitive table's action list. `get` reads the grid directly, so the map
 argument slot is a dummy. Out-of-bounds `get` aborts execution with -1, where
 the interpreter raises; callers treat both as a failed imitation.
 
-Every closed, well-typed, library-expanded program compiles. Anything else
-(an unexpanded library call, an open term, an inner lambda) raises
+Every closed, well-typed, first-order, library-expanded program compiles.
+Anything else (an unexpanded library call, an open term, an inner lambda, a
+name applied to more or fewer arguments than its type has) raises
 KernelUnsupportedError; callers inline abstractions first.
 """
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from gridsynth.errors import GridSynthError
-from gridsynth.interp import ARITIES
 from gridsynth.lang import Lambda, Term, Var, spine
 from gridsynth.primitives import PrimTable
 
@@ -87,7 +87,15 @@ class _Emitter:
             self._emit_var(head)
             return
         name = head.name
-        if name == "if" and len(args) == 3:
+        entry = self.prims.by_name.get(name)
+        if entry is None:
+            raise KernelUnsupportedError(f"unknown primitive {name!r}")
+        if len(args) != entry.arity:
+            raise KernelUnsupportedError(f"{name} takes {entry.arity} arguments, applied to {len(args)}")
+        if entry.kind != "function":
+            self._emit_const(entry)
+            return
+        if name == "if":
             self.emit(args[0])
             jf = self.op(OP_JF, 0)
             self.emit(args[1])
@@ -96,16 +104,6 @@ class _Emitter:
             self.emit(args[2])
             self.code[jmp + 1] = len(self.code)
             return
-        entry = self.prims.get(name) if name in self.prims else None
-        if entry is None:
-            raise KernelUnsupportedError(f"unknown primitive {name!r}")
-        if entry.kind != "function":
-            if args:
-                raise KernelUnsupportedError("applied constant")
-            self._emit_const(entry)
-            return
-        if len(args) != ARITIES.get(name, -1):
-            raise KernelUnsupportedError(f"partial application of {name}")
         if name == "get":
             for a in args:
                 self.emit(a)

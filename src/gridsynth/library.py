@@ -307,7 +307,8 @@ def _matching_programs(core: Term, fragments: list) -> frozenset:
     return frozenset(found)
 
 
-def _propose(corpus_terms, max_arity: int, prims: PrimTable, library) -> list:
+def propose_candidates(corpus_terms, max_arity: int, prims: PrimTable, library=()) -> list:
+    """Candidate patterns (core with $-slots, argTypes, ret), sorted by text."""
     sig = _signatures(prims, library)
     ret = return_type(prims.request)
     frag_progs: dict = {}
@@ -342,11 +343,6 @@ def _propose(corpus_terms, max_arity: int, prims: PrimTable, library) -> list:
         if len(programs) >= 2:
             out.append(_Candidate(core, arg_tys, ty, text, programs))
     return out
-
-
-def propose_candidates(corpus_terms, max_arity: int, prims: PrimTable, library=()) -> list:
-    """Candidate patterns (core with $-slots, argTypes, ret), sorted by text."""
-    return _propose(list(corpus_terms), max_arity, prims, library)
 
 
 def _next_index(library) -> int:
@@ -400,7 +396,7 @@ def compress(
     while True:
         keys = list(current)
         terms = list(current.values())
-        candidates = _propose(terms, max_arity, prims, lib)
+        candidates = propose_candidates(terms, max_arity, prims, lib)
         sig = _signatures(prims, lib)
         tables = tables_for(g, request)
         counts = [choice_counts(tables, t) for t in terms]

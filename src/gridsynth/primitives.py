@@ -22,6 +22,7 @@ from gridsynth.lang import (
     Arrow,
     Ty,
     TyVar,
+    arg_types,
     arrow,
 )
 
@@ -34,6 +35,11 @@ class PrimDef:
     type: Ty
     kind: str  # "action" | "int" | "direction" | "object" | "function"
     value: object = None
+    # Every use applies it to exactly this many arguments: those of its type.
+    arity: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "arity", len(arg_types(self.type)))
 
 
 @dataclass(frozen=True)
@@ -54,9 +60,6 @@ class PrimTable:
 
     def get(self, name: str) -> PrimDef:
         return self.by_name[name]
-
-    def object_code(self, name: str) -> int:
-        return self.get(name).value
 
     def object_name(self, code: int) -> str:
         for p in self.entries:

@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass
 from multiprocessing import get_context
 
+from gridsynth.data import task_inputs
 from gridsynth.grammar import Grammar, Tables, tables_for
 from gridsynth.kernel import check_trajectory, compile_term
 from gridsynth.lang import Lambda, Prim, Term, Ty, Var, apply_all, inline
@@ -138,15 +139,6 @@ def enumerate_with_dl(
     yield from _stream(tables, max_depth)
 
 
-def _prepare_task(task, prims):
-    ids = {w: i for i, w in enumerate(prims.action_words)}
-    grids = [s.flat() for s, _ in task.steps]
-    dirs = [s.direction or 0 for s, _ in task.steps]
-    acts = [ids[a] for _, a in task.steps]
-    first = task.steps[0][0]
-    return grids, dirs, acts, first.width, first.height
-
-
 class CandidateList:
     """A solve stage's candidate stream, extended lazily and shared by its tasks.
 
@@ -203,7 +195,7 @@ def solve_task(
         candidates = CandidateList(grammar, prims, library, max_depth)
     elif candidates.key != (grammar, prims.env_tag, tuple(library), max_depth):
         raise ValueError("candidate list was built for another grammar, library, depth or environment")
-    grids, dirs, acts, width, height = _prepare_task(task, prims)
+    grids, dirs, acts, width, height = task_inputs(task, prims)
     n = len(acts)
     hits: list[tuple[float, str, Term]] = []
     tried = 0

@@ -1,6 +1,9 @@
 import pytest
 
+from gridsynth.grammar import refit, uniform_grammar
+from gridsynth.library import compress
 from gridsynth.primitives import primitive_table
+from gridsynth.sexpr import parse_program
 from gridsynth.state import GridState
 
 # The wall-check example program, kept in its original loose layout to make
@@ -34,3 +37,22 @@ def maze_state(wall_at=(), direction=0) -> GridState:
     for x, y in wall_at:
         cells[y * 5 + x] = 2
     return GridState.from_flat(cells, 5, direction=direction)
+
+
+def learned_grammar(prims):
+    """(grammar, library): the library that `compress` learns from six
+    programs of one shape, and the grammar refit on the rewritten programs
+    with the library's abstractions among its productions."""
+    objs = [p.name for p in prims.entries if p.kind == "object"]
+    acts = [p.name for p in prims.entries if p.kind == "action"]
+    corpus = {}
+    for i in range(6):
+        body = (
+            f"(if (and (eq-obj? {objs[i % len(objs)]} (get x {i % 3} 1))"
+            f" (eq-obj? {objs[(i + 1) % len(objs)]} (get x 1 {i % 4}))) {acts[i % 2]} {acts[2]})"
+        )
+        text = f"(λ(x) (λ(y) {body}))" if prims.env_tag == "maze" else f"(λ(x) {body})"
+        corpus[f"p{i}"] = parse_program(text, prims)
+    res = compress(corpus, uniform_grammar(prims), max_arity=3)
+    assert len(res.library) >= 2
+    return refit(res.grammar, list(res.rewritten.values())), res.library

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import LISTING_WALL_CHECK, maze_state
+from conftest import LISTING_WALL_CHECK, learned_grammar, maze_state
 from gridsynth.data import (
     RolloutParams,
     Task,
@@ -28,7 +28,9 @@ from gridsynth.data import (
 from gridsynth.errors import (
     EvalError,
     GridSynthError,
+    IllegalActionError,
     MultiDigitCodeError,
+    TypeMismatchError,
     UnknownTaskIdError,
 )
 from gridsynth.grammar import Grammar, Production, SampleConfig, sample_program, uniform_grammar
@@ -125,38 +127,69 @@ class TestImitates:
         task = Task("t", "maze", ((maze_state(direction=0), "left"),))
         assert not imitates(prog, task)
 
-    def test_early_abort_matches_full_conjunction(self):
-        prims = primitive_table("maze")
-        grammar = uniform_grammar(prims)
+    @pytest.mark.parametrize(
+        "env_tag,learned",
+        [("maze", False), ("asterix", False), ("spaceinvaders", False), ("maze", True)],
+        ids=["maze", "asterix", "spaceinvaders", "maze-learned-library"],
+    )
+    def test_early_abort_matches_full_conjunction(self, env_tag, learned):
+        """The kernel-backed `imitates` agrees with the interpreter run on
+        every step, with abstractions called rather than inlined."""
+        prims = primitive_table(env_tag)
+        grammar, library = learned_grammar(prims) if learned else (uniform_grammar(prims), ())
+        d_max = 6 if env_tag == "maze" else 5  # both leave a body depth of 4
         rng = random.Random(5)
-        agree = 0
+        outcomes = []
         for trial in range(300):
             term = sample_program(
-                grammar, SampleConfig(d_max=4, request=prims.request, seed=rng.randrange(1 << 30))
+                grammar, SampleConfig(d_max=d_max, request=prims.request, seed=rng.randrange(1 << 30))
             )
-            task = Task(
-                "t",
-                "maze",
-                tuple(
-                    (
-                        maze_state(
-                            wall_at=[(rng.randrange(5), rng.randrange(5)) for _ in range(3)],
-                            direction=rng.randrange(4),
-                        ),
-                        rng.choice(("left", "right", "forward")),
-                    )
-                    for _ in range(3)
-                ),
-            )
+            steps = []
+            for _ in range(3):
+                if env_tag == "maze":
+                    walls = [(rng.randrange(5), rng.randrange(5)) for _ in range(3)]
+                    state = maze_state(wall_at=walls, direction=rng.randrange(4))
+                else:
+                    state = GridState.from_flat([rng.randrange(5) for _ in range(100)], 10)
+                steps.append((state, rng.choice(prims.action_words)))
+            if trial % 2:  # record the interpreter's own actions where it has one
+                steps = [(s, _interp_action(term, s, prims, library) or a) for s, a in steps]
+            task = Task("t", env_tag, tuple(steps))
             full = True
             for state, action in task.steps:  # unoptimized reference: no early abort
-                try:
-                    full &= exec_program(term, state, prims) == action
-                except EvalError:
-                    full = False
-            assert imitates(term, task, prims) == full
-            agree += 1
-        assert agree == 300
+                full &= _interp_action(term, state, prims, library) == action
+            assert imitates(term, task, prims, library) == full
+            outcomes.append(full)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_empty_task_is_imitated(self):
+        assert imitates(LISTING_WALL_CHECK, Task("t", "maze", ()))
+
+    @pytest.mark.parametrize(
+        "env_tag,text",
+        [
+            ("maze", "(λ(x) (λ(y) 1))"),  # an int where the action goes; 1 is right-action's id
+            ("maze", "(λ(d) (if (eq-direction? d direction-0) right-action left-action))"),  # map as direction
+            ("maze", "(λ(x) (λ(y) (if (eq-obj? wall-obj (get y 1 0)) right-action left-action)))"),  # direction as map
+            ("asterix", "(λ(x) (λ(y) right-action))"),  # a direction the state does not have
+        ],
+    )
+    def test_ill_typed_program_raises(self, env_tag, text):
+        state = maze_state(direction=0) if env_tag == "maze" else GridState.from_flat([0] * 100, 10)
+        with pytest.raises(TypeMismatchError):
+            imitates(text, Task("t", env_tag, ((state, "right"),)))
+
+    def test_action_outside_the_action_set_raises(self):
+        task = Task("t", "maze", ((maze_state(direction=0), "warp"),))
+        with pytest.raises(IllegalActionError):
+            imitates(LISTING_WALL_CHECK, task)
+
+
+def _interp_action(term, state, prims, library):
+    try:
+        return exec_program(term, state, prims, library=library)
+    except EvalError:
+        return None
 
 
 class TestAccuracy:

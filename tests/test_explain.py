@@ -98,6 +98,28 @@ class TestTrace:
         assert set(expl.highlighted_cells) == {(1, 0)}
         assert expl.access_counts == {(1, 0): 2}
 
+    def test_arity_zero_abstraction_call_has_its_own_event(self):
+        f0_body = parse_program(
+            "(and (eq-direction? direction-0 direction-1) (eq-direction? direction-2 direction-3))", MAZE
+        )
+        f1_body = parse_program("(λ(m) (or f0 (eq-obj? wall-obj (get m 1 0))))", MAZE, extra={"f0"})
+        lib = [
+            Abstraction("f0", f0_body, BOOL, 0, 4, ()),
+            Abstraction("f1", f1_body, arrow(MAP, BOOL), 1, 2, ("f0",)),
+        ]
+        f0_events = [("eq-direction?", 1), ("eq-direction?", 1), ("and", 1), ("f0", 0)]
+        for call, deeper in (("f0", 0), ("(f1 x)", 1)):
+            prog = parse_program(
+                f"(λ(x) (λ(y) (if {call} left-action forward-action)))", MAZE, extra={"f0", "f1"}
+            )
+            expl = trace_execution(prog, maze_state(), MAZE, library=lib)
+            assert expl.chosen_action == "forward"
+            got = [(e.callee, e.level) for e in expl.events]
+            assert got[:4] == [(name, level + deeper) for name, level in f0_events]
+            assert got[-1] == ("if", 0)
+        assert got[4:-1] == [("get", 1), ("eq-obj?", 1), ("or", 1), ("f1", 0)]
+        assert expl.events[3].args == () and expl.events[3].result is False
+
     def test_error_marker_partial_trace(self):
         prog = parse_program(
             "(λ(x) (if (eq-obj? wall-obj (get x 5 5)) left-action forward-action))",

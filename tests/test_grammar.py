@@ -25,12 +25,11 @@ from gridsynth.grammar import (
     uniform_grammar,
 )
 from gridsynth.lang import ACTION, MAP, Lambda, Prim, Var, apply_all, arrow, depth
-from gridsynth.library import compress
 from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import parse_program, print_program
 from gridsynth.typecheck import infer_type
 
-from conftest import LISTING_WALL_CHECK
+from conftest import LISTING_WALL_CHECK, learned_grammar
 
 
 @pytest.fixture
@@ -250,29 +249,11 @@ def reference_sample(grammar, cfg):
 _D_MAX = {"maze": range(3, 9), "asterix": range(2, 9), "spaceinvaders": range(2, 9)}
 
 
-def _learned_grammar(prims):
-    """A refit grammar whose productions include the library that `compress`
-    learns from six programs of one shape."""
-    objs = [p.name for p in prims.entries if p.kind == "object"]
-    acts = [p.name for p in prims.entries if p.kind == "action"]
-    corpus = {}
-    for i in range(6):
-        body = (
-            f"(if (and (eq-obj? {objs[i % len(objs)]} (get x {i % 3} 1))"
-            f" (eq-obj? {objs[(i + 1) % len(objs)]} (get x 1 {i % 4}))) {acts[i % 2]} {acts[2]})"
-        )
-        text = f"(λ(x) (λ(y) {body}))" if prims.env_tag == "maze" else f"(λ(x) {body})"
-        corpus[f"p{i}"] = parse_program(text, prims)
-    res = compress(corpus, uniform_grammar(prims), max_arity=3)
-    assert len(res.library) >= 2
-    return refit(res.grammar, list(res.rewritten.values()))
-
-
 @pytest.mark.parametrize("learned", [False, True], ids=["uniform", "learned-library"])
 @pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
 def test_sampler_matches_uncached_reference(env_tag, learned):
     prims = primitive_table(env_tag)
-    grammar = _learned_grammar(prims) if learned else uniform_grammar(prims)
+    grammar = learned_grammar(prims)[0] if learned else uniform_grammar(prims)
     d_maxes = _D_MAX[env_tag]
     for seed in range(200):
         cfg = SampleConfig(d_max=d_maxes[seed % len(d_maxes)], request=prims.request, seed=seed)

@@ -3,6 +3,9 @@ import pytest
 
 from gridsynth.errors import EvalError, OutOfBoundsGetError, TypeMismatchError
 from gridsynth.interp import exec_program
+from gridsynth.kernel import KernelUnsupportedError, compile_term
+from gridsynth.lang import BOOL, MAP, arrow
+from gridsynth.library import Abstraction
 from gridsynth.sexpr import parse_program
 from gridsynth.state import GridState
 
@@ -114,3 +117,32 @@ def test_trace_events_in_evaluation_order(maze_prims):
     assert [e[0] for e in events] == ["get", "eq-obj?", "if"]
     assert events[0][1] == (1, 0)
     assert events[2][2] == "then"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(λ(x) (if (eq-obj? wall-obj) left-action forward-action))",  # partial application
+        "(λ(x) (if (not (eq-obj? wall-obj (get x 1 0)) x) left-action forward-action))",  # over-application
+        "(λ(x) (x left-action))",  # applied variable
+        "(λ(x) (if (eq-obj? wall-obj (get x 1 0)) left-action forward-action right-action))",  # over-applied if
+        "(λ(x) (left-action x))",  # applied constant
+        "(λ(x) (λ(y) (λ(z) left-action)))",  # a program of three binders
+        "(λ(x) (if f0 left-action forward-action))",  # a library call without the library
+    ],
+)
+def test_terms_outside_the_first_order_dsl_are_rejected(maze_prims, text):
+    term = parse_program(text, maze_prims, extra={"f0"})
+    with pytest.raises(EvalError):
+        exec_program(term, maze_state(), maze_prims)
+    with pytest.raises(KernelUnsupportedError):
+        compile_term(term, maze_prims)
+
+
+def test_library_call_with_wrong_argument_count_is_rejected(maze_prims):
+    body = parse_program("(λ(m) (eq-obj? wall-obj (get m 1 0)))", maze_prims)
+    lib = [Abstraction("f0", body, arrow(MAP, BOOL), 1, 1, ())]
+    for call in ("f0", "(f0 x x)"):
+        term = parse_program(f"(λ(x) (if {call} left-action forward-action))", maze_prims, extra={"f0"})
+        with pytest.raises(EvalError):
+            exec_program(term, maze_state(), maze_prims, library=lib)

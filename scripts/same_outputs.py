@@ -37,6 +37,12 @@ CONFIGS = {
         ["--env", "asterix", "--profile", "desk", "--seed", "7",
          "--corpus-size", "50", "--d-max", "8", "--max-iterations", "2"],
     ],
+    # the run perfbench/make_corpus.py replays: four compressions with a
+    # growing library
+    "asterix-compress": [
+        ["--env", "asterix", "--profile", "desk", "--seed", "7",
+         "--corpus-size", "0", "--max-iterations", "4"],
+    ],
 }
 SKIPPED = {"run.json"}
 

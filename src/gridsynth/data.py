@@ -28,6 +28,7 @@ from gridsynth.typecheck import infer_type
 TASKSET_SCHEMA = "gridsynth-taskset-v1"
 ROLLOUTS_SCHEMA = "gridsynth-rollouts-v1"
 _SEED_RANGE = 1 << 62
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,8 @@ def collect_program_rollouts(
     Each program runs for t ~ Uniform[t_min, t_max] steps after an optional
     oracle warmup of Uniform[0, warmup_max] steps. The episode ending or the
     program failing to evaluate truncates the trajectory; empty trajectories
-    are dropped.
+    are dropped. A dream runs its program once per distinct observation and
+    reuses the action when the observation recurs.
     """
     prims = primitive_table(env_tag)
     rng = random.Random(seed)
@@ -161,9 +163,12 @@ def collect_program_rollouts(
                 if done:
                     break
         runner = ProgramRunner(term, prims, library)
+        actions: dict = {}  # the program is deterministic: observation -> action
         steps = []
         while not done and len(steps) < t:
-            action = runner.run(obs)
+            action = actions.get(obs, _UNSEEN)
+            if action is _UNSEEN:
+                action = actions[obs] = runner.run(obs)
             if action is None:
                 break
             steps.append((obs, action))

@@ -13,7 +13,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from gridsynth.errors import DepthUnsatisfiableError, NotDerivableError
@@ -106,6 +106,11 @@ class Tables:
 
     Binder environments are constant throughout a program body (no primitive
     takes a function argument), so one table serves the whole search.
+
+    `extend` derives the tables of a grammar with productions appended, as
+    `add_abstractions` makes it, by rebuilding only the choice sets those
+    productions join; compression prices each candidate that way. `min_depth`
+    and `min_dl` are computed on first use, since compression reads neither.
     """
 
     def __init__(self, grammar: Grammar, request: Ty):
@@ -114,16 +119,48 @@ class Tables:
         self.binders = arg_types(request)  # outermost first
         self.env = tuple(reversed(self.binders))  # de Bruijn indexed
         self.body_request = return_type(request)
-        self.choices: dict[Ty, tuple[Choice, ...]] = {}
-        self._build_choice_sets()
-        # (type, production name or variable index) -> the choice it derives
-        self.by_head: dict[tuple, Choice] = {}
-        for ty, cands in self.choices.items():
-            for c in cands:
-                self.by_head.setdefault((ty, _head_key(c)), c)
-        self.min_depth = self._min_depths()
-        self.min_dl = self._min_dls()
+        self.choices: dict[Ty, tuple[Choice, ...]] = {
+            ty: self._choice_set(ty) for ty in self._reachable_types()
+        }
+        self.by_head = _index_heads(self.choices)
         self._sites: dict[tuple, Site] = {}
+
+    def extend(self, grammar: Grammar) -> "Tables":
+        """The tables of `grammar`, which must be this table's grammar with
+        productions appended, for the same request. Equal to
+        `Tables(grammar, self.request)`.
+
+        Raises ValueError if `grammar` is not such an extension, or if an
+        added production that can appear here takes an argument of a type
+        that cannot: that would make new types reachable."""
+        n = len(self.grammar.productions)
+        if (
+            grammar.productions[:n] != self.grammar.productions
+            or grammar.var_logp != self.grammar.var_logp
+        ):
+            raise ValueError("grammar does not extend this table's grammar")
+        new = object.__new__(Tables)
+        new.grammar = grammar
+        new.request = self.request
+        new.binders = self.binders
+        new.env = self.env
+        new.body_request = self.body_request
+        new.choices = dict(self.choices)
+        changed = set()
+        for p in grammar.productions[n:]:
+            rt = return_type(p.type)
+            for ty in self.choices if isinstance(rt, TyVar) else [rt]:
+                if ty not in self.choices:
+                    continue
+                unreachable = [a for a in arg_types(instantiate(p.type, ty)) if a not in self.choices]
+                if unreachable:
+                    raise ValueError(f"{p.name} takes unreachable argument type {unreachable[0]}")
+                changed.add(ty)
+        for ty in changed:
+            new.choices[ty] = new._choice_set(ty)
+        new.by_head = _index_heads(new.choices)
+        new._sites = {}
+        return new
 
     def _reachable_types(self) -> list[Ty]:
         seen = {self.body_request}
@@ -139,27 +176,28 @@ class Tables:
                             frontier.append(arg)
         return list(seen)
 
-    def _build_choice_sets(self):
-        for ty in self._reachable_types():
-            raw = []
-            for p in self.grammar.productions:
-                rt = return_type(p.type)
-                if rt == ty or isinstance(rt, TyVar):
-                    sig = instantiate(p.type, ty)
-                    raw.append(("prim", p.name, None, tuple(arg_types(sig)), p.logp))
-            for i, binder_ty in enumerate(self.env):
-                if binder_ty == ty:
-                    raw.append(("var", None, i, (), self.grammar.var_logp))
-            if not raw:
-                self.choices[ty] = ()
-                continue
-            lse = _logsumexp([r[4] for r in raw])
-            self.choices[ty] = tuple(
-                Choice(kind, name, idx, args, -(w - lse))
-                for kind, name, idx, args, w in raw
-            )
+    def _choice_set(self, ty: Ty) -> tuple[Choice, ...]:
+        """Every production that can return `ty`, in grammar order, then the
+        variables of type `ty`, with costs normalized over the set."""
+        raw = []
+        for p in self.grammar.productions:
+            rt = return_type(p.type)
+            if rt == ty or isinstance(rt, TyVar):
+                sig = instantiate(p.type, ty)
+                raw.append(("prim", p.name, None, tuple(arg_types(sig)), p.logp))
+        for i, binder_ty in enumerate(self.env):
+            if binder_ty == ty:
+                raw.append(("var", None, i, (), self.grammar.var_logp))
+        if not raw:
+            return ()
+        lse = _logsumexp([r[4] for r in raw])
+        return tuple(
+            Choice(kind, name, idx, args, -(w - lse))
+            for kind, name, idx, args, w in raw
+        )
 
-    def _min_depths(self) -> dict[Ty, float]:
+    @cached_property
+    def min_depth(self) -> dict[Ty, float]:
         md = {ty: math.inf for ty in self.choices}
         changed = True
         while changed:
@@ -177,7 +215,8 @@ class Tables:
                     changed = True
         return md
 
-    def _min_dls(self) -> dict[Ty, float]:
+    @cached_property
+    def min_dl(self) -> dict[Ty, float]:
         dl = {ty: math.inf for ty in self.choices}
         for _ in range(10_000):
             changed = False
@@ -329,6 +368,15 @@ def _strip_binders(tables: Tables, term: Term) -> Term:
 
 def _head_key(c: Choice):
     return c.name if c.kind == "prim" else c.var_index
+
+
+def _index_heads(choices: dict) -> dict:
+    """(type, production name or variable index) -> the choice it derives."""
+    by_head: dict[tuple, Choice] = {}
+    for ty, cands in choices.items():
+        for c in cands:
+            by_head.setdefault((ty, _head_key(c)), c)
+    return by_head
 
 
 def _derive(tables: Tables, term: Term, ty: Ty):

@@ -19,6 +19,15 @@ priced as those counts times the extended grammar's costs, and only the
 matched programs are rewritten and walked, together with the abstraction
 bodies. The reported dl_before and dl_after are full passes over the corpus.
 
+Each step reuses what it can. The grammar extended with a candidate differs
+from the current one only in the choice set of the candidate's return type,
+so its tables are derived from the current grammar's (`Tables.extend`), once
+per candidate type and request, and kept out of `tables_for`'s cache. The
+anti-unifier of each fragment pair is kept for the whole `compress` call: it
+reads only the two fragments and the signatures of the names in them, and a
+step only adds a name, so pairs from programs that no step rewrote are not
+anti-unified again.
+
 Abstraction bodies are stored as closed lambda terms; their serialized form
 prints argument slots as $0..$2.
 """
@@ -63,6 +72,7 @@ LIBRARY_SCHEMA = "gridsynth-library-v1"
 _SLOT_RE = re.compile(r"^\$(\d)$")
 _ABS_RE = re.compile(r"^f\d+$")
 _EPS = 1e-9
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -307,8 +317,29 @@ def _matching_programs(core: Term, fragments: list) -> frozenset:
     return frozenset(found)
 
 
-def propose_candidates(corpus_terms, max_arity: int, prims: PrimTable, library=()) -> list:
-    """Candidate patterns (core with $-slots, argTypes, ret), sorted by text."""
+def _generalize(f1: Term, f2: Term, ty: Ty, sig: dict, max_arity: int):
+    """The anti-unifier of two fragments of type `ty` as (printed core, core,
+    slot types), or None if it needs more than `max_arity` slots or keeps
+    fewer than two non-slot nodes."""
+    slots = _AuSlots()
+    core = _anti_unify(f1, f2, ty, sig, slots)
+    if len(slots.types) > max_arity or _non_slot_nodes(core) < 2:
+        return None
+    return print_program(core), core, tuple(slots.types)
+
+
+def propose_candidates(
+    corpus_terms, max_arity: int, prims: PrimTable, library=(), memo: dict | None = None
+) -> list:
+    """Candidate patterns (core with $-slots, argTypes, ret), sorted by text.
+
+    `memo`, if given, keeps `_generalize`'s result per fragment pair and type
+    across calls. It is valid while `prims` and `max_arity` stay the same and
+    the library only grows, as within one `compress` call: the result reads
+    only the fragments and the signatures of the names in them. Without it,
+    nothing outlives the call, since a call meets each pair once."""
+    if memo is None:
+        memo = {}
     sig = _signatures(prims, library)
     ret = return_type(prims.request)
     frag_progs: dict = {}
@@ -330,11 +361,13 @@ def propose_candidates(corpus_terms, max_arity: int, prims: PrimTable, library=(
                     continue
                 if f1 != f2 and p1 == p2 and len(p1) < 2:
                     continue
-                slots = _AuSlots()
-                core = _anti_unify(f1, f2, ty, sig, slots)
-                if len(slots.types) > max_arity or _non_slot_nodes(core) < 2:
-                    continue
-                seen.setdefault((print_program(core), ty), (core, tuple(slots.types)))
+                key = (f1, f2, ty)
+                found = memo.get(key, _UNSEEN)
+                if found is _UNSEEN:
+                    found = memo[key] = _generalize(f1, f2, ty, sig, max_arity)
+                if found is not None:
+                    text, core, arg_tys = found
+                    seen.setdefault((text, ty), (core, arg_tys))
     out = []
     for text, ty in sorted(seen, key=lambda k: (k[0], str(k[1]))):
         core, arg_tys = seen[(text, ty)]
@@ -393,10 +426,13 @@ def compress(
     g = grammar
     new_abs: list[Abstraction] = []
     dl_before = _total_dl(current, g, request, [])
+    # Anti-unification results outlive a step: only rewritten programs
+    # change, so most fragment pairs recur unchanged.
+    memo: dict = {}
     while True:
         keys = list(current)
         terms = list(current.values())
-        candidates = propose_candidates(terms, max_arity, prims, lib)
+        candidates = propose_candidates(terms, max_arity, prims, lib, memo)
         sig = _signatures(prims, lib)
         tables = tables_for(g, request)
         counts = [choice_counts(tables, t) for t in terms]
@@ -407,7 +443,9 @@ def compress(
         now = counts_dl(tables, corpus_counts) + sum(_body_dl(a, g) for a in new_abs)
         name = f"f{_next_index(lib)}"
         # The extended grammar depends only on the candidate's type, so each
-        # step looks its tables up once per candidate type and request.
+        # step derives its tables once per candidate type and request, from
+        # the current grammar's tables for that request.
+        base = {request: tables}
         extended: dict = {}
         best = None
         for cand in candidates:
@@ -416,7 +454,9 @@ def compress(
             g2 = add_abstractions(g, [abs_])
             if abs_.type not in extended:
                 requests = {request, *(a.type for a in bodies)}
-                extended[abs_.type] = {r: tables_for(g2, r) for r in requests}
+                for r in requests - base.keys():
+                    base[r] = tables_for(g, r)
+                extended[abs_.type] = {r: base[r].extend(g2) for r in requests}
             tables2 = extended[abs_.type]
             # Programs without a match keep their derivation; only the
             # choice costs change, so they are priced from their counts.

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from conftest import LISTING_WALL_CHECK, learned_grammar, maze_state
+from gridsynth import data
 from gridsynth.data import (
+    ProgramRunner,
     RolloutParams,
     Task,
     TaskSet,
@@ -25,6 +27,7 @@ from gridsynth.data import (
     task_set_from_json,
     task_set_to_json,
 )
+from gridsynth.envs import make_env
 from gridsynth.errors import (
     EvalError,
     GridSynthError,
@@ -37,6 +40,7 @@ from gridsynth.grammar import Grammar, Production, SampleConfig, sample_program,
 from gridsynth.interp import exec_program
 from gridsynth.lang import ACTION
 from gridsynth.primitives import primitive_table
+from gridsynth.sexpr import parse_program, print_program
 from gridsynth.state import GridState
 
 GOLDEN_PROMPT = (
@@ -192,6 +196,40 @@ def _interp_action(term, state, prims, library):
         return None
 
 
+def reference_program_rollouts(grammar, env_tag, count, params, seed, d_max, library):
+    """`collect_program_rollouts` with the program run on every step, and the
+    number of dreams cut short by a failed evaluation."""
+    prims = primitive_table(env_tag)
+    rng = random.Random(seed)
+    out, failed = [], 0
+    for i in range(count):
+        term = sample_program(
+            grammar, SampleConfig(d_max=d_max, request=prims.request, seed=rng.randrange(1 << 62))
+        )
+        t = rng.randint(params.t_min, params.t_max)
+        layout, dynamics = rng.randrange(1 << 62), rng.randrange(1 << 62)
+        env = make_env(env_tag)
+        obs = env.reset(layout, dynamics)
+        done = False
+        if params.warmup_max > 0:
+            for _ in range(rng.randint(0, params.warmup_max)):
+                obs, done = env.step(env.oracle_action())
+                if done:
+                    break
+        runner = ProgramRunner(term, prims, library)
+        steps = []
+        while not done and len(steps) < t:
+            action = runner.run(obs)
+            if action is None:
+                failed += 1
+                break
+            steps.append((obs, action))
+            obs, done = env.step(action)
+        if steps:
+            out.append(Trajectory(f"prog-{i:05d}", env_tag, tuple(steps), print_program(term), (layout, dynamics)))
+    return out, failed
+
+
 class TestAccuracy:
     def wall_tasks(self, n):
         tasks = tuple(
@@ -269,6 +307,45 @@ class TestCollect:
         for traj in trajs:
             assert traj.provenance == "(λ(x) no-op-action)"
             assert all(a == "no-op" for _, a in traj.steps)
+
+    @pytest.mark.parametrize("learned", [False, True], ids=["uniform", "learned-library"])
+    @pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
+    def test_program_rollouts_match_a_run_on_every_step(self, env_tag, learned):
+        """A dream reuses its program's action for a repeated observation;
+        the reference runs the program on every step. On the maze, the ints
+        reach past the 5x5 view, so some programs fail to evaluate."""
+        prims = primitive_table(env_tag)
+        grammar, library = learned_grammar(prims) if learned else (uniform_grammar(prims), ())
+        params = RolloutParams(t_min=5, t_max=40, warmup_max=0 if env_tag == "maze" else 10)
+        d_max = 8 if env_tag == "maze" else 6
+        got = collect_program_rollouts(grammar, env_tag, 30, params, seed=4, d_max=d_max, library=library)
+        want, failed = reference_program_rollouts(grammar, env_tag, 30, params, 4, d_max, library)
+        assert got == want
+        assert sum(len(t.steps) for t in got) > 100
+        if env_tag == "maze":
+            assert failed > 0
+
+    def test_rollout_reuse_tells_headings_apart(self, monkeypatch):
+        """One grid seen under four headings is four observations."""
+        prims = primitive_table("maze")
+        term = parse_program(
+            "(λ(x) (λ(y) (if (eq-direction? y direction-0) left-action right-action)))", prims
+        )
+
+        class TurningEnv:
+            def reset(self, layout, dynamics):
+                self.obs = maze_state(direction=0)
+                return self.obs
+
+            def step(self, action):
+                self.obs = maze_state(direction=(self.obs.direction + 1) % 4)
+                return self.obs, False
+
+        monkeypatch.setattr(data, "make_env", lambda env_tag: TurningEnv())
+        monkeypatch.setattr(data, "sample_program", lambda grammar, cfg: term)
+        params = RolloutParams(t_min=8, t_max=8)
+        (traj,) = collect_program_rollouts(uniform_grammar(prims), "maze", 1, params, seed=0, d_max=6)
+        assert [a for _, a in traj.steps] == ["left", "right", "right", "right"] * 2
 
     def test_minatar_default_params(self):
         assert default_params("maze") == RolloutParams(5, 60, 0)

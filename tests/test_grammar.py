@@ -12,8 +12,10 @@ import pytest
 import gridsynth
 from gridsynth.errors import DepthUnsatisfiableError, NotDerivableError
 from gridsynth.grammar import (
+    Production,
     SampleConfig,
     Tables,
+    add_abstractions,
     choice_counts,
     counts_dl,
     description_length,
@@ -24,7 +26,8 @@ from gridsynth.grammar import (
     tables_for,
     uniform_grammar,
 )
-from gridsynth.lang import ACTION, MAP, Lambda, Prim, Var, apply_all, arrow, depth
+from gridsynth.lang import ACTION, DIRECTION, MAP, Lambda, Prim, Var, apply_all, arrow, depth
+from gridsynth.library import _abstraction_from, _next_index, propose_candidates
 from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import parse_program, print_program
 from gridsynth.typecheck import infer_type
@@ -262,6 +265,60 @@ def test_sampler_matches_uncached_reference(env_tag, learned):
     for ty in tables.choices:
         for remaining in (None, *range(10)):
             assert list(tables.site(ty, remaining).feasible) == reference_feasible(tables, ty, remaining)
+
+
+# --- tables derived for an extended grammar ---------------------------------
+
+
+def assert_same_tables(got, want):
+    assert got.choices == want.choices
+    assert got.by_head == want.by_head
+    assert got.min_depth == want.min_depth
+    assert got.min_dl == want.min_dl
+    for ty in want.choices:
+        for remaining in (None, *range(9)):
+            assert got.site(ty, remaining) == want.site(ty, remaining), (ty, remaining)
+
+
+@pytest.mark.parametrize("learned", [False, True], ids=["uniform", "learned-library"])
+@pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
+def test_extended_tables_match_a_fresh_build(env_tag, learned):
+    """Every candidate of one compression step, priced as `compress` prices
+    it: the base tables extended with the candidate, for the program request
+    and each abstraction type."""
+    prims = primitive_table(env_tag)
+    grammar, library = learned_grammar(prims) if learned else (uniform_grammar(prims), ())
+    corpus = [
+        sample_program(grammar, SampleConfig(d_max=6, request=prims.request, seed=s))
+        for s in range(24)
+    ]
+    candidates = propose_candidates(corpus, 3, prims, library)
+    assert len(candidates) >= 10
+    name = f"f{_next_index(library)}"
+    for cand in candidates:
+        abs_ = _abstraction_from(cand, name, 0, library)
+        g2 = add_abstractions(grammar, [abs_])
+        for request in {prims.request, abs_.type, *(a.type for a in library)}:
+            assert_same_tables(tables_for(grammar, request).extend(g2), Tables(g2, request))
+
+
+def test_extension_reaching_a_new_type_raises(asterix_prims):
+    grammar = uniform_grammar(asterix_prims)
+    tables = tables_for(grammar, asterix_prims.request)
+    assert DIRECTION not in tables.choices  # no asterix primitive reads a direction
+    needs_direction = add_abstractions(grammar, [Production("f0", arrow(DIRECTION, ACTION), 0.0)])
+    assert DIRECTION in Tables(needs_direction, asterix_prims.request).choices
+    with pytest.raises(ValueError):
+        tables.extend(needs_direction)
+    # A production returning an unreachable type joins no choice set.
+    gives_direction = add_abstractions(grammar, [Production("f0", arrow(ACTION, DIRECTION), 0.0)])
+    assert_same_tables(tables.extend(gives_direction), Tables(gives_direction, asterix_prims.request))
+
+
+def test_extension_of_another_grammar_raises(maze_grammar, maze_prims):
+    refitted = refit(maze_grammar, [parse_program("(λ(x) (λ(y) left-action))", maze_prims)])
+    with pytest.raises(ValueError):
+        tables_for(maze_grammar, maze_prims.request).extend(refitted)
 
 
 # --- the grammar's kept hash ------------------------------------------------

@@ -308,7 +308,7 @@ class TestScoringMatchesReference:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
-        env_tag=st.sampled_from(["maze", "asterix"]),
+        env_tag=st.sampled_from(["maze", "asterix", "spaceinvaders"]),
         seeds=st.lists(st.integers(0, 1 << 30), min_size=2, max_size=12),
         d_max=st.integers(3, 6),
         with_library=st.booleans(),

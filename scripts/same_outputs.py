@@ -12,7 +12,8 @@ compared too, with the run directory's path masked. It prints a count of
 identical and differing files per configuration and exits 1 if any file
 differs or exists on one side only.
 
-Each configuration runs with `--jobs 1`. The whole set takes a few minutes.
+Each configuration runs with `--jobs 1` unless its flags name another
+`--jobs`. The whole set takes a few minutes.
 """
 from __future__ import annotations
 
@@ -32,6 +33,12 @@ CONFIGS = {
     "minatar-search": [
         ["--env", "spaceinvaders", "--profile", "desk", "--seed", "7",
          "--corpus-size", "0", "--max-iterations", "2"],
+    ],
+    # the same run split over two forked workers: the windows a stage groups
+    # and the candidate closures each worker builds must not change a result
+    "minatar-search-jobs2": [
+        ["--env", "spaceinvaders", "--profile", "desk", "--seed", "7",
+         "--corpus-size", "0", "--max-iterations", "2", "--jobs", "2"],
     ],
     "asterix-dreams": [
         ["--env", "asterix", "--profile", "desk", "--seed", "7",
@@ -61,7 +68,8 @@ def export(rev: str, dest: Path) -> Path:
 
 def run(src: Path, flags: list[str], out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(src))
-    cmd = [sys.executable, "-m", "gridsynth", "run", *flags, "--jobs", "1", "--out", str(out)]
+    jobs = [] if "--jobs" in flags else ["--jobs", "1"]
+    cmd = [sys.executable, "-m", "gridsynth", "run", *flags, *jobs, "--out", str(out)]
     out.parent.mkdir(parents=True, exist_ok=True)
     proc = subprocess.run(cmd, env=env, cwd=out.parent, capture_output=True, text=True)
     if proc.returncode != 0:

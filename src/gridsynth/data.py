@@ -5,7 +5,7 @@ run inside a seeded environment. A trajectory is sliced into non-overlapping
 length-L windows, each of which becomes one imitation task: find a program
 whose action matches the recorded action on every state of the window.
 Rollouts of sampled programs, `imitates` and `accuracy` run programs on the
-bytecode kernel, which reads a task as flat inputs (`task_inputs`).
+closure kernel, which reads a task as flat inputs (`task_inputs`).
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from gridsynth.envs import env_spec, make_env
 from gridsynth.errors import GridSynthError, IllegalActionError, TypeMismatchError, UnknownTaskIdError
@@ -88,10 +89,10 @@ def _as_term(program, prims: PrimTable, library=None) -> Term:
 
 
 class ProgramRunner:
-    """Executes one program on observations with the bytecode kernel.
+    """Executes one program on observations with the closure kernel.
 
-    The program is library-expanded and compiled once; `run` then executes
-    the bytecode on each state's flat grid.
+    The program is library-expanded and compiled once; `run` then calls the
+    compiled closure on each state's flat grid.
     """
 
     def __init__(self, term: Term, prims: PrimTable, library=None):
@@ -196,9 +197,9 @@ def slice_tasks(trajs, L: int) -> TaskSet:
     return TaskSet(env_tag, L, tuple(tasks))
 
 
-def compile_program(program, prims: PrimTable, library=None) -> tuple[int, ...]:
-    """Bytecode of a program, given as text or as a term, expanded with its
-    library.
+def compile_program(program, prims: PrimTable, library=None) -> Callable:
+    """The compiled closure of a program, given as text or as a term,
+    expanded with its library.
 
     The kernel runs whatever it is given, so the program is type-checked
     first: it must take the map (on the maze, the direction too) and return

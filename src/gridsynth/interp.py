@@ -8,11 +8,17 @@ library abstraction; anything else (a partial or over-application, an
 applied variable, an inner lambda, a name the library lacks) raises
 EvalError. A primitive's arity is the number of arguments in its type.
 
-Call-by-value except `if`, which evaluates its condition and then only the
-taken branch. This is the semantics of record; the bytecode kernel must agree
-with it exactly, including error behavior. A tracer hook receives one event
-per completed primitive or abstraction call, in evaluation order; the events
-of an abstraction's body sit one level deeper than the call's own event.
+A primitive evaluates all of its arguments first, except `if`, which
+evaluates its condition and then only the taken branch. A library call is
+call-by-need: an argument is evaluated, once, where the body first uses it,
+so one the body leaves on a branch not taken never runs and cannot fail, as
+in the inlined term the kernel runs. This is the semantics of record; the
+kernel must agree with it exactly, including error behavior. A tracer hook
+receives one event per completed primitive or abstraction call, in
+evaluation order; the events of an abstraction's body sit one level deeper
+than the call's own event, and an argument's events sit where it is first
+used, at its caller's level. A call's event shows None for an argument the
+body never used.
 """
 from __future__ import annotations
 
@@ -51,6 +57,37 @@ class _Ctx:
         self.defs = defs
         self.tracer = tracer
         self.level = 0
+
+
+class _Arg:
+    """A library call's argument, evaluated at its caller's level where the
+    body first uses it; `value` is None until then."""
+
+    __slots__ = ("term", "env", "level", "value")
+
+    def __init__(self, term: Term, env: tuple, level: int):
+        self.term, self.env, self.level, self.value = term, env, level, None
+
+    def force(self, ctx: "_Ctx"):
+        if self.term is not None:
+            level, ctx.level = ctx.level, self.level
+            try:
+                self.value = _eval(ctx, self.term, self.env)
+            finally:
+                ctx.level = level
+            self.term = self.env = None
+        return self.value
+
+
+def _bind(ctx: _Ctx, term: Term, env: tuple):
+    """What a parameter is bound to: a variable's own binding, a constant's
+    value (neither can fail or emit events), or the unevaluated argument."""
+    if isinstance(term, Var):
+        return env[term.index]
+    entry = ctx.prims.by_name.get(term.name) if isinstance(term, Prim) else None
+    if entry is not None and entry.kind != "function" and term.name not in ctx.defs:
+        return _eval(ctx, term, env)
+    return _Arg(term, env, ctx.level)
 
 
 def _emit(ctx: _Ctx, callee, args, result, accessed_cell=None, branch=None):
@@ -109,7 +146,8 @@ def _eval(ctx: _Ctx, term: Term, env: tuple):
     if isinstance(head, Var):
         if args:
             raise EvalError("applied variable")
-        return env[head.index]
+        value = env[head.index]
+        return value.force(ctx) if isinstance(value, _Arg) else value
     if not isinstance(head, Prim):
         raise EvalError("inner lambda")
     name = head.name
@@ -117,13 +155,13 @@ def _eval(ctx: _Ctx, term: Term, env: tuple):
         arity, body = ctx.defs[name]
         if len(args) != arity:
             raise EvalError(f"{name} takes {arity} arguments, applied to {len(args)}")
-        vals = [_eval(ctx, a, env) for a in args]
+        bound = [_bind(ctx, a, env) for a in args]
         ctx.level += 1
         try:
-            result = _eval(ctx, body, tuple(reversed(vals)))
+            result = _eval(ctx, body, tuple(reversed(bound)))
         finally:
             ctx.level -= 1
-        _emit(ctx, name, vals, result)
+        _emit(ctx, name, [b.value if isinstance(b, _Arg) else b for b in bound], result)
         return result
     entry = ctx.prims.by_name.get(name)
     if entry is None:

@@ -9,18 +9,21 @@ Terms are only materialized when a derivation completes.
 The stream depends only on the grammar, the library and the depth bound, which
 a solve stage fixes for all of its tasks. So `solve_many` keeps the stream as
 one `CandidateList` per stage: each candidate is enumerated, expanded and
-compiled the first time any task's scan reaches it, and every task scans the
-list from its start with its own top-k, candidate cap and deadline. With
-`jobs` > 1 the tasks are split into contiguous chunks, one forked worker and
-one shared list per chunk, and the results are joined in task order.
+compiled to a closure the first time any task's scan reaches it, and every
+task scans the list from its start with its own top-k, candidate cap and
+deadline. Tasks with equal steps are searched once. With `jobs` > 1 the
+searched tasks are split into contiguous chunks, one forked worker and one
+shared list per chunk (closures do not pickle, so each worker builds its
+own), and the results are joined in task order.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
+from typing import Callable
 
 from gridsynth.data import task_inputs
 from gridsynth.grammar import Grammar, Tables, tables_for
@@ -143,15 +146,15 @@ class CandidateList:
     """A solve stage's candidate stream, extended lazily and shared by its tasks.
 
     Entry i is (dl, term, code) for the i-th term of `_stream`: its DL, the
-    term itself, and the bytecode of its library expansion. An entry is
-    enumerated, expanded and compiled the first time a scan reaches it.
-    Iterating yields the entries from the first; a scan that passes the end of
-    the list extends it, and the scan's caller pays for that.
+    term itself, and the closure compiled from its library expansion. An
+    entry is enumerated, expanded and compiled the first time a scan reaches
+    it. Iterating yields the entries from the first; a scan that passes the
+    end of the list extends it, and the scan's caller pays for that.
     """
 
     def __init__(self, grammar: Grammar, prims, library=(), max_depth: int | None = None):
         self.key = (grammar, prims.env_tag, tuple(library), max_depth)
-        self.entries: list[tuple[float, Term, tuple[int, ...]]] = []
+        self.entries: list[tuple[float, Term, Callable]] = []
         self._stream = _stream(tables_for(grammar, grammar.requests[0]), max_depth)
         self._defs = definitions(library)
         self._prims = prims
@@ -251,25 +254,36 @@ def solve_many(
 ) -> StageResults:
     """Solve tasks independently; results keyed by task id in task order.
 
-    The tasks share one `CandidateList`, so each candidate is enumerated,
-    expanded and compiled at most once, while each task's scan, stop reason
-    and hits are exactly those of a lone `solve_task` call; only a timeout
-    can come later, since reading entries another task compiled is faster
-    than compiling them. With a candidate cap the list never exceeds
-    `budget.max_candidates`; without one it grows to the longest scan, which
-    only the timeout bounds. `jobs` > 1 splits the tasks into contiguous
-    chunks, each solved in a forked worker with its own list, so the solved
-    set and every program list do not depend on `jobs`.
+    Only the first task of each distinct window is searched, and tasks with
+    equal steps get its result under their own ids. With a candidate cap that
+    is what their own searches would return; without one, a duplicate shares
+    its group's result instead of racing the clock again. The searched tasks
+    share one `CandidateList`, so each candidate is enumerated, expanded and
+    compiled at most once, while each scan, stop reason and hit list is that
+    of a lone `solve_task` call; only a timeout can come later, since reading
+    entries another task compiled is faster than compiling them. The list
+    grows to the longest scan: at most `budget.max_candidates`, or without a
+    cap as far as the timeout allows. `jobs` > 1 splits the searched tasks
+    into contiguous chunks, each solved in a forked worker with its own list,
+    so no result depends on `jobs`.
     """
-    if jobs <= 1 or len(tasks) <= 1:
-        parts = [_solve_chunk(grammar, tasks, budget, library, max_depth)]
+    first = {}  # steps -> the first task with them, the one searched
+    for t in tasks:
+        first.setdefault(t.steps, t)
+    firsts = list(first.values())
+    if jobs <= 1 or len(firsts) <= 1:
+        parts = [_solve_chunk(grammar, firsts, budget, library, max_depth)]
     else:
-        jobs = min(jobs, len(tasks))
-        chunks = [tasks[i * len(tasks) // jobs:(i + 1) * len(tasks) // jobs] for i in range(jobs)]
+        jobs = min(jobs, len(firsts))
+        chunks = [firsts[i * len(firsts) // jobs:(i + 1) * len(firsts) // jobs] for i in range(jobs)]
         with get_context("fork").Pool(processes=jobs) as pool:
             parts = pool.starmap(
                 _solve_chunk, [(grammar, c, budget, library, max_depth) for c in chunks]
             )
-    out = StageResults((r.task_id, r) for results, _ in parts for r in results)
+    solved = {r.task_id: r for results, _ in parts for r in results}
+    out = StageResults()
+    for t in tasks:
+        r = solved[first[t.steps].task_id]
+        out[t.task_id] = r if r.task_id == t.task_id else replace(r, task_id=t.task_id)
     out.candidates_compiled = sum(n for _, n in parts)
     return out

@@ -5,11 +5,12 @@ from gridsynth.errors import EvalError, OutOfBoundsGetError, TypeMismatchError
 from gridsynth.interp import exec_program
 from gridsynth.kernel import KernelUnsupportedError, compile_term
 from gridsynth.lang import BOOL, MAP, arrow
-from gridsynth.library import Abstraction
+from gridsynth.data import ProgramRunner
+from gridsynth.library import Abstraction, definitions
 from gridsynth.sexpr import parse_program
 from gridsynth.state import GridState
 
-from conftest import LISTING_WALL_CHECK, maze_state
+from conftest import LISTING_WALL_CHECK, learned_grammar, maze_state
 
 
 def test_wall_check_chooses_left_on_wall(maze_prims):
@@ -146,3 +147,38 @@ def test_library_call_with_wrong_argument_count_is_rejected(maze_prims):
         term = parse_program(f"(λ(x) (if {call} left-action forward-action))", maze_prims, extra={"f0"})
         with pytest.raises(EvalError):
             exec_program(term, maze_state(), maze_prims, library=lib)
+
+
+def test_library_argument_on_an_untaken_branch_is_not_evaluated(maze_prims):
+    """With the learned maze library, `f1`'s third argument sits on the `if`
+    branch its body does not take on an empty maze, so the argument's
+    out-of-range `get` (`f0` reads cell (5, 1)) never runs: the interpreter
+    gives `forward`, as the kernel does on the inlined term."""
+    _, library = learned_grammar(maze_prims)
+    term = parse_program(
+        "(λ(x) (λ(y) (f1 x 2 (if (f0 empty-obj x 5) left-action right-action))))",
+        maze_prims,
+        extra=definitions(library),
+    )
+    state = maze_state(direction=0)
+    events = []
+    assert exec_program(term, state, maze_prims, library, tracer=lambda *e: events.append(e)) == "forward"
+    assert ProgramRunner(term, maze_prims, library).run(state) == "forward"
+    # the call's event shows the argument it never used as None
+    assert events[-1][:2] == ("f1", (state, 2, None))
+
+
+def test_library_argument_is_evaluated_once_where_first_used(maze_prims):
+    body = parse_program("(λ(b) (and (not b) b))", maze_prims)
+    lib = [Abstraction("f0", body, arrow(BOOL, BOOL), 1, 1, ())]
+    term = parse_program(
+        "(λ(x) (if (f0 (eq-obj? wall-obj (get x 1 0))) left-action forward-action))",
+        maze_prims,
+        extra={"f0"},
+    )
+    events = []
+    exec_program(term, maze_state(wall_at=[(1, 0)]), maze_prims, lib, tracer=lambda *e: events.append(e))
+    # the argument's events sit at the caller's level, before `not` uses it
+    got = [(callee, level) for callee, _, _, level, _, _ in events]
+    assert got == [("get", 0), ("eq-obj?", 0), ("not", 1), ("and", 1), ("f0", 0), ("if", 0)]
+    assert events[4][1] == (True,)

@@ -1,10 +1,10 @@
-"""Differential tests: the bytecode kernel against the reference interpreter.
+"""Differential tests: the closure kernel against the reference interpreter.
 
 Every sampled program must compile, and the kernel must pick the same action
 as the interpreter on every state, including the error-to-(-1) mapping for
-out-of-bounds `get`. Programs are drawn from the uniform grammar and from a
-grammar with a learned library; the latter are library-expanded before they
-are compiled.
+out-of-bounds `get`. Programs are drawn from the uniform grammar and from
+grammars with a learned library; the latter are library-expanded before they
+are compiled, while the interpreter runs their library calls by need.
 """
 
 import random
@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import maze_state
+from conftest import learned_grammar, maze_state
 from gridsynth.envs import env_spec, make_env
-from gridsynth.errors import EvalError
+from gridsynth.errors import EvalError, OutOfBoundsGetError, TypeMismatchError
 from gridsynth.grammar import SampleConfig, sample_program, uniform_grammar
 from gridsynth.interp import exec_program
-from gridsynth.lang import depth, parse_type
+from gridsynth.lang import Lambda, Prim, depth, parse_type, spine
 from gridsynth.kernel import (
     BACKEND,
     KernelUnsupportedError,
@@ -31,6 +31,7 @@ from gridsynth.kernel import (
 from gridsynth.library import compress, expand
 from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import parse_program
+from gridsynth.state import GridState
 
 ENVS = ["maze", "asterix", "spaceinvaders"]
 DIRECTION_REQUEST = parse_type("map -> direction -> action")
@@ -85,6 +86,19 @@ def _learned(env_tag):
     return res.grammar, res.library, list(res.rewritten.values())
 
 
+@lru_cache(maxsize=None)
+def _relearned(env_tag):
+    """The grammar and library that `compress` learns from 16 programs
+    sampled under the conftest library and expanded to primitives; unlike
+    `_learned`'s, every one of its abstractions takes arguments."""
+    prims = primitive_table(env_tag)
+    grammar, library = learned_grammar(prims)
+    corpus = {f"p{i}": expand(_sample(grammar, prims, i), library) for i in range(16)}
+    res = compress(corpus, uniform_grammar(prims), max_arity=3)
+    assert res.library and all(a.arity for a in res.library)
+    return res.grammar, res.library
+
+
 def _assert_agree(term, states, prims, library=()):
     """Interpreter and kernel agree on every state; returns the number of
     states on which evaluation failed (out-of-bounds `get`)."""
@@ -96,6 +110,46 @@ def _assert_agree(term, states, prims, library=()):
         assert _kernel_result(compiled, state, prims) == want
         failed += want is None
     return failed
+
+
+def _border_states(env_tag, count, seed):
+    """Seeded observations with a random object code in every cell, the
+    border rows and columns included, and on the maze a random heading."""
+    prims = primitive_table(env_tag)
+    codes = [e.value for e in prims.entries if e.kind == "object"]
+    width = 5 if env_tag == "maze" else 10
+    rng = random.Random(seed)
+    return [
+        GridState.from_flat(
+            [rng.choice(codes) for _ in range(width * width)],
+            width,
+            rng.randrange(4) if env_tag == "maze" else None,
+        )
+        for _ in range(count)
+    ]
+
+
+def _call_args(body, names):
+    """The arguments of every library call in a program body."""
+    head, args = spine(body)
+    found = list(args) if isinstance(head, Prim) and head.name in names else []
+    for a in args:
+        found += _call_args(a, names)
+    return found
+
+
+def _fails_alone(arg, binders, state, prims, library):
+    """Evaluating the argument by itself, under the program's binders, runs
+    an out-of-range `get`."""
+    for _ in range(binders):
+        arg = Lambda(arg)
+    try:
+        exec_program(arg, state, prims, library)
+    except OutOfBoundsGetError:
+        return True
+    except TypeMismatchError:  # not an action, but it evaluated
+        pass
+    return False
 
 
 def test_backend_is_python():
@@ -166,6 +220,74 @@ class TestEquivalenceFuzz:
             assert _interp_result(term, state, prims) == want
             assert _kernel_result(compiled, state, prims) == want
 
+    @pytest.mark.parametrize("source", ["conftest", "resampled"])
+    @pytest.mark.parametrize("env_tag", ENVS)
+    def test_library_calls_agree_with_call_by_need(self, env_tag, source):
+        """Deep library-using programs, under the conftest library and under
+        the one `compress` learns from programs sampled with it. Where an
+        argument would fail on its own but the body never uses it, the
+        interpreter still gives an action, as the kernel does. On the maze,
+        whose 5x5 grid the constants 0-5 overrun, that must happen; on the
+        10x10 MinAtar grids no `get` falls outside."""
+        prims = primitive_table(env_tag)
+        if source == "conftest":
+            grammar, library = learned_grammar(prims)
+        else:
+            grammar, library = _relearned(env_tag)
+        names = {a.name for a in library}
+        binders = 2 if prims.request == DIRECTION_REQUEST else 1
+        states = _border_states(env_tag, 12, seed=31)
+        unused_failing = 0
+        for k in range(80):
+            term = _sample(grammar, prims, 9000 + k, d_max=9)
+            picked = states[k % 12 : k % 12 + 3]
+            _assert_agree(term, picked, prims, library)
+            args = _call_args(term.body.body if binders == 2 else term.body, names)
+            for state in picked:
+                if _interp_result(term, state, prims, library) is not None:
+                    unused_failing += any(_fails_alone(a, binders, state, prims, library) for a in args)
+        if env_tag == "maze":
+            assert unused_failing > 0
+
+
+class TestOutOfRangeGet:
+    """An out-of-range `get` fails the program where it is evaluated and only
+    there: `if` skips its branch not taken, `and` and `or` evaluate both
+    operands."""
+
+    @staticmethod
+    def _run(text):
+        """The action on an empty maze, the same from the interpreter,
+        `execute` and `check_trajectory`; None if evaluation fails."""
+        prims = primitive_table("maze")
+        term = parse_program(text, prims)
+        state = maze_state()
+        code = compile_term(term, prims).code
+        want = _interp_result(term, state, prims)
+        aid = -1 if want is None else prims.action_words.index(want)
+        assert execute(code, state.flat(), 5, 5, 0) == aid
+        for a in range(len(prims.action_words)):
+            assert check_trajectory(code, [state.flat()], [0], [a], 5, 5) == (a == aid)
+        return want
+
+    @pytest.mark.parametrize("taken", ["then", "else"])
+    def test_failing_branch_not_taken_gives_the_other_branch(self, taken):
+        bad = "(if (eq-obj? wall-obj (get x 5 0)) right-action forward-action)"
+        if taken == "then":
+            text = f"(λ(x) (if (eq-obj? empty-obj (get x 0 0)) left-action {bad}))"
+        else:
+            text = f"(λ(x) (if (eq-obj? wall-obj (get x 0 0)) {bad} left-action))"
+        assert self._run(text) == "left"
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    @pytest.mark.parametrize("op, decider", [("and", "wall-obj"), ("or", "empty-obj")])
+    def test_failing_operand_fails_even_when_the_other_decides(self, op, decider, bad_first):
+        # on an empty maze `decider`'s check alone decides: false for and, true for or
+        good = f"(eq-obj? {decider} (get x 0 0))"
+        bad = "(eq-obj? wall-obj (get x 0 5))"
+        pair = f"{bad} {good}" if bad_first else f"{good} {bad}"
+        assert self._run(f"(λ(x) (if ({op} {pair}) left-action right-action))") is None
+
 
 class TestCompile:
     def test_deep_program_compiles(self):
@@ -185,10 +307,12 @@ class TestCompile:
             assert _kernel_result(compiled, state, prims) == _interp_result(term, state, prims)
         assert _kernel_result(compiled, maze_state(), prims) == "left"
 
-    def test_code_is_a_tuple_of_ints(self):
+    def test_code_is_a_closure_over_flat_grids(self):
         prims = primitive_table("maze")
         code = compile_term(_sample(uniform_grammar(prims), prims, 1), prims).code
-        assert isinstance(code, tuple) and all(type(v) is int for v in code)
+        assert callable(code)
+        aid = code(maze_state().flat(), 5, 5, 0)
+        assert type(aid) is int and 0 <= aid < len(prims.action_words)
 
     @pytest.mark.parametrize(
         "text",
@@ -232,4 +356,4 @@ class TestCheckTrajectory:
             grids = np.array([s.flat() for s in states], dtype=np.int64)
             dirs = np.array([s.direction for s in states], dtype=np.int64)
             acts = np.array([prims.action_words.index(a) for a in self.ACTIONS], dtype=np.int64)
-            assert check_trajectory(np.array(code), grids, dirs, acts, 5, 5) == manual
+            assert check_trajectory(code, grids, dirs, acts, 5, 5) == manual

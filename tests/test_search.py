@@ -316,6 +316,40 @@ def test_scans_stopping_for_each_reason_share_one_list(maze_grammar):
     assert want["easy"].candidates_tried < want["turn"].candidates_tried == 87
 
 
+def test_each_distinct_window_is_searched_once(monkeypatch):
+    """Tasks with equal steps get exactly what their own searches would give,
+    under their own ids, at every `jobs`; copies sit before, between and after
+    the tasks they copy, so at jobs 2 and 3 a copy and its original fall into
+    different chunks of the task list. At jobs 1 only the first task of each
+    window is searched."""
+    grammar, library, tasks, d_max = _stage("spaceinvaders", True)
+    base = list(tasks[:9])
+
+    def copy(task, tag):
+        return FakeTask(f"{tag}-{task.task_id}", task.env_tag, task.steps)
+
+    mixed = [copy(base[8], "front")] + base[:5] + [copy(base[0], "mid")] + base[5:]
+    mixed += [copy(t, "back") for t in base[::4]] + [copy(base[0], "back2")]
+    budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=2)
+    want = [solve_task(grammar, t, budget, library, d_max) for t in mixed]
+    for jobs in (1, 2, 3):
+        got = solve_many(grammar, mixed, budget, library=library, max_depth=d_max, jobs=jobs)
+        assert list(got) == [t.task_id for t in mixed]
+        for ref in want:
+            assert (got[ref.task_id].task_id, *_outcome(got[ref.task_id])) == (ref.task_id, *_outcome(ref))
+    searched = []
+    lone = search.solve_task
+
+    def counting(grammar, task, *args):
+        searched.append(task.task_id)
+        return lone(grammar, task, *args)
+
+    monkeypatch.setattr(search, "solve_task", counting)
+    solve_many(grammar, mixed, budget, library=library, max_depth=d_max)
+    assert len(searched) == len({t.steps for t in mixed}) == len({t.steps for t in base})
+    assert searched[0] == "front-" + base[8].task_id and base[8].task_id not in searched
+
+
 @pytest.mark.parametrize("learned", [False, True], ids=["no-library", "learned-library"])
 def test_each_candidate_compiled_once_per_stage(monkeypatch, learned):
     grammar, library, tasks, d_max = _stage("spaceinvaders", learned)

@@ -30,6 +30,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # name -> the `gridsynth run` flags of each of its runs
 CONFIGS = {
     "maze-desk": [["--env", "maze", "--profile", "desk", "--seed", str(s)] for s in range(5)],
+    # deeper dream programs fail to evaluate more often, so memos that
+    # dreams of one program share hold failed (None) actions too
+    "maze-dreams-deep": [
+        ["--env", "maze", "--profile", "desk", "--seed", "7", "--d-max", "8", "--max-iterations", "2"],
+    ],
     "minatar-search": [
         ["--env", "spaceinvaders", "--profile", "desk", "--seed", "7",
          "--corpus-size", "0", "--max-iterations", "2"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import cycle, islice
 from pathlib import Path
 from typing import Callable
 
@@ -142,11 +143,20 @@ def collect_program_rollouts(
     Each program runs for t ~ Uniform[t_min, t_max] steps after an optional
     oracle warmup of Uniform[0, warmup_max] steps. The episode ending or the
     program failing to evaluate truncates the trajectory; empty trajectories
-    are dropped. A dream runs its program once per distinct observation and
-    reuses the action when the observation recurs.
+    are dropped.
+
+    The result is the same as running the program on every step, with less
+    work. Each distinct sampled program is inlined, compiled and printed
+    once, and its dreams share one observation -> action memo, so it runs
+    once per distinct observation. Where the env has a `state_key`, a dream
+    that comes back to a state it was in has entered a cycle: the program
+    is deterministic, so the steps from that state's first visit repeat
+    until t, and are copied instead of stepped. An episode in a cycle never
+    ends, since it would have ended on the cycle's first pass.
     """
     prims = primitive_table(env_tag)
     rng = random.Random(seed)
+    programs: dict = {}  # sampled term -> (runner, printed text, observation -> action)
     out = []
     for i in range(count):
         term = sample_program(
@@ -163,10 +173,19 @@ def collect_program_rollouts(
                 obs, done = env.step(env.oracle_action())
                 if done:
                     break
-        runner = ProgramRunner(term, prims, library)
-        actions: dict = {}  # the program is deterministic: observation -> action
+        program = programs.get(term)
+        if program is None:
+            program = programs[term] = (ProgramRunner(term, prims, library), print_program(term), {})
+        runner, text, actions = program
         steps = []
+        first: dict = {}  # state key -> index of the step taken from that state
         while not done and len(steps) < t:
+            key = env.state_key()
+            if key is not None:
+                start = first.setdefault(key, len(steps))
+                if start < len(steps):
+                    steps.extend(islice(cycle(steps[start:]), t - len(steps)))
+                    break
             action = actions.get(obs, _UNSEEN)
             if action is _UNSEEN:
                 action = actions[obs] = runner.run(obs)
@@ -175,9 +194,7 @@ def collect_program_rollouts(
             steps.append((obs, action))
             obs, done = env.step(action)
         if steps:
-            out.append(
-                Trajectory(f"prog-{i:05d}", env_tag, tuple(steps), print_program(term), (layout, dynamics))
-            )
+            out.append(Trajectory(f"prog-{i:05d}", env_tag, tuple(steps), text, (layout, dynamics)))
     return out
 
 

@@ -1,9 +1,19 @@
 """Environment registry: deterministic simulators behind a tiny common API.
 
 Every environment exposes `reset(layout_seed, dynamics_seed)`, `step(action)`
-returning `(observation, done)`, `observe()`, `oracle_action()`, and a `done`
-flag. Observations are `GridState` values whose codes match the environment's
-primitive table, so oracle rollouts feed straight into program search.
+returning `(observation, done)`, `observe()`, `oracle_action()`,
+`state_key()`, and a `done` flag. Observations are `GridState` values whose
+codes match the environment's primitive table, so oracle rollouts feed
+straight into program search.
+
+`state_key()` is a hashable value that, within one episode, fixes what the
+agent observes next and the state each action leads to, or None when the
+environment has no such value. Two equal keys in one episode are the same
+state: a deterministic program that comes back to a key repeats the steps
+it took since that key's first visit, which is how program rollouts fill a
+cycle instead of stepping it. The maze's key is its agent's world index and
+heading; Asterix and Space Invaders draw random spawns and bombs, so theirs
+is None.
 """
 from __future__ import annotations
 

@@ -55,6 +55,10 @@ class AsterixEnv:
         self.rng = random.Random(dynamics_seed)
         return self.observe()
 
+    def state_key(self) -> None:
+        """None: the next state depends on random draws as well."""
+        return None
+
     def observe(self) -> GridState:
         cells = [EMPTY] * (SIZE * SIZE)
         for e in self.entities:

@@ -4,10 +4,10 @@ The world is a 13x13 grid of wall and floor cells carved with a seeded
 recursive backtracker, so every pair of floor cells is joined by exactly
 one path (verified with union-find after carving). The agent observes a
 5x5 window rotated into its own frame: it sits at view cell (0, 2) facing
-+x, which shows four cells ahead and two to each side. The world is kept
-as one flat row-major tuple inside a border of VIEW - 1 walls, so cells
-outside the world read as walls and the view is 25 fixed offsets per
-direction. The world does not change within an episode, so each view is
++x, which shows four cells ahead and two to each side. The world is carved
+straight into one flat row-major tuple inside a border of VIEW - 1 walls,
+so cells outside the world read as walls and the view is 25 fixed offsets
+per direction. The world does not change within an episode, so each view is
 gathered once per cell and heading. Codes: 1 empty, 2 wall, 3 goal.
 
 Directions are absolute: 0 east, 1 south, 2 west, 3 north (screen axes,
@@ -20,6 +20,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple
 
 from gridsynth.errors import GridSynthError, IllegalActionError
@@ -51,19 +52,21 @@ def view_offsets(stride: int) -> tuple[tuple[int, ...], ...]:
 
 
 class _Cells(NamedTuple):
-    """Tables of a (2*cells+1)^2 wall grid, with cell (cx, cy) numbered
-    cy * cells + cx and a set of cells held as a bitmask of those numbers."""
+    """Tables of a (2*cells+1)^2 wall grid inside its padded world, with
+    cell (cx, cy) numbered cy * cells + cx and a set of cells held as a
+    bitmask of those numbers."""
 
+    stride: int  # width of the padded world
     near: tuple[int, ...]  # per cell, the set of its in-bounds neighbours
     free: tuple[dict, ...]  # per cell, each subset of `near` -> its members in DIRS order
     spots: tuple[tuple[int, int], ...]  # per cell, its grid (x, y)
-    at: tuple[int, ...]  # per cell, its row-major grid index
-    edges: tuple[tuple[int, int, int, int], ...]  # each east or south pair (a, b) and the (x, y) of its wall
+    at: tuple[int, ...]  # per cell, its padded world index
+    edges: tuple[tuple[int, int, int], ...]  # each east or south pair (a, b) and the world index of its wall
 
 
 @lru_cache(maxsize=None)
 def _cell_tables(cells: int) -> _Cells:
-    size = 2 * cells + 1
+    stride = 2 * cells + 1 + 2 * PAD
     near, free = [], []
     for cy in range(cells):
         for cx in range(cells):
@@ -76,42 +79,54 @@ def _cell_tables(cells: int) -> _Cells:
             picks = (tuple(n for j, n in enumerate(nbrs) if k >> j & 1) for k in range(1 << len(nbrs)))
             free.append({sum(1 << n for n in pick): pick for pick in picks})
     spots = tuple((2 * cx + 1, 2 * cy + 1) for cy in range(cells) for cx in range(cells))
-    edges = tuple(
-        (cy * cells + cx, (cy + dy) * cells + cx + dx, 2 * cx + dx + 1, 2 * cy + dy + 1)
+    at = tuple((y + PAD) * stride + x + PAD for x, y in spots)
+    pairs = (
+        (cy * cells + cx, (cy + dy) * cells + cx + dx)
         for cy in range(cells)
         for cx in range(cells)
         for dx, dy in ((1, 0), (0, 1))
         if cx + dx < cells and cy + dy < cells
     )
-    return _Cells(tuple(near), tuple(free), spots, tuple(y * size + x for x, y in spots), edges)
+    edges = tuple((a, b, (at[a] + at[b]) >> 1) for a, b in pairs)
+    return _Cells(stride, tuple(near), tuple(free), spots, at, edges)
 
 
-def carve_maze(cells: int, rng: random.Random) -> list[list[int]]:
-    """Recursive-backtracker carving on a (2*cells+1)^2 wall grid."""
-    size = 2 * cells + 1
-    near, free, _, at, _ = _cell_tables(cells)
-    grid = [WALL] * (size * size)
+def carve_world(cells: int, rng: random.Random) -> list[int]:
+    """Recursive-backtracker carving of a (2*cells+1)^2 wall grid, straight
+    into its padded row-major world."""
+    stride, near, free, _, at, _ = _cell_tables(cells)
+    world = [WALL] * (stride * stride)
     sx = rng.randrange(cells)
     start = rng.randrange(cells) * cells + sx
-    grid[at[start]] = EMPTY
+    world[at[start]] = EMPTY
     unseen = ((1 << cells * cells) - 1) ^ (1 << start)
     stack = [start]
-    while stack:
+    choice = rng.choice
+    while unseen:  # backing up once every cell is carved draws nothing
         here = stack[-1]
         nbrs = free[here][near[here] & unseen]  # unseen neighbours, in DIRS order
         if not nbrs:
             stack.pop()
             continue
-        n = rng.choice(nbrs)
-        grid[(at[here] + at[n]) >> 1] = EMPTY  # the wall between the two cells
-        grid[at[n]] = EMPTY
+        n = choice(nbrs)
+        world[(at[here] + at[n]) >> 1] = EMPTY  # the wall between the two cells
+        world[at[n]] = EMPTY
         unseen ^= 1 << n
         stack.append(n)
-    return [grid[y * size : (y + 1) * size] for y in range(size)]
+    return world
 
 
-def verify_perfect(grid: list[list[int]], cells: int) -> None:
-    """Union-find check: carved passages form a spanning tree of the cells."""
+def carve_maze(cells: int, rng: random.Random) -> list[list[int]]:
+    """The maze `carve_world` carves, as rows grid[y][x] without padding."""
+    world = carve_world(cells, rng)
+    size, stride = 2 * cells + 1, _cell_tables(cells).stride
+    starts = ((y + PAD) * stride + PAD for y in range(size))
+    return [world[i : i + size] for i in starts]
+
+
+def verify_perfect(world: list[int], cells: int) -> None:
+    """Union-find check: the passages carved into a padded world form a
+    spanning tree of the cells."""
     parent = list(range(cells * cells))
 
     def find(i: int) -> int:
@@ -121,8 +136,8 @@ def verify_perfect(grid: list[list[int]], cells: int) -> None:
         return i
 
     edges = 0
-    for a, b, x, y in _cell_tables(cells).edges:
-        if grid[y][x] != EMPTY:
+    for a, b, wall in _cell_tables(cells).edges:
+        if world[wall] != EMPTY:
             continue
         edges += 1
         a, b = find(a), find(b)
@@ -151,21 +166,19 @@ class MazeEnv:
     def reset(self, layout_seed: int, dynamics_seed: int = 0) -> GridState:
         del dynamics_seed  # the maze has no stochastic dynamics
         rng = random.Random(layout_seed)
-        raw = carve_maze(self.cells, rng)
-        verify_perfect(raw, self.cells)
-        start, goal = rng.sample(_cell_tables(self.cells).spots, 2)
-        raw[goal[1]][goal[0]] = GOAL
-        return self.install(raw, start, goal, rng.randrange(4))
+        world = carve_world(self.cells, rng)
+        verify_perfect(world, self.cells)
+        tables = _cell_tables(self.cells)
+        start, goal = rng.sample(tables.spots, 2)
+        world[(goal[1] + PAD) * tables.stride + goal[0] + PAD] = GOAL
+        return self.install(world, start, goal, rng.randrange(4))
 
-    def install(self, grid, start, goal, direction: int) -> GridState:
-        """Pad a square world (grid[y][x], goal marked) with walls, place
-        the agent, and return its first observation."""
-        self.stride = len(grid) + 2 * PAD
-        world = [WALL] * (self.stride * self.stride)
-        for y, row in enumerate(grid):
-            at = self._index(0, y)
-            world[at : at + len(row)] = row
+    def install(self, world, start, goal, direction: int) -> GridState:
+        """Enter a square world, given row-major with PAD walls on every
+        side and its goal marked; place the agent and return its first
+        observation."""
         self.world = tuple(world)
+        self.stride = isqrt(len(self.world))
         self.pos = start
         self.goal = goal
         self.direction = direction
@@ -181,14 +194,19 @@ class MazeEnv:
         """World-index step of each heading in DIRS."""
         return tuple(dy * self.stride + dx for dx, dy in DIRS)
 
+    def state_key(self) -> int:
+        """4 * the agent's world index + its heading. The world does not
+        change within an episode, so this fixes the view and where each
+        action leads."""
+        return 4 * self._index(*self.pos) + self.direction
+
     def observe(self) -> GridState:
         """The view from the agent's cell and heading, kept for the rest of
         the episode."""
-        at = self._index(*self.pos)
-        key = 4 * at + self.direction
+        key = self.state_key()
         obs = self._seen.get(key)
         if obs is None:
-            world = self.world
+            world, at = self.world, key >> 2
             view = tuple([world[at + o] for o in view_offsets(self.stride)[self.direction]])
             obs = self._seen[key] = GridState(view, VIEW, self.direction)
         return obs

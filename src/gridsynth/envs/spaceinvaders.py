@@ -56,6 +56,10 @@ class SpaceInvadersEnv:
         self.rng = random.Random(dynamics_seed)
         return self.observe()
 
+    def state_key(self) -> None:
+        """None: the next state depends on random draws as well."""
+        return None
+
     def observe(self) -> GridState:
         cells = [EMPTY] * (SIZE * SIZE)
         for x, y in self.aliens:

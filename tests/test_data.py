@@ -27,7 +27,7 @@ from gridsynth.data import (
     task_set_from_json,
     task_set_to_json,
 )
-from gridsynth.envs import make_env
+from gridsynth.envs import MazeEnv, make_env
 from gridsynth.errors import (
     EvalError,
     GridSynthError,
@@ -341,11 +341,50 @@ class TestCollect:
                 self.obs = maze_state(direction=(self.obs.direction + 1) % 4)
                 return self.obs, False
 
+            def state_key(self):
+                return None
+
         monkeypatch.setattr(data, "make_env", lambda env_tag: TurningEnv())
         monkeypatch.setattr(data, "sample_program", lambda grammar, cfg: term)
         params = RolloutParams(t_min=8, t_max=8)
         (traj,) = collect_program_rollouts(uniform_grammar(prims), "maze", 1, params, seed=0, d_max=6)
         assert [a for _, a in traj.steps] == ["left", "right", "right", "right"] * 2
+
+    def test_maze_dreams_fill_cycles_and_share_programs(self, monkeypatch):
+        """At the maze's default params most dream steps repeat a cycle, and
+        many dreams sample the same program. Filled cycles and shared
+        programs give the trajectories of a run on every step, with fewer
+        env steps than recorded steps and one compile per distinct program."""
+        prims = primitive_table("maze")
+        grammar = uniform_grammar(prims)
+        params = default_params("maze")
+        assert params.t_max == 60
+        want, _ = reference_program_rollouts(grammar, "maze", 200, params, 9, 6, ())
+        calls = {"step": 0, "compile": 0}
+        sampled = set()
+        step, compile_term, sample = MazeEnv.step, data.compile_term, data.sample_program
+
+        def counted_step(env, action):
+            calls["step"] += 1
+            return step(env, action)
+
+        def counted_compile(term, prims):
+            calls["compile"] += 1
+            return compile_term(term, prims)
+
+        def recorded_sample(grammar, cfg):
+            term = sample(grammar, cfg)
+            sampled.add(term)
+            return term
+
+        monkeypatch.setattr(MazeEnv, "step", counted_step)
+        monkeypatch.setattr(data, "compile_term", counted_compile)
+        monkeypatch.setattr(data, "sample_program", recorded_sample)
+        got = collect_program_rollouts(grammar, "maze", 200, params, seed=9, d_max=6)
+        assert got == want
+        recorded = sum(len(t.steps) for t in got)
+        assert calls["step"] < recorded // 2
+        assert calls["compile"] == len(sampled) < 200
 
     def test_minatar_default_params(self):
         assert default_params("maze") == RolloutParams(5, 60, 0)

@@ -1,4 +1,5 @@
 """Environment contracts: determinism, maze structure, oracles, observations."""
+import copy
 import random
 from collections import deque
 
@@ -20,10 +21,21 @@ def fresh_maze(seed=0):
     return env
 
 
+def padded(grid):
+    """A square world given as rows, grid[y][x], in the form `install`
+    takes: row-major inside a border of PAD walls."""
+    stride = len(grid) + 2 * PAD
+    world = [WALL] * (stride * stride)
+    for y, row in enumerate(grid):
+        at = (y + PAD) * stride + PAD
+        world[at : at + len(row)] = row
+    return world
+
+
 def hand_maze():
     """2-cell test world: agent at (1,1) facing east, wall ahead, goal south."""
     env = MazeEnv(cells=2)
-    env.install(HAND_GRID, start=(1, 1), goal=(1, 3), direction=0)
+    env.install(padded(HAND_GRID), start=(1, 1), goal=(1, 3), direction=0)
     return env
 
 
@@ -171,7 +183,7 @@ class TestMaze:
         assert env.observe() == before
         opened = [list(row) for row in HAND_GRID]
         opened[1][2] = EMPTY  # the wall ahead of the agent
-        obs = env.install(opened, start=(1, 1), goal=(1, 3), direction=0)
+        obs = env.install(padded(opened), start=(1, 1), goal=(1, 3), direction=0)
         assert obs != before
         assert obs.flat() == reference_view(opened, (1, 1), 0)
 
@@ -250,7 +262,7 @@ class TestMaze:
             goal = (2 * rng.randrange(MAZE_CELLS) + 1, 2 * rng.randrange(MAZE_CELLS) + 1)
             grid[goal[1]][goal[0]] = GOAL
             env = MazeEnv()
-            env.install(grid, start=(1, 1), goal=goal, direction=0)
+            env.install(padded(grid), start=(1, 1), goal=goal, direction=0)
             assert_views_match_reference(env, grid)
 
     def test_padded_view_matches_reference_at_the_border(self):
@@ -282,6 +294,34 @@ class TestMaze:
         assert calls == []
         oracle = collect_oracle_rollouts("maze", 3, seed=3)
         assert len(calls) == len(oracle) == 3
+
+    def test_equal_state_keys_are_equal_states(self):
+        """Within a seeded episode, two visits with one `state_key` see the
+        same view, by its definition, and each action leads both to one
+        successor key and `done`."""
+        rng = random.Random(4)
+        revisits = 0
+        for seed in range(20):
+            env = fresh_maze(seed)
+            size = 2 * env.cells + 1
+            starts = ((y + PAD) * env.stride + PAD for y in range(size))
+            rows = [env.world[i : i + size] for i in starts]
+            known = {}
+            for _ in range(200):
+                obs = env.observe()
+                assert obs.flat() == reference_view(rows, env.pos, env.direction)
+                successors = []
+                for action in ("left", "right", "forward"):
+                    probe = copy.copy(env)
+                    probe.step(action)
+                    successors.append((probe.state_key(), probe.done))
+                state = (obs.flat(), obs.direction, successors)
+                revisits += env.state_key() in known
+                assert known.setdefault(env.state_key(), state) == state
+                env.step(rng.choice(("left", "right", "forward")))
+                if env.done:
+                    break
+        assert revisits > 1000
 
     def test_goal_ends_episode(self):
         env = hand_maze()

@@ -179,6 +179,15 @@ class TestEquivalenceFuzz:
         programs = rewritten + [_sample(grammar, prims, 5000 + k) for k in range(60)]
         for k, term in enumerate(programs):
             _assert_agree(term, states[k % 15 : k % 15 + 3], prims, library)
+        if env_tag == "maze":  # `_learned`'s maze abstractions take no arguments
+            grammar, library = _relearned(env_tag)
+            names = {a.name for a in library}
+            calls = 0
+            for k in range(60):
+                term = _sample(grammar, prims, 5000 + k)
+                _assert_agree(term, states[k % 15 : k % 15 + 3], prims, library)
+                calls += bool(_call_args(term.body.body, names))
+            assert calls > 0
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -189,13 +198,18 @@ class TestEquivalenceFuzz:
         state_seed=st.integers(0, 1 << 30),
     )
     def test_drawn_programs_agree(self, env_tag, seed, d_max, with_library, state_seed):
+        """On the maze, a library draw runs under `_learned`'s library and
+        under `_relearned`'s, whose abstractions take arguments."""
         prims = primitive_table(env_tag)
-        if with_library:
-            grammar, library, _ = _learned(env_tag)
+        if not with_library:
+            libraries = [(uniform_grammar(prims), ())]
+        elif env_tag == "maze":
+            libraries = [_learned(env_tag)[:2], _relearned(env_tag)]
         else:
-            grammar, library = uniform_grammar(prims), ()
-        term = _sample(grammar, prims, seed, d_max)
-        _assert_agree(term, _env_states(env_tag, 4, state_seed), prims, library)
+            libraries = [_learned(env_tag)[:2]]
+        states = _env_states(env_tag, 4, state_seed)
+        for grammar, library in libraries:
+            _assert_agree(_sample(grammar, prims, seed, d_max), states, prims, library)
 
     def test_oob_get_maps_to_minus_one(self):
         prims = primitive_table("maze")

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from gridsynth.curriculum import default_config, eval_run, final_iteration_dir, run_curriculum
+from gridsynth.curriculum import default_config, eval_run, final_iteration_dir, load_run, run_curriculum
 from gridsynth.data import (
     collect_oracle_rollouts,
     export_prompts,
@@ -105,6 +105,8 @@ def _merged_run_settings(args) -> dict:
 def _cmd_collect(args, parser) -> int:
     if args.env is None or args.out is None:
         return _usage(parser, "collect requires --env and --out")
+    if args.count < 1:
+        return _usage(parser, f"--count must be at least 1, got {args.count}")
     trajs = collect_oracle_rollouts(
         args.env, args.count, seed=args.seed, max_steps=args.max_steps
     )
@@ -151,8 +153,9 @@ def _cmd_eval(args, parser) -> int:
 
 
 def _cmd_library(args, parser) -> int:
-    last = final_iteration_dir(Path(args.run_dir))
-    run = json.loads((Path(args.run_dir) / "run.json").read_text())
+    run_dir = Path(args.run_dir)
+    run = load_run(run_dir)
+    last = final_iteration_dir(run_dir, run)
     prims = primitive_table(run["config"]["env_tag"])
     library = load_library(last / "library.json", prims)
     report = library_report(library)
@@ -293,11 +296,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, subs[args.command])
-    except GridSynthError as exc:
+    except (GridSynthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except json.JSONDecodeError as exc:
+        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
 
 

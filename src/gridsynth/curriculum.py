@@ -379,7 +379,7 @@ def _write_run_json(out: Path, config, history, state, stop_reason) -> dict:
     return doc
 
 
-def _load_run(run_dir: Path) -> dict:
+def load_run(run_dir: Path) -> dict:
     path = run_dir / "run.json"
     if not path.exists():
         raise GridSynthError(f"no run.json under {run_dir}")
@@ -389,8 +389,8 @@ def _load_run(run_dir: Path) -> dict:
     return doc
 
 
-def final_iteration_dir(run_dir: Path) -> Path:
-    doc = _load_run(run_dir)
+def final_iteration_dir(run_dir: Path, doc: dict) -> Path:
+    """The last completed iteration's directory; `doc` is `load_run(run_dir)`."""
     if not doc["history"]:
         raise GridSynthError("run has no completed iterations")
     return run_dir / f"iter-{doc['history'][-1]['iteration']}"
@@ -406,13 +406,13 @@ def eval_run(run_dir, seed: int | None = None, episodes: int | None = None) -> P
     from gridsynth.library import load_library
 
     run_dir = Path(run_dir)
-    doc = _load_run(run_dir)
+    doc = load_run(run_dir)
     config = doc["config"]
     if seed is None:
         seed = config["seed"] + _EVAL_SEED
     if episodes is None:
         episodes = config["eval_episodes"]
-    last = final_iteration_dir(run_dir)
+    last = final_iteration_dir(run_dir, doc)
     prims = primitive_table(config["env_tag"])
     library = load_library(last / "library.json", prims)
     report = json.loads((last / "report.json").read_text())

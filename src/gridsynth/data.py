@@ -18,7 +18,7 @@ from typing import Callable
 
 from gridsynth.envs import env_spec, make_env
 from gridsynth.errors import GridSynthError, IllegalActionError, TypeMismatchError, UnknownTaskIdError
-from gridsynth.grammar import Grammar, SampleConfig, sample_program
+from gridsynth.grammar import Grammar, sample_program
 from gridsynth.kernel import check_trajectory, compile_term, execute
 from gridsynth.lang import ACTION, MAP, Term, arrow, inline
 from gridsynth.library import definitions
@@ -159,9 +159,7 @@ def collect_program_rollouts(
     programs: dict = {}  # sampled term -> (runner, printed text, observation -> action)
     out = []
     for i in range(count):
-        term = sample_program(
-            grammar, SampleConfig(d_max=d_max, request=prims.request, seed=rng.randrange(_SEED_RANGE))
-        )
+        term = sample_program(grammar, d_max, rng.randrange(_SEED_RANGE))
         t = rng.randint(params.t_min, params.t_max)
         layout = rng.randrange(_SEED_RANGE)
         dynamics = rng.randrange(_SEED_RANGE)

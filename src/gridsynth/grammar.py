@@ -31,7 +31,7 @@ from gridsynth.lang import (
     return_type,
     spine,
 )
-from gridsynth.primitives import PrimTable, instantiate
+from gridsynth.primitives import PrimTable, instantiate, primitive_table
 
 GRAMMAR_SCHEMA = "gridsynth-grammar-v1"
 
@@ -48,7 +48,11 @@ class Grammar:
     env_tag: str
     productions: tuple[Production, ...]
     var_logp: float
-    requests: tuple[Ty, ...]
+
+    @property
+    def request(self) -> Ty:
+        """The type of the environment's programs."""
+        return primitive_table(self.env_tag).request
 
     def production(self, name: str) -> Production | None:
         for p in self.productions:
@@ -63,7 +67,7 @@ class Grammar:
         # between processes.
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.env_tag, self.productions, self.var_logp, self.requests))
+            h = hash((self.env_tag, self.productions, self.var_logp))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -71,21 +75,11 @@ class Grammar:
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    d_max: int
-    request: Ty
-    seed: int
-
-
-def uniform_grammar(prims: PrimTable, extra_productions=()) -> Grammar:
-    prods = [Production(p.name, p.type, 0.0) for p in prims.entries]
-    prods.extend(extra_productions)
+def uniform_grammar(prims: PrimTable) -> Grammar:
     return Grammar(
         env_tag=prims.env_tag,
-        productions=tuple(prods),
+        productions=tuple(Production(p.name, p.type, 0.0) for p in prims.entries),
         var_logp=0.0,
-        requests=(prims.request,),
     )
 
 
@@ -234,25 +228,21 @@ class Tables:
                 break
         return dl
 
-    def site(self, ty: Ty, remaining: int | None) -> "Site":
-        """The choices completable within the remaining depth (or at all
-        when `remaining` is None) and their weights, built on first use and
-        kept."""
+    def site(self, ty: Ty, remaining: int) -> "Site":
+        """The choices at `ty` that a term of depth at most `remaining` can
+        start with, and their weights, built on first use and kept."""
         key = (ty, remaining)
         site = self._sites.get(key)
         if site is None:
             site = self._sites[key] = self._site(ty, remaining)
         return site
 
-    def _site(self, ty: Ty, remaining: int | None) -> "Site":
+    def _site(self, ty: Ty, remaining: int) -> "Site":
         cands = self.choices.get(ty, ())
         feasible = []
         for i, c in enumerate(cands):
             if not c.args:
                 feasible.append(i)
-            elif remaining is None:
-                if all(self.min_depth.get(a, math.inf) < math.inf for a in c.args):
-                    feasible.append(i)
             elif remaining >= 2:
                 need = max(self.min_depth.get(a, math.inf) for a in c.args)
                 if need <= remaining - 1:
@@ -291,20 +281,21 @@ def _logsumexp(xs) -> float:
     return m + math.log(sum(math.exp(x - m) for x in xs))
 
 
-def sample_program(grammar: Grammar, cfg: SampleConfig) -> Term:
-    """Draw one well-typed term of the requested type, depth at most d_max.
+def sample_program(grammar: Grammar, d_max: int, seed: int) -> Term:
+    """Draw one well-typed program of the grammar's request, depth at most
+    d_max; equal seeds draw equal programs.
 
     Type-directed descent with per-node renormalization over choices that can
     still complete within the depth budget; no rejection loops.
     """
-    tables = tables_for(grammar, cfg.request)
-    budget = cfg.d_max - len(tables.binders)
+    tables = tables_for(grammar, grammar.request)
+    budget = d_max - len(tables.binders)
     need = tables.min_depth.get(tables.body_request, math.inf)
     if budget < need:
         raise DepthUnsatisfiableError(
-            f"no {tables.body_request} term fits depth {cfg.d_max}"
+            f"no {tables.body_request} term fits depth {d_max}"
         )
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     body = _sample_node(tables, tables.body_request, budget, rng)
     for _ in tables.binders:
         body = Lambda(body)
@@ -333,7 +324,7 @@ def _pick(tables: Tables, ty: Ty, remaining: int, rng) -> Choice:
 def description_length(grammar: Grammar, term: Term, request: Ty | None = None) -> float:
     """Negative log-probability (nats) of the term's derivation."""
     if request is None:
-        request = grammar.requests[0]
+        request = grammar.request
     return term_dl(tables_for(grammar, request), term)
 
 
@@ -423,7 +414,7 @@ def refit(grammar: Grammar, solved: list[Term]) -> Grammar:
     """
     counts: dict[str, int] = {}
     var_count = 0
-    tables = tables_for(grammar, grammar.requests[0])
+    tables = tables_for(grammar, grammar.request)
     for term in solved:
         for (_, head), n in choice_counts(tables, term).items():
             if isinstance(head, int):
@@ -438,7 +429,6 @@ def refit(grammar: Grammar, solved: list[Term]) -> Grammar:
         env_tag=grammar.env_tag,
         productions=prods,
         var_logp=math.log1p(var_count),
-        requests=grammar.requests,
     )
 
 
@@ -456,7 +446,6 @@ def add_abstractions(grammar: Grammar, abstractions) -> Grammar:
         env_tag=grammar.env_tag,
         productions=grammar.productions + tuple(new),
         var_logp=grammar.var_logp,
-        requests=grammar.requests,
     )
 
 
@@ -465,7 +454,7 @@ def grammar_to_json(grammar: Grammar) -> dict:
         "schema": GRAMMAR_SCHEMA,
         "envTag": grammar.env_tag,
         "varLogp": grammar.var_logp,
-        "requests": [str(t) for t in grammar.requests],
+        "requests": [str(grammar.request)],
         "productions": [
             {"name": p.name, "type": str(p.type), "logp": p.logp}
             for p in grammar.productions
@@ -474,17 +463,20 @@ def grammar_to_json(grammar: Grammar) -> dict:
 
 
 def grammar_from_json(doc: dict) -> Grammar:
+    """Raises ValueError unless `requests` is exactly the env's request."""
     if doc.get("schema") != GRAMMAR_SCHEMA:
         raise ValueError(f"unexpected grammar schema {doc.get('schema')!r}")
-    return Grammar(
+    grammar = Grammar(
         env_tag=doc["envTag"],
         productions=tuple(
             Production(p["name"], parse_type(p["type"]), float(p["logp"]))
             for p in doc["productions"]
         ),
         var_logp=float(doc["varLogp"]),
-        requests=tuple(parse_type(t) for t in doc["requests"]),
     )
+    if [parse_type(t) for t in doc["requests"]] != [grammar.request]:
+        raise ValueError(f"grammar requests {doc['requests']} are not [{grammar.request}]")
+    return grammar
 
 
 def save_grammar(grammar: Grammar, path) -> None:

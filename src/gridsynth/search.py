@@ -63,13 +63,12 @@ class SolvedTask:
         return bool(self.programs)
 
 
-def _stream(tables: Tables, max_depth: int | None):
-    """Yield (dl, term) in non-decreasing dl order."""
+def _stream(tables: Tables, max_depth: int):
+    """Yield (dl, term) for every term of depth at most `max_depth`, in
+    non-decreasing dl order."""
     body_ty = tables.body_request
-    budget = None if max_depth is None else max_depth - len(tables.binders)
-    if budget is not None and tables.min_depth.get(body_ty, math.inf) > budget:
-        return
-    if tables.min_dl.get(body_ty, math.inf) == math.inf:
+    budget = max_depth - len(tables.binders)
+    if tables.min_depth.get(body_ty, math.inf) > budget:
         return
     # Heap entry: (f, seq, g, holes, path); holes and path are linked tuples.
     heap = [(tables.min_dl[body_ty], 0, 0.0, ((body_ty, budget), None), None)]
@@ -86,9 +85,8 @@ def _stream(tables: Tables, max_depth: int | None):
             new_g = g + c.cost
             new_h = f - g - tables.min_dl[ty]
             new_holes = rest
-            arg_budget = None if remaining is None else remaining - 1
             for a in reversed(c.args):
-                new_holes = ((a, arg_budget), new_holes)
+                new_holes = ((a, remaining - 1), new_holes)
                 new_h += tables.min_dl[a]
             heapq.heappush(
                 heap, (new_g + new_h, seq, new_g, new_holes, (idx, path))
@@ -116,48 +114,23 @@ def _reconstruct(tables: Tables, path) -> Term:
     return term
 
 
-def enumerate_programs(
-    grammar: Grammar,
-    request: Ty,
-    budget: SearchBudget | None = None,
-    max_depth: int | None = None,
-):
-    """Ordered stream of well-typed closed terms of the requested type.
-
-    Stops after budget.max_candidates yields when given; the stream is lazy,
-    so callers can also just stop consuming.
-    """
-    tables = tables_for(grammar, request)
-    limit = budget.max_candidates if budget and budget.max_candidates else None
-    for i, (_, term) in enumerate(_stream(tables, max_depth)):
-        if limit is not None and i >= limit:
-            return
-        yield term
-
-
-def enumerate_with_dl(
-    grammar: Grammar, request: Ty, max_depth: int | None = None
-):
-    tables = tables_for(grammar, request)
-    yield from _stream(tables, max_depth)
-
-
 class CandidateList:
     """A solve stage's candidate stream, extended lazily and shared by its tasks.
 
-    Entry i is (dl, term, code) for the i-th term of `_stream`: its DL, the
-    term itself, and the closure compiled from its library expansion. An
-    entry is enumerated, expanded and compiled the first time a scan reaches
-    it. Iterating yields the entries from the first; a scan that passes the
-    end of the list extends it, and the scan's caller pays for that.
+    Entry i is (dl, term, code) for the i-th program of depth at most
+    `max_depth` in `_stream`: its DL, the term itself, and the closure
+    compiled from its library expansion under `prims`, the grammar's
+    environment's table. An entry is enumerated, expanded and compiled the
+    first time a scan reaches it. Iterating yields the entries from the
+    first; a scan that passes the end of the list extends it, and the scan's
+    caller pays for that.
     """
 
-    def __init__(self, grammar: Grammar, prims, library=(), max_depth: int | None = None):
-        self.key = (grammar, prims.env_tag, tuple(library), max_depth)
+    def __init__(self, grammar: Grammar, library, max_depth: int):
+        self.prims = primitive_table(grammar.env_tag)
         self.entries: list[tuple[float, Term, Callable]] = []
-        self._stream = _stream(tables_for(grammar, grammar.requests[0]), max_depth)
+        self._stream = _stream(tables_for(grammar, grammar.request), max_depth)
         self._defs = definitions(library)
-        self._prims = prims
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -172,33 +145,18 @@ class CandidateList:
                     return
                 dl, term = nxt
                 flat = inline(term, self._defs) if self._defs else term
-                entries.append((dl, term, compile_term(flat, self._prims).code))
+                entries.append((dl, term, compile_term(flat, self.prims).code))
             yield entries[i]
             i += 1
 
 
-def solve_task(
-    grammar: Grammar,
-    task,
-    budget: SearchBudget,
-    library=(),
-    max_depth: int | None = None,
-    candidates: CandidateList | None = None,
-) -> SolvedTask:
-    """Filter the enumeration stream through the imitation check.
-
-    `candidates` is a list shared with other tasks, built for the same
-    grammar, library, depth bound and environment; without it the task builds
-    its own.
-    """
+def solve_task(candidates: CandidateList, task, budget: SearchBudget) -> SolvedTask:
+    """Scan `candidates` from the start for programs that imitate every step
+    of `task`, a window of the list's environment, until the budget's top-k
+    hits, candidate cap or timeout, or the list's end."""
     if budget.timeout_sec is None and budget.max_candidates is None:
         raise ValueError("search budget needs a timeout or a candidate cap")
-    prims = primitive_table(task.env_tag)
-    if candidates is None:
-        candidates = CandidateList(grammar, prims, library, max_depth)
-    elif candidates.key != (grammar, prims.env_tag, tuple(library), max_depth):
-        raise ValueError("candidate list was built for another grammar, library, depth or environment")
-    grids, dirs, acts, width, height = task_inputs(task, prims)
+    grids, dirs, acts, width, height = task_inputs(task, candidates.prims)
     n = len(acts)
     hits: list[tuple[float, str, Term]] = []
     tried = 0
@@ -239,18 +197,13 @@ class StageResults(dict):
 
 def _solve_chunk(grammar, tasks, budget, library, max_depth):
     """Solve tasks in order against one shared candidate list."""
-    shared = CandidateList(grammar, primitive_table(grammar.env_tag), library, max_depth)
-    results = [solve_task(grammar, t, budget, library, max_depth, shared) for t in tasks]
+    shared = CandidateList(grammar, library, max_depth)
+    results = [solve_task(shared, t, budget) for t in tasks]
     return results, len(shared)
 
 
 def solve_many(
-    grammar: Grammar,
-    tasks,
-    budget: SearchBudget,
-    library=(),
-    max_depth: int | None = None,
-    jobs: int = 1,
+    grammar: Grammar, tasks, budget: SearchBudget, library, max_depth: int, jobs: int = 1
 ) -> StageResults:
     """Solve tasks independently; results keyed by task id in task order.
 
@@ -260,12 +213,12 @@ def solve_many(
     its group's result instead of racing the clock again. The searched tasks
     share one `CandidateList`, so each candidate is enumerated, expanded and
     compiled at most once, while each scan, stop reason and hit list is that
-    of a lone `solve_task` call; only a timeout can come later, since reading
-    entries another task compiled is faster than compiling them. The list
-    grows to the longest scan: at most `budget.max_candidates`, or without a
-    cap as far as the timeout allows. `jobs` > 1 splits the searched tasks
-    into contiguous chunks, each solved in a forked worker with its own list,
-    so no result depends on `jobs`.
+    of a `solve_task` call on a fresh list; only a timeout can come later,
+    since reading entries another task compiled is faster than compiling
+    them. The list grows to the longest scan: at most
+    `budget.max_candidates`, or without a cap as far as the timeout allows.
+    `jobs` > 1 splits the searched tasks into contiguous chunks, each solved
+    in a forked worker with its own list, so no result depends on `jobs`.
     """
     first = {}  # steps -> the first task with them, the one searched
     for t in tasks:

@@ -26,18 +26,18 @@ from gridsynth.envs import env_spec, make_env
 from gridsynth.errors import GridSynthError
 from gridsynth.explain import render_svg, trace_execution
 from gridsynth.grammar import (
-    SampleConfig,
     add_abstractions,
     description_length,
     load_grammar,
     sample_program,
+    tables_for,
     uniform_grammar,
 )
 from gridsynth.interp import exec_program
 from gridsynth.lang import BOOL, Apply, Lambda, Prim, Var
 from gridsynth.library import compress, expand, load_library
 from gridsynth.primitives import primitive_table
-from gridsynth.search import SearchBudget, enumerate_with_dl, solve_task
+from gridsynth.search import CandidateList, SearchBudget, _stream, solve_task
 from gridsynth.sexpr import parse_program, print_program
 from gridsynth.state import GridState
 from gridsynth.typecheck import infer_type
@@ -142,16 +142,14 @@ def _brute_force_terms(prims, request, max_depth):
 
 
 def test_criterion_03_enumeration_order_and_completeness():
-    grammar = uniform_grammar(MAZE)
-    stream = enumerate_with_dl(grammar, MAZE.request)
+    tables = tables_for(uniform_grammar(MAZE), MAZE.request)
+    stream = _stream(tables, 6)
     prev = float("-inf")
     for _ in range(10000):
         dl, _term = next(stream)
         assert dl >= prev - 1e-9
         prev = dl
-    yielded = {
-        print_program(t) for _, t in enumerate_with_dl(grammar, MAZE.request, max_depth=4)
-    }
+    yielded = {print_program(t) for _, t in _stream(tables, 4)}
     brute = _brute_force_terms(MAZE, MAZE.request, 4)
     assert yielded == brute and len(brute) == 3
 
@@ -166,9 +164,10 @@ def test_criterion_04_resolve_rate():
     assert tasks.n >= 200
     full = {t.traj_id: Task(t.traj_id, "maze", t.steps) for t in trajs}
     budget = SearchBudget(timeout_sec=5.0, top_k=1, max_candidates=None)
+    candidates = CandidateList(grammar, (), 6)
     good = 0
     for task in tasks.tasks[:200]:
-        res = solve_task(grammar, task, budget, max_depth=6)
+        res = solve_task(candidates, task, budget)
         if not res.programs:
             continue
         holdout = full[task.task_id.rsplit(":", 1)[0]]
@@ -350,9 +349,7 @@ def test_criterion_09_explanation_agreement():
                     break
                 env.step(rng.choice(actions))
         for k in range(n):
-            term = sample_program(
-                grammar, SampleConfig(d_max=5, request=prims.request, seed=5000 + k)
-            )
+            term = sample_program(grammar, 5, 5000 + k)
             state = states[k % len(states)]
             rec = _RecordingState(state)
             try:

@@ -66,6 +66,22 @@ class TestExitCodes:
         assert main(["explain", str(run_dir), "--task", "oracle-9999:000"]) == 2
         assert "not solved" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "library"])
+    def test_malformed_run_json_is_runtime_error(self, tmp_path, capsys, command):
+        (tmp_path / "run.json").write_text('{"schema": ')
+        assert main([command, str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSON") and len(err.splitlines()) == 1
+
+    def test_malformed_rollouts_is_runtime_error(self, tmp_path, capsys):
+        rolls = tmp_path / "r.json"
+        rolls.write_text("not json\n")
+        assert main(["export-prompts", "--rollouts", str(rolls), "--L", "3",
+                     "--out", str(tmp_path / "p.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSON") and len(err.splitlines()) == 1
+        assert not (tmp_path / "p.txt").exists()
+
 
 class TestEnvs:
     def test_lists_all_environments(self, capsys):
@@ -89,6 +105,13 @@ class TestCollectAndPrompts:
     def test_collect_without_out_is_usage_error(self, capsys):
         assert main(["collect", "--env", "maze"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_collect_of_no_episodes_is_usage_error(self, tmp_path, capsys, count):
+        out = tmp_path / "rollouts.json"
+        assert main(["collect", "--env", "maze", "--count", count, "--out", str(out)]) == 1
+        assert "--count must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_export_prompts_from_rollouts(self, tmp_path, capsys):
         rolls = tmp_path / "r.json"

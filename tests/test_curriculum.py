@@ -211,7 +211,7 @@ class TestRunArtifacts:
 
     def test_report_rewritten_matches_accumulated(self, micro_run):
         _, doc, out = micro_run
-        last = final_iteration_dir(out)
+        last = final_iteration_dir(out, doc)
         report = json.loads((last / "report.json").read_text())
         keys = [e["key"] for e in report["rewritten"]]
         assert keys == sorted(keys) and len(keys) == len(set(keys))

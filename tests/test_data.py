@@ -36,7 +36,7 @@ from gridsynth.errors import (
     TypeMismatchError,
     UnknownTaskIdError,
 )
-from gridsynth.grammar import Grammar, Production, SampleConfig, sample_program, uniform_grammar
+from gridsynth.grammar import Grammar, Production, sample_program, uniform_grammar
 from gridsynth.interp import exec_program
 from gridsynth.lang import ACTION
 from gridsynth.primitives import primitive_table
@@ -145,9 +145,7 @@ class TestImitates:
         rng = random.Random(5)
         outcomes = []
         for trial in range(300):
-            term = sample_program(
-                grammar, SampleConfig(d_max=d_max, request=prims.request, seed=rng.randrange(1 << 30))
-            )
+            term = sample_program(grammar, d_max, rng.randrange(1 << 30))
             steps = []
             for _ in range(3):
                 if env_tag == "maze":
@@ -203,9 +201,7 @@ def reference_program_rollouts(grammar, env_tag, count, params, seed, d_max, lib
     rng = random.Random(seed)
     out, failed = [], 0
     for i in range(count):
-        term = sample_program(
-            grammar, SampleConfig(d_max=d_max, request=prims.request, seed=rng.randrange(1 << 62))
-        )
+        term = sample_program(grammar, d_max, rng.randrange(1 << 62))
         t = rng.randint(params.t_min, params.t_max)
         layout, dynamics = rng.randrange(1 << 62), rng.randrange(1 << 62)
         env = make_env(env_tag)
@@ -298,9 +294,7 @@ class TestCollect:
 
     def test_constant_noop_program_records_noops(self):
         prims = primitive_table("spaceinvaders")
-        grammar = Grammar(
-            "spaceinvaders", (Production("no-op-action", ACTION, 0.0),), 0.0, (prims.request,)
-        )
+        grammar = Grammar("spaceinvaders", (Production("no-op-action", ACTION, 0.0),), 0.0)
         params = RolloutParams(t_min=3, t_max=8, warmup_max=0)
         trajs = collect_program_rollouts(grammar, "spaceinvaders", 4, params, seed=1, d_max=3)
         assert trajs
@@ -345,7 +339,7 @@ class TestCollect:
                 return None
 
         monkeypatch.setattr(data, "make_env", lambda env_tag: TurningEnv())
-        monkeypatch.setattr(data, "sample_program", lambda grammar, cfg: term)
+        monkeypatch.setattr(data, "sample_program", lambda grammar, d_max, seed: term)
         params = RolloutParams(t_min=8, t_max=8)
         (traj,) = collect_program_rollouts(uniform_grammar(prims), "maze", 1, params, seed=0, d_max=6)
         assert [a for _, a in traj.steps] == ["left", "right", "right", "right"] * 2
@@ -372,8 +366,8 @@ class TestCollect:
             calls["compile"] += 1
             return compile_term(term, prims)
 
-        def recorded_sample(grammar, cfg):
-            term = sample(grammar, cfg)
+        def recorded_sample(grammar, d_max, seed):
+            term = sample(grammar, d_max, seed)
             sampled.add(term)
             return term
 

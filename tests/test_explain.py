@@ -19,7 +19,7 @@ from gridsynth.explain import (
     explain_task,
     write_bundle,
 )
-from gridsynth.grammar import SampleConfig, sample_program, uniform_grammar
+from gridsynth.grammar import sample_program, uniform_grammar
 from gridsynth.interp import exec_program
 from gridsynth.lang import BOOL, MAP, arrow
 from gridsynth.library import Abstraction
@@ -238,9 +238,7 @@ class TestAgreementFuzz:
         states = random_states(env_tag, 20, seed=5)
         checked = 0
         for k in range(60):
-            prog = sample_program(
-                grammar, SampleConfig(d_max=5, request=prims.request, seed=900 + k)
-            )
+            prog = sample_program(grammar, 5, 900 + k)
             state = states[k % len(states)]
             rec = RecordingState(state)
             try:

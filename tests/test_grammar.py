@@ -13,7 +13,6 @@ import gridsynth
 from gridsynth.errors import DepthUnsatisfiableError, NotDerivableError
 from gridsynth.grammar import (
     Production,
-    SampleConfig,
     Tables,
     add_abstractions,
     choice_counts,
@@ -40,41 +39,34 @@ def maze_grammar(maze_prims):
     return uniform_grammar(maze_prims)
 
 
-def test_sample_is_deterministic(maze_grammar, maze_prims):
-    cfg = SampleConfig(d_max=6, request=maze_prims.request, seed=1)
-    a = sample_program(maze_grammar, cfg)
-    b = sample_program(maze_grammar, cfg)
-    assert a == b
+def test_sample_is_deterministic(maze_grammar):
+    assert sample_program(maze_grammar, 6, 1) == sample_program(maze_grammar, 6, 1)
 
 
 def test_samples_are_well_typed_and_bounded(maze_grammar, maze_prims):
     for seed in range(300):
-        cfg = SampleConfig(d_max=6, request=maze_prims.request, seed=seed)
-        term = sample_program(maze_grammar, cfg)
+        term = sample_program(maze_grammar, 6, seed)
         assert depth(term) <= 6
         assert infer_type(term, maze_prims, request=maze_prims.request)
 
 
-def test_depth_2_samples_are_constant_lambdas(maze_prims):
+def test_depth_3_samples_are_constant_lambdas(maze_prims):
     grammar = uniform_grammar(maze_prims)
     words = set()
     for seed in range(60):
-        cfg = SampleConfig(d_max=2, request=arrow(MAP, ACTION), seed=seed)
-        term = sample_program(grammar, cfg)
-        text = print_program(term)
+        text = print_program(sample_program(grammar, 3, seed))
         assert text in {
-            "(λ(x) left-action)",
-            "(λ(x) right-action)",
-            "(λ(x) forward-action)",
+            "(λ(x) (λ(y) left-action))",
+            "(λ(x) (λ(y) right-action))",
+            "(λ(x) (λ(y) forward-action))",
         }
         words.add(text)
     assert len(words) == 3
 
 
-def test_depth_unsatisfiable(maze_grammar, maze_prims):
-    cfg = SampleConfig(d_max=1, request=maze_prims.request, seed=0)
+def test_depth_unsatisfiable(maze_grammar):
     with pytest.raises(DepthUnsatisfiableError):
-        sample_program(maze_grammar, cfg)
+        sample_program(maze_grammar, 1, 0)
 
 
 def test_sampling_consistency_at_root(maze_prims):
@@ -86,8 +78,7 @@ def test_sampling_consistency_at_root(maze_prims):
     n = 8000
     if_count = 0
     for seed in range(n):
-        cfg = SampleConfig(d_max=8, request=maze_prims.request, seed=seed)
-        term = sample_program(grammar, cfg)
+        term = sample_program(grammar, 8, seed)
         head, _ = spine(term.body.body)
         if head == Prim("if"):
             if_count += 1
@@ -172,10 +163,7 @@ def test_refit_normalizes(maze_prims):
 
 
 def test_usage_counts_price_like_the_derivation(maze_grammar, maze_prims):
-    samples = [
-        sample_program(maze_grammar, SampleConfig(d_max=6, request=maze_prims.request, seed=s))
-        for s in range(40)
-    ]
+    samples = [sample_program(maze_grammar, 6, s) for s in range(40)]
     wall_check = parse_program(LISTING_WALL_CHECK, maze_prims)
     for grammar in (maze_grammar, refit(maze_grammar, samples)):
         tables = tables_for(grammar, maze_prims.request)
@@ -194,6 +182,18 @@ def test_grammar_json_round_trip(maze_grammar):
     assert grammar_from_json(doc) == maze_grammar
 
 
+@pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
+def test_grammar_json_requests_is_the_env_request(env_tag):
+    prims = primitive_table(env_tag)
+    grammar = uniform_grammar(prims)
+    assert grammar.request == prims.request
+    doc = grammar_to_json(grammar)
+    assert doc["requests"] == [str(prims.request)]
+    for requests in ([], [str(arrow(MAP, DIRECTION))], [str(prims.request)] * 2):
+        with pytest.raises(ValueError, match="requests"):
+            grammar_from_json({**doc, "requests": requests})
+
+
 # --- the memoized sampler against the uncached one --------------------------
 
 
@@ -203,9 +203,6 @@ def reference_feasible(tables, ty, remaining):
     for i, c in enumerate(tables.choices.get(ty, ())):
         if not c.args:
             out.append(i)
-        elif remaining is None:
-            if all(tables.min_depth.get(a, math.inf) < math.inf for a in c.args):
-                out.append(i)
         elif remaining >= 2:
             need = max(tables.min_depth.get(a, math.inf) for a in c.args)
             if need <= remaining - 1:
@@ -229,13 +226,13 @@ def reference_pick(tables, ty, remaining, rng):
     return feasible[-1]
 
 
-def reference_sample(grammar, cfg):
+def reference_sample(grammar, d_max, seed):
     """`sample_program` on freshly built tables, weighing every node anew."""
-    tables = Tables(grammar, cfg.request)
-    budget = cfg.d_max - len(tables.binders)
+    tables = Tables(grammar, grammar.request)
+    budget = d_max - len(tables.binders)
     if budget < tables.min_depth.get(tables.body_request, math.inf):
-        raise DepthUnsatisfiableError(f"no term fits depth {cfg.d_max}")
-    rng = random.Random(cfg.seed)
+        raise DepthUnsatisfiableError(f"no term fits depth {d_max}")
+    rng = random.Random(seed)
 
     def node(ty, remaining):
         choice = tables.choices[ty][reference_pick(tables, ty, remaining, rng)]
@@ -259,11 +256,11 @@ def test_sampler_matches_uncached_reference(env_tag, learned):
     grammar = learned_grammar(prims)[0] if learned else uniform_grammar(prims)
     d_maxes = _D_MAX[env_tag]
     for seed in range(200):
-        cfg = SampleConfig(d_max=d_maxes[seed % len(d_maxes)], request=prims.request, seed=seed)
-        assert sample_program(grammar, cfg) == reference_sample(grammar, cfg), cfg
+        d_max = d_maxes[seed % len(d_maxes)]
+        assert sample_program(grammar, d_max, seed) == reference_sample(grammar, d_max, seed), seed
     tables = tables_for(grammar, prims.request)
     for ty in tables.choices:
-        for remaining in (None, *range(10)):
+        for remaining in range(10):
             assert list(tables.site(ty, remaining).feasible) == reference_feasible(tables, ty, remaining)
 
 
@@ -276,7 +273,7 @@ def assert_same_tables(got, want):
     assert got.min_depth == want.min_depth
     assert got.min_dl == want.min_dl
     for ty in want.choices:
-        for remaining in (None, *range(9)):
+        for remaining in range(9):
             assert got.site(ty, remaining) == want.site(ty, remaining), (ty, remaining)
 
 
@@ -288,10 +285,7 @@ def test_extended_tables_match_a_fresh_build(env_tag, learned):
     and each abstraction type."""
     prims = primitive_table(env_tag)
     grammar, library = learned_grammar(prims) if learned else (uniform_grammar(prims), ())
-    corpus = [
-        sample_program(grammar, SampleConfig(d_max=6, request=prims.request, seed=s))
-        for s in range(24)
-    ]
+    corpus = [sample_program(grammar, 6, s) for s in range(24)]
     candidates = propose_candidates(corpus, 3, prims, library)
     assert len(candidates) >= 10
     name = f"f{_next_index(library)}"

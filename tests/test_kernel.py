@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import learned_grammar, maze_state
 from gridsynth.envs import env_spec, make_env
 from gridsynth.errors import EvalError, OutOfBoundsGetError, TypeMismatchError
-from gridsynth.grammar import SampleConfig, sample_program, uniform_grammar
+from gridsynth.grammar import sample_program, uniform_grammar
 from gridsynth.interp import exec_program
 from gridsynth.lang import Lambda, Prim, depth, parse_type, spine
 from gridsynth.kernel import (
@@ -65,8 +65,8 @@ def _env_states(env_tag, count, seed):
     return states[:count]
 
 
-def _sample(grammar, prims, seed, d_max=6):
-    return sample_program(grammar, SampleConfig(d_max=d_max, request=prims.request, seed=seed))
+def _sample(grammar, seed, d_max=6):
+    return sample_program(grammar, d_max, seed)
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +78,7 @@ def _learned(env_tag):
     objs = [e.name for e in prims.entries if e.kind == "object"]
     acts = [e.name for e in prims.entries if e.kind == "action"]
     wrap = "(λ(x) (λ(y) {}))" if prims.request == DIRECTION_REQUEST else "(λ(x) {})"
-    corpus = {f"p{i}": _sample(grammar, prims, i, d_max=5) for i in range(12)}
+    corpus = {f"p{i}": _sample(grammar, i, d_max=5) for i in range(12)}
     for i in range(8):
         check = f"(if (eq-obj? {objs[i % 2]} (get x {i % 4} {i // 4})) {acts[i % 3]} {acts[(i + 1) % 3]})"
         corpus[f"t{i}"] = parse_program(wrap.format(check), prims)
@@ -93,7 +93,7 @@ def _relearned(env_tag):
     `_learned`'s, every one of its abstractions takes arguments."""
     prims = primitive_table(env_tag)
     grammar, library = learned_grammar(prims)
-    corpus = {f"p{i}": expand(_sample(grammar, prims, i), library) for i in range(16)}
+    corpus = {f"p{i}": expand(_sample(grammar, i), library) for i in range(16)}
     res = compress(corpus, uniform_grammar(prims), max_arity=3)
     assert res.library and all(a.arity for a in res.library)
     return res.grammar, res.library
@@ -164,7 +164,7 @@ class TestEquivalenceFuzz:
         states = _env_states(env_tag, 15, seed=21)
         failed = 0
         for k in range(120):
-            term = _sample(grammar, prims, 4000 + k)
+            term = _sample(grammar, 4000 + k)
             failed += _assert_agree(term, states[k % 15 : k % 15 + 3], prims)
         if env_tag == "maze":
             # coordinates up to 5 on a 5x5 grid: some `get`s fall outside
@@ -176,7 +176,7 @@ class TestEquivalenceFuzz:
         grammar, library, rewritten = _learned(env_tag)
         assert library, "expected the sampled corpus to compress"
         states = _env_states(env_tag, 15, seed=22)
-        programs = rewritten + [_sample(grammar, prims, 5000 + k) for k in range(60)]
+        programs = rewritten + [_sample(grammar, 5000 + k) for k in range(60)]
         for k, term in enumerate(programs):
             _assert_agree(term, states[k % 15 : k % 15 + 3], prims, library)
         if env_tag == "maze":  # `_learned`'s maze abstractions take no arguments
@@ -184,7 +184,7 @@ class TestEquivalenceFuzz:
             names = {a.name for a in library}
             calls = 0
             for k in range(60):
-                term = _sample(grammar, prims, 5000 + k)
+                term = _sample(grammar, 5000 + k)
                 _assert_agree(term, states[k % 15 : k % 15 + 3], prims, library)
                 calls += bool(_call_args(term.body.body, names))
             assert calls > 0
@@ -209,7 +209,7 @@ class TestEquivalenceFuzz:
             libraries = [_learned(env_tag)[:2]]
         states = _env_states(env_tag, 4, state_seed)
         for grammar, library in libraries:
-            _assert_agree(_sample(grammar, prims, seed, d_max), states, prims, library)
+            _assert_agree(_sample(grammar, seed, d_max), states, prims, library)
 
     def test_oob_get_maps_to_minus_one(self):
         prims = primitive_table("maze")
@@ -253,7 +253,7 @@ class TestEquivalenceFuzz:
         states = _border_states(env_tag, 12, seed=31)
         unused_failing = 0
         for k in range(80):
-            term = _sample(grammar, prims, 9000 + k, d_max=9)
+            term = _sample(grammar, 9000 + k, d_max=9)
             picked = states[k % 12 : k % 12 + 3]
             _assert_agree(term, picked, prims, library)
             args = _call_args(term.body.body if binders == 2 else term.body, names)
@@ -323,7 +323,7 @@ class TestCompile:
 
     def test_code_is_a_closure_over_flat_grids(self):
         prims = primitive_table("maze")
-        code = compile_term(_sample(uniform_grammar(prims), prims, 1), prims).code
+        code = compile_term(_sample(uniform_grammar(prims), 1), prims).code
         assert callable(code)
         aid = code(maze_state().flat(), 5, 5, 0)
         assert type(aid) is int and 0 <= aid < len(prims.action_words)
@@ -350,7 +350,7 @@ class TestCheckTrajectory:
         grammar = uniform_grammar(prims)
         states = _env_states("maze", len(self.ACTIONS), seed=9)
         for k in range(60):
-            term = _sample(grammar, prims, 7000 + k, d_max=5)
+            term = _sample(grammar, 7000 + k, d_max=5)
             manual = 0
             for s, a in zip(states, self.ACTIONS):
                 if _interp_result(term, s, prims) != a:

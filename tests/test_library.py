@@ -12,7 +12,6 @@ from gridsynth.errors import (
     UnknownAbstractionError,
 )
 from gridsynth.grammar import (
-    SampleConfig,
     add_abstractions,
     description_length,
     sample_program,
@@ -71,7 +70,7 @@ def random_states(n, seed=0):
 
 def sampled_corpus(grammar, prims, seeds, d_max):
     return {
-        f"p{i}": sample_program(grammar, SampleConfig(d_max=d_max, request=prims.request, seed=seed))
+        f"p{i}": sample_program(grammar, d_max, seed)
         for i, seed in enumerate(seeds)
     }
 

@@ -8,24 +8,11 @@ import pytest
 
 from gridsynth import search
 from gridsynth.data import collect_oracle_rollouts, slice_tasks
-from gridsynth.grammar import (
-    SampleConfig,
-    description_length,
-    refit,
-    sample_program,
-    uniform_grammar,
-)
+from gridsynth.grammar import refit, tables_for, uniform_grammar
 from gridsynth.lang import Lambda, Prim, Term, TyVar, Var, apply_all, arg_types, depth, return_type
 from gridsynth.library import compress
 from gridsynth.primitives import instantiate, primitive_table
-from gridsynth.search import (
-    CandidateList,
-    SearchBudget,
-    enumerate_programs,
-    enumerate_with_dl,
-    solve_many,
-    solve_task,
-)
+from gridsynth.search import CandidateList, SearchBudget, solve_many, solve_task
 from gridsynth.sexpr import print_program
 from gridsynth.state import GridState
 from gridsynth.typecheck import infer_type
@@ -36,6 +23,20 @@ from conftest import maze_state
 @pytest.fixture
 def maze_grammar(maze_prims):
     return uniform_grammar(maze_prims)
+
+
+def stream(grammar, max_depth):
+    """(dl, term) for each program of depth at most max_depth, in search order."""
+    return search._stream(tables_for(grammar, grammar.request), max_depth)
+
+
+def programs(grammar, max_depth):
+    return (term for _, term in stream(grammar, max_depth))
+
+
+def solve(grammar, task, budget, library=(), max_depth=6):
+    """A lone search: `solve_task` on a candidate list of its own."""
+    return solve_task(CandidateList(grammar, library, max_depth), task, budget)
 
 
 class FakeTask:
@@ -92,9 +93,8 @@ def brute_force_terms(prims, request, max_depth):
     return result
 
 
-def test_first_yields_are_constant_lambdas(maze_grammar, maze_prims):
-    stream = enumerate_programs(maze_grammar, maze_prims.request)
-    first = [print_program(t) for t in itertools.islice(stream, 3)]
+def test_first_yields_are_constant_lambdas(maze_grammar):
+    first = [print_program(t) for t in itertools.islice(programs(maze_grammar, 6), 3)]
     assert sorted(first) == [
         "(λ(x) (λ(y) forward-action))",
         "(λ(x) (λ(y) left-action))",
@@ -102,20 +102,16 @@ def test_first_yields_are_constant_lambdas(maze_grammar, maze_prims):
     ]
 
 
-def test_dls_non_decreasing(maze_grammar, maze_prims):
+def test_dls_non_decreasing(maze_grammar):
     last = -math.inf
-    for dl, _ in itertools.islice(
-        enumerate_with_dl(maze_grammar, maze_prims.request), 2000
-    ):
+    for dl, _ in itertools.islice(stream(maze_grammar, 6), 2000):
         assert dl >= last - 1e-9
         last = dl
 
 
-def test_no_duplicates(maze_grammar, maze_prims):
+def test_no_duplicates(maze_grammar):
     seen = set()
-    for term in itertools.islice(
-        enumerate_programs(maze_grammar, maze_prims.request), 2000
-    ):
+    for term in itertools.islice(programs(maze_grammar, 6), 2000):
         assert term not in seen
         seen.add(term)
 
@@ -123,7 +119,7 @@ def test_no_duplicates(maze_grammar, maze_prims):
 def test_depth4_completeness_against_brute_force(maze_grammar, maze_prims):
     oracle = brute_force_terms(maze_prims, maze_prims.request, 4)
     assert len(oracle) == 3  # the three constant-action lambdas
-    got = set(enumerate_programs(maze_grammar, maze_prims.request, max_depth=4))
+    got = set(programs(maze_grammar, 4))
     assert got == oracle
 
 
@@ -131,25 +127,37 @@ def test_depth5_completeness_against_brute_force(maze_grammar, maze_prims):
     oracle = brute_force_terms(maze_prims, maze_prims.request, 5)
     # 3 constants plus if(eq-direction? d1 d2, a1, a2): 5*5*3*3 combinations
     assert len(oracle) == 228
-    got = set(enumerate_programs(maze_grammar, maze_prims.request, max_depth=5))
+    got = set(programs(maze_grammar, 5))
     assert got == oracle
 
 
 def test_yielded_terms_are_well_typed(maze_grammar, maze_prims):
-    for term in itertools.islice(
-        enumerate_programs(maze_grammar, maze_prims.request), 500
-    ):
+    for term in itertools.islice(programs(maze_grammar, 6), 500):
         assert infer_type(term, maze_prims, request=maze_prims.request)
 
 
-def test_enumeration_exhausts_bounded_depth(maze_grammar, maze_prims):
-    got = list(enumerate_programs(maze_grammar, maze_prims.request, max_depth=4))
+def test_enumeration_exhausts_bounded_depth(maze_grammar):
+    got = list(programs(maze_grammar, 4))
     assert len(got) == 3
+
+
+@pytest.mark.parametrize("env_tag, d", [("maze", 6), ("asterix", 5), ("spaceinvaders", 6)])
+def test_bounded_stream_is_the_deeper_stream_filtered(env_tag, d):
+    """The stream at depth d lists the programs of depth at most d in the
+    order, and with the DLs, that the stream at depth d + 2 gives them: a
+    deeper bound only interleaves deeper programs. So a prefix read at one
+    bound is what any bound above it yields, filtered."""
+    grammar = uniform_grammar(primitive_table(env_tag))
+    n = 3000
+    want = list(itertools.islice(stream(grammar, d), n))
+    assert len(want) == n
+    shallow = ((dl, t) for dl, t in stream(grammar, d + 2) if depth(t) <= d)
+    assert list(itertools.islice(shallow, n)) == want
 
 
 def test_solve_single_step_task(maze_grammar):
     task = FakeTask("t0", "maze", [(maze_state(direction=0), "left")])
-    result = solve_task(maze_grammar, task, SearchBudget(timeout_sec=10, top_k=1))
+    result = solve(maze_grammar, task, SearchBudget(timeout_sec=10, top_k=1))
     assert result.solved
     assert result.candidates_tried <= 20
     assert print_program(result.programs[0]) == "(λ(x) (λ(y) left-action))"
@@ -158,9 +166,7 @@ def test_solve_single_step_task(maze_grammar):
 def test_solve_contradictory_task_fails(maze_grammar):
     state = maze_state(direction=0)
     task = FakeTask("t1", "maze", [(state, "left"), (state, "right")])
-    result = solve_task(
-        maze_grammar, task, SearchBudget(timeout_sec=None, max_candidates=3000)
-    )
+    result = solve(maze_grammar, task, SearchBudget(timeout_sec=None, max_candidates=3000))
     assert not result.solved
     assert result.candidates_tried == 3000
 
@@ -169,13 +175,13 @@ def test_stop_reasons(maze_grammar):
     easy = FakeTask("t0", "maze", [(maze_state(direction=0), "left")])
     state = maze_state(direction=0)
     never = FakeTask("t1", "maze", [(state, "left"), (state, "right")])
-    top_k = solve_task(maze_grammar, easy, SearchBudget(timeout_sec=10, top_k=1))
+    top_k = solve(maze_grammar, easy, SearchBudget(timeout_sec=10, top_k=1))
     assert top_k.stop_reason == "top-k"
-    capped = solve_task(maze_grammar, never, SearchBudget(timeout_sec=None, max_candidates=50))
+    capped = solve(maze_grammar, never, SearchBudget(timeout_sec=None, max_candidates=50))
     assert capped.stop_reason == "candidates" and capped.candidates_tried == 50
-    exhausted = solve_task(maze_grammar, never, SearchBudget(timeout_sec=10), max_depth=4)
+    exhausted = solve(maze_grammar, never, SearchBudget(timeout_sec=10), max_depth=4)
     assert exhausted.stop_reason == "exhausted" and exhausted.candidates_tried == 3
-    timed_out = solve_task(maze_grammar, never, SearchBudget(timeout_sec=1e-9, max_candidates=None))
+    timed_out = solve(maze_grammar, never, SearchBudget(timeout_sec=1e-9, max_candidates=None))
     assert timed_out.stop_reason == "timeout" and timed_out.candidates_tried == 128
 
 
@@ -188,7 +194,7 @@ def test_solve_wall_check_task(maze_grammar, maze_prims):
         (maze_state(wall_at=[(1, 0), (3, 3)], direction=2), "left"),
     ]
     task = FakeTask("t2", "maze", steps)
-    result = solve_task(maze_grammar, task, SearchBudget(timeout_sec=60, top_k=1))
+    result = solve(maze_grammar, task, SearchBudget(timeout_sec=60, top_k=1))
     assert result.solved
     program = result.programs[0]
     from gridsynth.interp import exec_program
@@ -199,7 +205,7 @@ def test_solve_wall_check_task(maze_grammar, maze_prims):
 
 def test_solved_programs_sorted_by_dl_then_print(maze_grammar):
     task = FakeTask("t3", "maze", [(maze_state(direction=0), "forward")])
-    result = solve_task(maze_grammar, task, SearchBudget(timeout_sec=10, top_k=5))
+    result = solve(maze_grammar, task, SearchBudget(timeout_sec=10, top_k=5))
     ranked = [
         (dl, print_program(p)) for dl, p in zip(result.dl_nats, result.programs)
     ]
@@ -215,9 +221,7 @@ def test_refit_speeds_up_target(maze_grammar, maze_prims):
     target = parse_program(text, maze_prims)
 
     def candidates_until(grammar):
-        for i, term in enumerate(
-            enumerate_programs(grammar, maze_prims.request, max_depth=6)
-        ):
+        for i, term in enumerate(programs(grammar, 6)):
             if term == target:
                 return i
             if i > 2_000_000:
@@ -238,8 +242,8 @@ def test_solve_many_matches_sequential(maze_grammar):
         FakeTask("c", "maze", [(maze_state(wall_at=[(2, 2)], direction=2), "forward")]),
     ]
     budget = SearchBudget(timeout_sec=None, max_candidates=500, top_k=2)
-    seq = solve_many(maze_grammar, tasks, budget, jobs=1)
-    par = solve_many(maze_grammar, tasks, budget, jobs=3)
+    seq = solve_many(maze_grammar, tasks, budget, (), 6, jobs=1)
+    par = solve_many(maze_grammar, tasks, budget, (), 6, jobs=3)
     assert seq.keys() == par.keys()
     for key in seq:
         assert seq[key].programs == par[key].programs
@@ -264,7 +268,7 @@ def _stage(env_tag, learned):
     if not learned:
         return grammar, (), tasks, d_max
     budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=2)
-    solved = solve_many(grammar, tasks, budget, max_depth=d_max)
+    solved = solve_many(grammar, tasks, budget, (), d_max)
     corpus = {tid: r.programs[0] for tid, r in solved.items() if r.programs}
     res = compress(corpus, refit(grammar, list(corpus.values())), max_arity=3)
     assert res.library
@@ -277,10 +281,10 @@ def _outcome(result):
 
 def assert_shared_matches_reference(grammar, tasks, budget, library, max_depth):
     """solve_many at jobs 1, 2 and 3 gives every task exactly what a lone
-    solve_task, enumerating its own stream, gives it. Returns the reference."""
-    want = {t.task_id: solve_task(grammar, t, budget, library, max_depth) for t in tasks}
+    search on a list of its own gives it. Returns the reference."""
+    want = {t.task_id: solve(grammar, t, budget, library, max_depth) for t in tasks}
     for jobs in (1, 2, 3):
-        got = solve_many(grammar, tasks, budget, library=library, max_depth=max_depth, jobs=jobs)
+        got = solve_many(grammar, tasks, budget, library, max_depth, jobs=jobs)
         assert list(got) == list(want)
         for tid, ref in want.items():
             assert _outcome(got[tid]) == _outcome(ref), (jobs, tid)
@@ -331,21 +335,21 @@ def test_each_distinct_window_is_searched_once(monkeypatch):
     mixed = [copy(base[8], "front")] + base[:5] + [copy(base[0], "mid")] + base[5:]
     mixed += [copy(t, "back") for t in base[::4]] + [copy(base[0], "back2")]
     budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=2)
-    want = [solve_task(grammar, t, budget, library, d_max) for t in mixed]
+    want = [solve(grammar, t, budget, library, d_max) for t in mixed]
     for jobs in (1, 2, 3):
-        got = solve_many(grammar, mixed, budget, library=library, max_depth=d_max, jobs=jobs)
+        got = solve_many(grammar, mixed, budget, library, d_max, jobs=jobs)
         assert list(got) == [t.task_id for t in mixed]
         for ref in want:
             assert (got[ref.task_id].task_id, *_outcome(got[ref.task_id])) == (ref.task_id, *_outcome(ref))
     searched = []
     lone = search.solve_task
 
-    def counting(grammar, task, *args):
+    def counting(candidates, task, budget):
         searched.append(task.task_id)
-        return lone(grammar, task, *args)
+        return lone(candidates, task, budget)
 
     monkeypatch.setattr(search, "solve_task", counting)
-    solve_many(grammar, mixed, budget, library=library, max_depth=d_max)
+    solve_many(grammar, mixed, budget, library, d_max)
     assert len(searched) == len({t.steps for t in mixed}) == len({t.steps for t in base})
     assert searched[0] == "front-" + base[8].task_id and base[8].task_id not in searched
 
@@ -362,7 +366,7 @@ def test_each_candidate_compiled_once_per_stage(monkeypatch, learned):
 
     monkeypatch.setattr(search, "compile_term", counting)
     budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=2)
-    got = solve_many(grammar, tasks, budget, library=library, max_depth=d_max)
+    got = solve_many(grammar, tasks, budget, library, d_max)
     longest = max(r.candidates_tried for r in got.values())
     assert got.candidates_compiled == len(compiled) == longest == _STAGE_CAP
     assert sum(r.candidates_tried for r in got.values()) > 10 * len(compiled)
@@ -371,17 +375,5 @@ def test_each_candidate_compiled_once_per_stage(monkeypatch, learned):
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_solve_many_of_no_tasks_is_empty(maze_grammar, jobs):
     budget = SearchBudget(timeout_sec=None, max_candidates=10)
-    got = solve_many(maze_grammar, [], budget, jobs=jobs)
+    got = solve_many(maze_grammar, [], budget, (), 6, jobs=jobs)
     assert got == {} and got.candidates_compiled == 0
-
-
-def test_candidate_list_for_another_stage_is_refused(maze_grammar, si_prims):
-    task = FakeTask("t0", "maze", [(maze_state(direction=0), "left")])
-    budget = SearchBudget(timeout_sec=10, top_k=1)
-    shallow = CandidateList(maze_grammar, primitive_table("maze"), max_depth=4)
-    assert solve_task(maze_grammar, task, budget, max_depth=4, candidates=shallow).solved
-    with pytest.raises(ValueError, match="candidate list"):
-        solve_task(maze_grammar, task, budget, max_depth=6, candidates=shallow)
-    other = CandidateList(uniform_grammar(si_prims), si_prims)
-    with pytest.raises(ValueError, match="candidate list"):
-        solve_task(maze_grammar, task, budget, candidates=other)

@@ -6,11 +6,15 @@ BASE is any git revision, such as `main` or a commit hash. The script
 exports BASE into a temporary directory with `git archive`, then runs each
 pinned configuration below once with BASE's `src/` and once with the working
 tree's `src/` (uncommitted edits included), each side writing into its own
-temporary directory. It compares every file the two runs wrote, byte for
-byte, except `run.json`, which records wall times. The CLI's stdout is
-compared too, with the run directory's path masked. It prints a count of
-identical and differing files per configuration and exits 1 if any file
-differs or exists on one side only.
+temporary directory. After each run, the same side also runs `gridsynth
+library RUN` and `gridsynth explain RUN --task T` on it. T is the first
+solved task of the last iteration that solved one, preferring a task whose
+program calls a library function. The explanation bundle is written under
+the run directory. The script compares every file the two sides wrote, byte
+for byte, except `run.json`, which records wall times. The stdout of each
+command is compared too, with the run directory's path masked. It prints a
+count of identical and differing files per configuration and exits 1 if any
+file differs or exists on one side only.
 
 Each configuration runs with `--jobs 1` unless its flags name another
 `--jobs`. The whole set takes a few minutes.
@@ -19,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -57,6 +63,8 @@ CONFIGS = {
     ],
 }
 SKIPPED = {"run.json"}
+# a call of a learned abstraction (f0, f1, ...) in a program's text
+_LIBRARY_CALL = re.compile(r"[( ]f\d+[ )]")
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -71,15 +79,39 @@ def export(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run(src: Path, flags: list[str], out: Path) -> None:
+def gridsynth(src: Path, args: list[str], out: Path) -> str:
+    """Run the CLI with `src` on the path; its stdout, `out` masked as RUN."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    jobs = [] if "--jobs" in flags else ["--jobs", "1"]
-    cmd = [sys.executable, "-m", "gridsynth", "run", *flags, *jobs, "--out", str(out)]
-    out.parent.mkdir(parents=True, exist_ok=True)
+    cmd = [sys.executable, "-m", "gridsynth", *args]
     proc = subprocess.run(cmd, env=env, cwd=out.parent, capture_output=True, text=True)
     if proc.returncode != 0:
-        sys.exit(f"{' '.join(flags)} failed with {src}:\n{proc.stderr}")
-    (out / "stdout.txt").write_text(proc.stdout.replace(str(out), "RUN"))
+        sys.exit(f"gridsynth {' '.join(args)} failed with {src}:\n{proc.stderr}")
+    return proc.stdout.replace(str(out), "RUN")
+
+
+def explained_task(out: Path) -> str | None:
+    """The task `run` explains: the first solved task of the last iteration
+    that solved one, preferring a program that calls a library function."""
+    iters = sorted(out.glob("iter-*"), key=lambda p: int(p.name.split("-")[1]))
+    for it in reversed(iters):
+        solved = json.loads((it / "solved.json").read_text())["solved"]
+        if solved:
+            calls = [e for e in solved if _LIBRARY_CALL.search(e["programs"][0])]
+            return (calls or solved)[0]["taskId"]
+    return None
+
+
+def run(src: Path, flags: list[str], out: Path) -> None:
+    """One pinned run, then its library report and one explanation bundle."""
+    jobs = [] if "--jobs" in flags else ["--jobs", "1"]
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stdout = gridsynth(src, ["run", *flags, *jobs, "--out", str(out)], out)
+    (out / "stdout.txt").write_text(stdout)
+    (out / "library-stdout.txt").write_text(gridsynth(src, ["library", str(out)], out))
+    task = explained_task(out)
+    if task is not None:
+        stdout = gridsynth(src, ["explain", str(out), "--task", task], out)
+        (out / "explain-stdout.txt").write_text(stdout)
 
 
 def compare(a: Path, b: Path) -> tuple[int, list[str]]:

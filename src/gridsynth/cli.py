@@ -45,7 +45,8 @@ def _usage(parser: argparse.ArgumentParser, message: str) -> int:
     return 1
 
 
-# Keys accepted in a --config file, with their coercions.
+# The settings of `run`, as flags (--t-min for t_min) and as --config keys,
+# with their coercions.
 _RUN_KEYS = {
     "env": str,
     "profile": str,
@@ -64,6 +65,7 @@ _RUN_KEYS = {
     "max_iterations": int,
     "l_start": int,
 }
+_RUN_CHOICES = {"env": ENV_TAGS, "profile": ("desk", "paper")}
 
 
 def parse_config_file(path) -> dict:
@@ -102,11 +104,21 @@ def _merged_run_settings(args) -> dict:
     return merged
 
 
+def _below_one(args, *names) -> str | None:
+    """A usage message for the first of the named count flags set below 1."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            return f"--{name.replace('_', '-')} must be at least 1, got {value}"
+    return None
+
+
 def _cmd_collect(args, parser) -> int:
     if args.env is None or args.out is None:
         return _usage(parser, "collect requires --env and --out")
-    if args.count < 1:
-        return _usage(parser, f"--count must be at least 1, got {args.count}")
+    bad = _below_one(args, "count", "max_steps")
+    if bad:
+        return _usage(parser, bad)
     trajs = collect_oracle_rollouts(
         args.env, args.count, seed=args.seed, max_steps=args.max_steps
     )
@@ -193,6 +205,9 @@ def _cmd_explain(args, parser) -> int:
 def _cmd_export_prompts(args, parser) -> int:
     if args.out is None:
         return _usage(parser, "export-prompts requires --out")
+    bad = _below_one(args, "count", "L")
+    if bad:
+        return _usage(parser, bad)
     if args.rollouts:
         trajs = load_rollouts(args.rollouts)
     elif args.env is not None:
@@ -231,23 +246,10 @@ def build_parser() -> tuple[_Parser, dict]:
     subs["collect"] = p
 
     p = sub.add_parser("run", help="execute the curriculum loop")
-    p.add_argument("--env", choices=ENV_TAGS)
-    p.add_argument("--profile", choices=("desk", "paper"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--out")
+    for key, cast in _RUN_KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        p.add_argument(flag, type=cast, dest=key, choices=_RUN_CHOICES.get(key))
     p.add_argument("--config", help="key=value file; flags win")
-    p.add_argument("--t-min", type=int, dest="t_min")
-    p.add_argument("--t-max", type=int, dest="t_max")
-    p.add_argument("--d-max", type=int, dest="d_max")
-    p.add_argument("--programs-per-task", type=int, dest="programs_per_task")
-    p.add_argument("--search-timeout-sec", type=float, dest="search_timeout_sec")
-    p.add_argument("--top-k", type=int, dest="top_k")
-    p.add_argument("--corpus-size", type=int, dest="corpus_size")
-    p.add_argument("--oracle-episodes", type=int, dest="oracle_episodes")
-    p.add_argument("--eval-episodes", type=int, dest="eval_episodes")
-    p.add_argument("--max-iterations", type=int, dest="max_iterations")
-    p.add_argument("--l-start", type=int, dest="l_start")
     p.set_defaults(func=_cmd_run)
     subs["run"] = p
 

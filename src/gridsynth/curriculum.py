@@ -44,7 +44,7 @@ from gridsynth.data import (
 from gridsynth.errors import GridSynthError
 from gridsynth.grammar import refit, save_grammar, tables_for, uniform_grammar
 from gridsynth.lang import Term
-from gridsynth.library import compress, save_library
+from gridsynth.library import compress, load_library, save_library
 from gridsynth.primitives import primitive_table
 from gridsynth.search import STOP_REASONS, SearchBudget, solve_many
 from gridsynth.sexpr import print_program
@@ -57,6 +57,9 @@ EVAL_HEADER = "L,accuracy,n_tasks"
 
 ADVANCE_RATE = 0.10
 MAX_FAILS = 2
+
+# report.json fields that run.json's history entries leave out
+_NOT_IN_HISTORY = ("schema", "corpusSampled", "rewritten")
 
 _ORACLE_SEED = 11
 _EVAL_SEED = 777
@@ -134,10 +137,11 @@ class RunConfig:
             )
 
 
+# Episode lengths default to the env's rollout bounds (`default_params`).
 _ENV_DEFAULTS = {
-    "maze": dict(t_min=5, t_max=60, d_max=6, programs_per_task=100),
-    "asterix": dict(t_min=3, t_max=20, d_max=20, programs_per_task=500),
-    "spaceinvaders": dict(t_min=3, t_max=20, d_max=20, programs_per_task=500),
+    "maze": dict(d_max=6, programs_per_task=100),
+    "asterix": dict(d_max=20, programs_per_task=500),
+    "spaceinvaders": dict(d_max=20, programs_per_task=500),
 }
 
 _PROFILES = {
@@ -170,8 +174,11 @@ def default_config(
         raise GridSynthError(f"unknown env tag {env_tag!r}")
     if profile not in _PROFILES:
         raise GridSynthError(f"unknown profile {profile!r} (desk, paper)")
+    params = default_params(env_tag)
     fields = dict(
         env_tag=env_tag,
+        t_min=params.t_min,
+        t_max=params.t_max,
         top_k=5,
         l_start=3,
         seed=seed,
@@ -333,15 +340,7 @@ def run_curriculum(config: RunConfig) -> dict:
         nxt = advance(state, rate)
         history.append(
             {
-                "iteration": k,
-                "L": state.L,
-                "solveRate": rate,
-                "nTasks": tasks.n,
-                "nSolved": n_solved,
-                "newAbstractions": [a.name for a in res.new_abstractions],
-                "librarySize": len(library),
-                "dlBefore": res.dl_before,
-                "dlAfter": res.dl_after,
+                **{key: value for key, value in report.items() if key not in _NOT_IN_HISTORY},
                 "advanced": nxt.L > state.L,
                 "timeoutStops": stop_reasons["timeout"],
                 "stopReasons": stop_reasons,
@@ -403,8 +402,6 @@ def eval_run(run_dir, seed: int | None = None, episodes: int | None = None) -> P
     by at least one program from the final rewritten corpus.  Writes eval.csv
     into the run directory and returns its path.
     """
-    from gridsynth.library import load_library
-
     run_dir = Path(run_dir)
     doc = load_run(run_dir)
     config = doc["config"]

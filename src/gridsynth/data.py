@@ -286,9 +286,10 @@ def encode_prompt(task) -> str:
 
 
 def export_prompts(tasks: TaskSet, path) -> None:
-    """One prompt per line; the conventional extension is .prompts.txt."""
-    lines = [encode_prompt(task) for task in tasks.tasks]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One prompt per line, each ending in a newline, so no prompts is an
+    empty file; the conventional extension is .prompts.txt."""
+    text = "".join(encode_prompt(task) + "\n" for task in tasks.tasks)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _step_json(state: GridState, action: str) -> dict:

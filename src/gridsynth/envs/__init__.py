@@ -43,18 +43,6 @@ _ENV_CLASSES = {
     "spaceinvaders": SpaceInvadersEnv,
 }
 
-_CODES = {
-    "maze": ((1, "empty"), (2, "wall"), (3, "goal")),
-    "asterix": ((0, "empty"), (1, "player"), (2, "gold"), (3, "enemy"), (4, "trail")),
-    "spaceinvaders": (
-        (0, "empty"),
-        (1, "cannon"),
-        (2, "alien"),
-        (3, "friendly-bullet"),
-        (4, "enemy-bullet"),
-    ),
-}
-
 _SHAPES = {"maze": (5, 5), "asterix": (10, 10), "spaceinvaders": (10, 10)}
 
 
@@ -65,7 +53,9 @@ def env_spec(env_tag: str) -> EnvSpec:
     return EnvSpec(
         env_tag=env_tag,
         actions=prims.action_words,
-        codes=_CODES[env_tag],
+        codes=tuple(
+            (p.value, p.name.removesuffix("-obj")) for p in prims.entries if p.kind == "object"
+        ),
         obs_shape=_SHAPES[env_tag],
         request=prims.request,
     )

@@ -28,6 +28,7 @@ from gridsynth.lang import (
     apply_all,
     arg_types,
     parse_type,
+    peel,
     return_type,
     spine,
 )
@@ -349,11 +350,9 @@ def counts_dl(tables: Tables, counts: dict) -> float:
 
 
 def _strip_binders(tables: Tables, term: Term) -> Term:
-    body = term
-    for _ in tables.binders:
-        if not isinstance(body, Lambda):
-            raise NotDerivableError("term has fewer binders than the request")
-        body = body.body
+    n, body = peel(term)
+    if n != len(tables.binders):
+        raise NotDerivableError(f"term has {n} binders, the request {len(tables.binders)}")
     return body
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from gridsynth.errors import EvalError, OutOfBoundsGetError, TypeMismatchError
-from gridsynth.lang import Lambda, Prim, Term, Var, spine
+from gridsynth.lang import Prim, Term, Var, peel, spine
 from gridsynth.primitives import PrimTable
 from gridsynth.state import GridState
 
@@ -93,14 +93,6 @@ def _bind(ctx: _Ctx, term: Term, env: tuple):
 def _emit(ctx: _Ctx, callee, args, result, accessed_cell=None, branch=None):
     if ctx.tracer is not None:
         ctx.tracer(callee, tuple(args), result, ctx.level, accessed_cell, branch)
-
-
-def _peel(term: Term) -> tuple[int, Term]:
-    """(number of leading binders, the body under them)."""
-    arity = 0
-    while isinstance(term, Lambda):
-        arity, term = arity + 1, term.body
-    return arity, term
 
 
 def _apply_builtin(ctx: _Ctx, name: str, args: list):
@@ -194,9 +186,9 @@ def exec_program(
     innermost as in the kernel. Evaluation errors (OutOfBoundsGet in
     particular) propagate to the caller.
     """
-    defs = {a.name: _peel(a.body) for a in library} if library else {}
+    defs = {a.name: peel(a.body) for a in library} if library else {}
     ctx = _Ctx(prims, defs, tracer)
-    arity, body = _peel(term)
+    arity, body = peel(term)
     if arity == 1:
         env = (state,)
     elif arity == 2:

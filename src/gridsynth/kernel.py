@@ -1,20 +1,27 @@
-"""Compiles expanded DSL terms to trees of Python closures.
+"""The closure kernel: compile a library-expanded program once, then run it
+on many grids.
 
-Each node of the term becomes one closure, called as `node(grid, width,
-height, direction)` on a flat row-major grid; the program's root is
-`CompiledProgram.code`. Nullary primitives are not nodes of their own: a
-node captures its constant operands as values. Values are ints: booleans as
-Python bools, object codes raw, mapObject packed as (code << 16) | (x << 8) |
-y, actions as indices into the primitive table's action list. `get` reads
-the grid directly, so the map is never a value. `if` evaluates its condition
-and then only the taken branch; every other primitive evaluates all of its
-operands, so `and` and `or` are eager. An out-of-bounds `get` raises
-`_OutOfRange`, which `pykernel` turns into a failed imitation.
+`compile_term` turns a term into a tree of Python closures, one per node,
+each called as `node(grid, width, height, direction)` on a flat row-major
+grid; `execute` runs the root on one grid, and `check_trajectory` counts how
+many leading steps of a task it reproduces. Every run-time check of a
+program goes through here: candidate checks, dream rollouts, `data.imitates`
+and evaluation. The tree interpreter in `gridsynth.interp` stays the
+semantics of record: it drives `explain`, and the tests hold the kernel to it.
 
-Every closed, well-typed, first-order, library-expanded program compiles.
-Anything else (an unexpanded library call, an open term, an inner lambda, a
+Constant operands are captured as values, not nodes. Values are ints:
+booleans as Python bools, object codes raw, mapObject packed as (code << 16)
+| (x << 8) | y, actions as indices into the table's action list. `get` reads
+the grid directly, so the map is never a value. `if` evaluates only the
+taken branch; every other primitive evaluates all of its operands. An
+out-of-bounds `get` fails the imitation: `execute` returns -1 and
+`check_trajectory` stops counting. Grids may be lists, tuples or numpy
+arrays of ints; lists and tuples are the fast form.
+
+Every closed, well-typed, first-order, library-expanded program compiles;
+anything else (an unexpanded library call, an open term, an inner lambda, a
 name applied to more or fewer arguments than its type has) raises
-KernelUnsupportedError; callers inline abstractions first.
+KernelUnsupportedError.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from gridsynth.errors import GridSynthError
-from gridsynth.lang import Lambda, Term, Var, spine
+from gridsynth.lang import Lambda, Term, Var, peel, spine
 from gridsynth.primitives import PrimTable
 
 
@@ -31,7 +38,10 @@ class KernelUnsupportedError(GridSynthError):
 
 
 class _OutOfRange(Exception):
-    """A `get` outside the grid; never escapes `pykernel`."""
+    """A `get` outside the grid; never escapes this module."""
+
+
+BACKEND = "python"
 
 
 @dataclass(frozen=True)
@@ -121,11 +131,7 @@ _BUILDERS = {
 
 def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
     """Compile a closed, library-expanded program term."""
-    arity = 0
-    body = term
-    while isinstance(body, Lambda):
-        arity += 1
-        body = body.body
+    arity, body = peel(term)
     if arity not in (1, 2):
         raise KernelUnsupportedError(f"program arity {arity}")
     action_ids = {w: i for i, w in enumerate(prims.action_words)}
@@ -158,3 +164,25 @@ def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
         return _BUILDERS[name](*map(build, args))
 
     return CompiledProgram(code=_fn(build(body)))
+
+
+def execute(code, grid, width, height, direction):
+    """Run one program on one flat grid; action id, or -1 on out-of-bounds."""
+    try:
+        return code(grid, width, height, direction)
+    except _OutOfRange:
+        return -1
+
+
+def check_trajectory(code, grids, dirs, acts, width, height):
+    """Count how many leading steps the program reproduces; stops at the
+    first mismatch or evaluation error."""
+    i = 0
+    try:
+        for grid, direction, act in zip(grids, dirs, acts):
+            if code(grid, width, height, direction) != act:
+                break
+            i += 1
+    except _OutOfRange:
+        pass
+    return i

@@ -173,6 +173,15 @@ def spine(term: Term) -> tuple[Term, list[Term]]:
     return term, args
 
 
+def peel(term: Term) -> tuple[int, Term]:
+    """(number of leading lambdas, the body under them): a program's inputs
+    or an abstraction's parameters, and what they are bound in."""
+    n = 0
+    while isinstance(term, Lambda):
+        n, term = n + 1, term.body
+    return n, term
+
+
 def depth(term: Term) -> int:
     """Syntax-tree depth in S-expression levels.
 
@@ -248,9 +257,7 @@ def _call(name: str, term: Term, defs, bodies: dict) -> Term:
 def _expanded_body(name: str, defs, bodies: dict) -> tuple[int, Term]:
     """(arity, core with its own calls expanded), memoized in `bodies`."""
     if name not in bodies:
-        arity, core = 0, defs[name]
-        while isinstance(core, Lambda):
-            arity, core = arity + 1, core.body
+        arity, core = peel(defs[name])
         bodies[name] = arity, _inline(core, defs, bodies)
     return bodies[name]
 

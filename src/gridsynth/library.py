@@ -62,11 +62,13 @@ from gridsynth.lang import (
     free_vars,
     inline,
     parse_type,
+    peel,
     return_type,
     spine,
 )
 from gridsynth.primitives import PrimTable, primitive_table
 from gridsynth.sexpr import parse_program, print_program
+from gridsynth.typecheck import signature_map
 
 LIBRARY_SCHEMA = "gridsynth-library-v1"
 _SLOT_RE = re.compile(r"^\$(\d)$")
@@ -97,13 +99,6 @@ class CompressionResult:
     dl_after: float
 
 
-def _signatures(prims: PrimTable, library) -> dict:
-    sig = {p.name: p.type for p in prims.entries}
-    for a in library or ():
-        sig[a.name] = a.type
-    return sig
-
-
 def core_to_lambda(core: Term, arity: int) -> Term:
     """Slot prims $i become de Bruijn vars under `arity` wrapping lambdas."""
 
@@ -125,10 +120,9 @@ def core_to_lambda(core: Term, arity: int) -> Term:
 
 def lambda_to_core(body: Term, arity: int) -> Term:
     """Inverse of core_to_lambda; bodies contain no internal lambdas."""
-    for _ in range(arity):
-        if not isinstance(body, Lambda):
-            raise GridSynthError("abstraction body has fewer lambdas than its arity")
-        body = body.body
+    n, body = peel(body)
+    if n != arity:
+        raise GridSynthError(f"abstraction body has {n} lambdas, its arity is {arity}")
 
     def conv(t: Term) -> Term:
         if isinstance(t, Var):
@@ -196,16 +190,6 @@ def _typed_fragments(node: Term, ret: Ty, sig: dict, out: list) -> None:
             _typed_fragments(a, t, sig, out)
 
 
-def _peel(term: Term) -> Term:
-    while isinstance(term, Lambda):
-        term = term.body
-    return term
-
-
-def _closed(term: Term) -> bool:
-    return not free_vars(term)
-
-
 class _AuSlots:
     def __init__(self):
         self.by_key = {}
@@ -219,7 +203,7 @@ class _AuSlots:
 
 
 def _anti_unify(t1: Term, t2: Term, ret: Ty, sig: dict, slots: _AuSlots) -> Term:
-    if t1 == t2 and _closed(t1):
+    if t1 == t2 and not free_vars(t1):
         return t1
     h1, a1 = spine(t1)
     h2, a2 = spine(t2)
@@ -340,12 +324,12 @@ def propose_candidates(
     nothing outlives the call, since a call meets each pair once."""
     if memo is None:
         memo = {}
-    sig = _signatures(prims, library)
+    sig = signature_map(prims, library)
     ret = return_type(prims.request)
     frag_progs: dict = {}
     for pi, term in enumerate(corpus_terms):
         frags: list = []
-        _typed_fragments(_peel(term), ret, sig, frags)
+        _typed_fragments(peel(term)[1], ret, sig, frags)
         for frag, ty in frags:
             frag_progs.setdefault((frag, ty), set()).add(pi)
     buckets: dict = {}
@@ -433,7 +417,7 @@ def compress(
         keys = list(current)
         terms = list(current.values())
         candidates = propose_candidates(terms, max_arity, prims, lib, memo)
-        sig = _signatures(prims, lib)
+        sig = signature_map(prims, lib)
         tables = tables_for(g, request)
         counts = [choice_counts(tables, t) for t in terms]
         corpus_counts: dict = {}
@@ -483,14 +467,11 @@ def compress(
         current = {tid: rewritten.get(tid, t) for tid, t in current.items()}
         lib.append(abs_)
         new_abs.append(abs_)
-    lib, new_abs, current, g = _drop_underused(lib, new_abs, current, g, grammar)
-    counted = []
-    for a in lib:
-        uses = sum(count_calls(t, a.name) for t in current.values())
-        uses += sum(count_calls(b.body, a.name) for b in lib if b.name != a.name)
-        counted.append(
-            Abstraction(a.name, a.body, a.type, a.arity, uses, a.children)
-        )
+    lib, new_abs, current, g = _drop_underused(lib, new_abs, current, grammar)
+    counted = [
+        Abstraction(a.name, a.body, a.type, a.arity, _uses(a.name, current, lib), a.children)
+        for a in lib
+    ]
     new_names = {a.name for a in new_abs}
     counted_new = tuple(a for a in counted if a.name in new_names)
     dl_after = _total_dl(current, g, request, counted_new)
@@ -504,19 +485,20 @@ def compress(
     )
 
 
-def _drop_underused(lib, new_abs, corpus, g, base_grammar):
-    """Inline and remove freshly added abstractions referenced fewer than twice."""
+def _uses(name: str, corpus: dict, lib) -> int:
+    """Calls of the abstraction `name` in the corpus programs and in the
+    bodies of the library's other abstractions."""
+    uses = sum(count_calls(t, name) for t in corpus.values())
+    return uses + sum(count_calls(b.body, name) for b in lib if b.name != name)
+
+
+def _drop_underused(lib, new_abs, corpus, base_grammar):
+    """Inline and remove freshly added abstractions used fewer than twice."""
     lib = list(lib)
     new_abs = list(new_abs)
     corpus = dict(corpus)
     while True:
-        victim = None
-        for a in new_abs:
-            refs = sum(count_calls(t, a.name) for t in corpus.values())
-            refs += sum(count_calls(b.body, a.name) for b in lib if b.name != a.name)
-            if refs < 2:
-                victim = a
-                break
+        victim = next((a for a in new_abs if _uses(a.name, corpus, lib) < 2), None)
         if victim is None:
             break
         defs = {victim.name: victim.body}

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from gridsynth.errors import ParseError, UnboundVariableError, UnknownPrimitiveError
-from gridsynth.lang import Apply, Lambda, Prim, Term, Var, apply_all, spine
+from gridsynth.errors import ParseError, UnknownPrimitiveError
+from gridsynth.lang import Lambda, Prim, Term, Var, apply_all, spine
 from gridsynth.primitives import PrimTable
 
 LAMBDA_TOKENS = ("λ", "lambda")
@@ -126,26 +126,13 @@ def parse_program(
     """Parse program text into a de Bruijn term.
 
     `extra` supplies additional known symbols (library abstraction names).
+    The term is closed: only a name that an enclosing λ binds is a variable.
     """
     known = set(prims.by_name)
     if extra:
         known.update(extra)
     sexp = _read_all(text)
-    term = _convert(_unwrap(sexp), [], known)
-    free = _check_closed(term, 0)
-    if free:
-        raise UnboundVariableError(f"unbound variable index {min(free)}")
-    return term
-
-
-def _check_closed(term: Term, cutoff: int) -> set[int]:
-    if isinstance(term, Var):
-        return {term.index} if term.index >= cutoff else set()
-    if isinstance(term, Lambda):
-        return _check_closed(term.body, cutoff + 1)
-    if isinstance(term, Apply):
-        return _check_closed(term.fn, cutoff) | _check_closed(term.arg, cutoff)
-    return set()
+    return _convert(_unwrap(sexp), [], known)
 
 
 def print_program(term: Term, binder_names=None) -> str:

@@ -97,10 +97,9 @@ def _loc(term: Term) -> str:
 
 
 def signature_map(prims: PrimTable, library=None) -> dict[str, Ty]:
+    """Name -> type of every primitive and library abstraction."""
     sigs = {entry.name: entry.type for entry in prims.entries}
-    if library:
-        for abst in library:
-            sigs[abst.name] = abst.type
+    sigs.update((abst.name, abst.type) for abst in library or ())
     return sigs
 
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from gridsynth.cli import main, parse_config_file
+import gridsynth.cli as cli
+from gridsynth.cli import _RUN_KEYS, build_parser, main, parse_config_file
 from gridsynth.errors import GridSynthError
 
 
@@ -113,6 +114,29 @@ class TestCollectAndPrompts:
         assert "--count must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["collect", "--env", "maze", "--max-steps", "0"],
+            ["collect", "--env", "maze", "--max-steps", "-5"],
+            ["export-prompts", "--env", "maze", "--L", "3", "--count", "0"],
+            ["export-prompts", "--env", "maze", "--L", "3", "--count", "-1"],
+            ["export-prompts", "--env", "maze", "--L", "0"],
+        ],
+    )
+    def test_count_below_one_is_usage_error_before_collecting(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        def no_collection(*args, **kwargs):
+            raise AssertionError("collected before checking the flags")
+
+        monkeypatch.setattr(cli, "collect_oracle_rollouts", no_collection)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        flag, value = argv[-2:]
+        assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_export_prompts_from_rollouts(self, tmp_path, capsys):
         rolls = tmp_path / "r.json"
         assert main(["collect", "--env", "maze", "--count", "2", "--seed", "3",
@@ -210,3 +234,29 @@ class TestConfigFile:
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("t-min = 4  # inline comment\n\nt_max=50\n")
         assert parse_config_file(cfg) == {"t_min": "4", "t_max": "50"}
+
+    def test_every_run_key_is_a_typed_flag(self):
+        parser, _ = build_parser()
+        samples = {"env": "asterix", "profile": "paper", str: "x", int: "3", float: "2.5"}
+        for key, cast in _RUN_KEYS.items():
+            value = samples.get(key, samples[cast])
+            args = parser.parse_args(["run", "--" + key.replace("_", "-"), value])
+            assert getattr(args, key) == cast(value)
+            assert type(getattr(args, key)) is cast
+
+    def test_run_flags(self):
+        _, subs = build_parser()
+        flags = {
+            flag for action in subs["run"]._actions for flag in action.option_strings
+        }
+        assert flags == {
+            "-h", "--help", "--config", "--env", "--profile", "--seed", "--jobs",
+            "--out", "--t-min", "--t-max", "--d-max", "--programs-per-task",
+            "--search-timeout-sec", "--top-k", "--corpus-size", "--oracle-episodes",
+            "--eval-episodes", "--max-iterations", "--l-start",
+        }
+
+    @pytest.mark.parametrize("flag", ["--env", "--profile"])
+    def test_run_choices(self, tmp_path, capsys, flag):
+        assert main(["run", flag, "bogus", "--out", str(tmp_path / "x")]) == 1
+        assert "invalid choice" in capsys.readouterr().err

@@ -414,3 +414,15 @@ class TestSerialization:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == ts.n
         assert all(len(line.split()) == 2 * ts.L for line in lines)
+
+    def test_export_of_no_prompts_is_an_empty_file(self, tmp_path):
+        trajs = collect_oracle_rollouts("maze", 1, seed=0)
+        path = tmp_path / "tasks.prompts.txt"
+        empty = slice_tasks(trajs, 500)
+        assert empty.n == 0
+        export_prompts(empty, path)
+        assert path.read_bytes() == b""
+        tasks = slice_tasks(trajs, 3)
+        export_prompts(tasks, path)
+        expected = "\n".join(encode_prompt(t) for t in tasks.tasks) + "\n"
+        assert tasks.n >= 1 and path.read_text(encoding="utf-8") == expected

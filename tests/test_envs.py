@@ -490,6 +490,19 @@ class TestRegistry:
         assert si.actions == ("left", "right", "fire", "no-op")
         assert str(env_spec("asterix").request) == "map -> action"
 
+    def test_codes(self):
+        assert env_spec("maze").codes == ((1, "empty"), (2, "wall"), (3, "goal"))
+        assert env_spec("asterix").codes == (
+            (0, "empty"), (1, "player"), (2, "gold"), (3, "enemy"), (4, "trail"),
+        )
+        assert env_spec("spaceinvaders").codes == (
+            (0, "empty"),
+            (1, "cannon"),
+            (2, "alien"),
+            (3, "friendly-bullet"),
+            (4, "enemy-bullet"),
+        )
+
     def test_oracle_totality_fuzz(self):
         rng = random.Random(0)
         for tag in ("maze", "asterix", "spaceinvaders"):

@@ -127,6 +127,22 @@ def test_dl_not_derivable(maze_grammar, asterix_prims):
         description_length(maze_grammar, term, request=arrow(MAP, ACTION))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(λ(m) left-action)",  # one binder short of map -> direction -> action
+        "(λ(m) (λ(d) (λ(e) left-action)))",  # one binder more than the request
+    ],
+)
+def test_wrong_binder_count_is_not_derivable(maze_grammar, maze_prims, text):
+    term = parse_program(text, maze_prims)
+    tables = tables_for(maze_grammar, maze_prims.request)
+    with pytest.raises(NotDerivableError):
+        description_length(maze_grammar, term)
+    with pytest.raises(NotDerivableError):
+        choice_counts(tables, term)
+
+
 def test_choice_sets_normalize(maze_grammar, maze_prims):
     tables = tables_for(maze_grammar, maze_prims.request)
     for ty, cands in tables.choices.items():

@@ -20,6 +20,7 @@ from gridsynth.lang import (
     free_vars,
     inline,
     parse_type,
+    peel,
     return_type,
     spine,
 )
@@ -52,6 +53,15 @@ def test_spine_unrolls_application_chain():
     head, args = spine(term)
     assert head == Prim("get")
     assert args == [Var(0), Prim("1"), Prim("0")]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_peel_counts_leading_binders(n):
+    body = apply_all(Prim("get"), [Var(0), Prim("1"), Lambda(Var(0))])
+    term = body
+    for _ in range(n):
+        term = Lambda(term)
+    assert peel(term) == (n, body)
 
 
 def test_depth_counts_sexpr_levels(maze_prims):

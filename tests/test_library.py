@@ -19,7 +19,7 @@ from gridsynth.grammar import (
 )
 from gridsynth.interp import exec_program
 from gridsynth.kernel import compile_term, execute
-from gridsynth.lang import ACTION, MAP
+from gridsynth.lang import ACTION, MAP, Lambda
 from gridsynth.library import (
     Abstraction,
     CompressionResult,
@@ -27,13 +27,14 @@ from gridsynth.library import (
     _abstraction_from,
     _drop_underused,
     _next_index,
-    _signatures,
     body_text,
     compress,
+    core_to_lambda,
     count_calls,
     expand,
     library_from_json,
     library_report,
+    lambda_to_core,
     library_to_json,
     load_library,
     propose_candidates,
@@ -42,6 +43,7 @@ from gridsynth.library import (
 )
 from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import parse_program, print_program
+from gridsynth.typecheck import signature_map
 
 PRIMS = primitive_table("maze")
 
@@ -101,7 +103,7 @@ def reference_compress(corpus, grammar, library=(), max_arity=3):
     dl_before = total_dl(current, g, [])
     while True:
         candidates = propose_candidates(current.values(), max_arity, prims, lib)
-        sig = _signatures(prims, lib)
+        sig = signature_map(prims, lib)
         now = total_dl(current, g, new_abs)
         best = None
         for cand in candidates:
@@ -121,7 +123,7 @@ def reference_compress(corpus, grammar, library=(), max_arity=3):
         _, abs_, g, current = best
         lib.append(abs_)
         new_abs.append(abs_)
-    lib, new_abs, current, g = _drop_underused(lib, new_abs, current, g, grammar)
+    lib, new_abs, current, g = _drop_underused(lib, new_abs, current, grammar)
     counted = []
     for a in lib:
         uses = sum(count_calls(t, a.name) for t in current.values())
@@ -152,7 +154,7 @@ def assert_matches_reference(corpus, grammar, library=()):
 
 def assert_match_sets(corpus, prims, library=()):
     terms = list(corpus.values())
-    sig = _signatures(prims, library)
+    sig = signature_map(prims, library)
     for cand in propose_candidates(terms, 3, prims, library):
         by_rewrite = {
             i
@@ -213,7 +215,7 @@ class TestProposals:
             "(if (eq-obj? wall-obj (get $0 1 0)) $1 $2)", PRIMS, extra=["$0", "$1", "$2"]
         )
         cand = _Candidate(core, (MAP, ACTION, ACTION), ACTION, print_program(core), frozenset())
-        got = rewrite(program, cand, "f9", PRIMS.request, _signatures(PRIMS, ()))
+        got = rewrite(program, cand, "f9", PRIMS.request, signature_map(PRIMS, ()))
         # Only the action-typed `if` becomes a call; the object-typed one stays.
         assert count_calls(got, "f9") == 1
         assert object_if in print_program(got)
@@ -425,6 +427,15 @@ class TestSerialization:
     def test_bad_schema_rejected(self):
         with pytest.raises(GridSynthError):
             library_from_json({"schema": "nope", "abstractions": []}, PRIMS)
+
+    def test_body_lambdas_must_match_the_arity(self):
+        core = parse_program("(get $0 1 $1)", PRIMS, extra=["$0", "$1"])
+        body = core_to_lambda(core, 2)
+        assert lambda_to_core(body, 2) == core
+        with pytest.raises(GridSynthError):
+            lambda_to_core(Lambda(body), 2)  # more lambdas than its arity
+        with pytest.raises(GridSynthError):
+            lambda_to_core(body.body, 2)  # fewer
 
     def test_report_mentions_every_function(self):
         res = compress(ten_program_corpus(), uniform_grammar(PRIMS))

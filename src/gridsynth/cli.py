@@ -108,7 +108,7 @@ def _below_one(args, *names) -> str | None:
     """A usage message for the first of the named count flags set below 1."""
     for name in names:
         value = getattr(args, name)
-        if value < 1:
+        if value is not None and value < 1:
             return f"--{name.replace('_', '-')} must be at least 1, got {value}"
     return None
 
@@ -130,6 +130,11 @@ def _cmd_collect(args, parser) -> int:
 
 def _cmd_run(args, parser) -> int:
     settings = _merged_run_settings(args)
+    for key, choices in _RUN_CHOICES.items():
+        if key in settings and settings[key] not in choices:
+            return _usage(
+                parser, f"config key {key} must be one of {', '.join(choices)}, got {settings[key]!r}"
+            )
     env = settings.pop("env", None)
     if env is None:
         return _usage(parser, "run requires --env (flag or config file)")
@@ -153,6 +158,9 @@ def _cmd_run(args, parser) -> int:
 
 
 def _cmd_eval(args, parser) -> int:
+    bad = _below_one(args, "episodes")
+    if bad:
+        return _usage(parser, bad)
     seed = None
     if args.seeds != "fresh":
         try:

@@ -18,7 +18,6 @@ from itertools import accumulate
 
 from gridsynth.errors import DepthUnsatisfiableError, NotDerivableError
 from gridsynth.lang import (
-    Arrow,
     Lambda,
     Prim,
     Term,
@@ -32,7 +31,7 @@ from gridsynth.lang import (
     return_type,
     spine,
 )
-from gridsynth.primitives import PrimTable, instantiate, primitive_table
+from gridsynth.primitives import PrimTable, arg_types_at, primitive_table
 
 GRAMMAR_SCHEMA = "gridsynth-grammar-v1"
 
@@ -147,7 +146,7 @@ class Tables:
             for ty in self.choices if isinstance(rt, TyVar) else [rt]:
                 if ty not in self.choices:
                     continue
-                unreachable = [a for a in arg_types(instantiate(p.type, ty)) if a not in self.choices]
+                unreachable = [a for a in arg_types_at(p.type, ty) if a not in self.choices]
                 if unreachable:
                     raise ValueError(f"{p.name} takes unreachable argument type {unreachable[0]}")
                 changed.add(ty)
@@ -165,7 +164,7 @@ class Tables:
             for p in self.grammar.productions:
                 rt = return_type(p.type)
                 if rt == ty or isinstance(rt, TyVar):
-                    for arg in arg_types(instantiate(p.type, ty)):
+                    for arg in arg_types_at(p.type, ty):
                         if arg not in seen:
                             seen.add(arg)
                             frontier.append(arg)
@@ -178,8 +177,7 @@ class Tables:
         for p in self.grammar.productions:
             rt = return_type(p.type)
             if rt == ty or isinstance(rt, TyVar):
-                sig = instantiate(p.type, ty)
-                raw.append(("prim", p.name, None, tuple(arg_types(sig)), p.logp))
+                raw.append(("prim", p.name, None, tuple(arg_types_at(p.type, ty)), p.logp))
         for i, binder_ty in enumerate(self.env):
             if binder_ty == ty:
                 raw.append(("var", None, i, (), self.grammar.var_logp))

@@ -49,7 +49,6 @@ from gridsynth.grammar import (
     term_dl,
 )
 from gridsynth.lang import (
-    BOOL,
     Apply,
     Lambda,
     Prim,
@@ -57,7 +56,6 @@ from gridsynth.lang import (
     Ty,
     Var,
     apply_all,
-    arg_types,
     arrow,
     free_vars,
     inline,
@@ -66,7 +64,7 @@ from gridsynth.lang import (
     return_type,
     spine,
 )
-from gridsynth.primitives import PrimTable, primitive_table
+from gridsynth.primitives import PrimTable, arg_types_at, primitive_table
 from gridsynth.sexpr import parse_program, print_program
 from gridsynth.typecheck import signature_map
 
@@ -173,12 +171,6 @@ def count_calls(term: Term, name: str) -> int:
     return sum(1 for p in _prims_in(term) if p.name == name)
 
 
-def _arg_types_for(name: str, ret: Ty, sig: dict) -> list[Ty]:
-    if name == "if":
-        return [BOOL, ret, ret]
-    return arg_types(sig[name])
-
-
 def _typed_fragments(node: Term, ret: Ty, sig: dict, out: list) -> None:
     """Every full-application subtree paired with its (syntax-directed) type."""
     if not isinstance(node, Apply):
@@ -186,7 +178,7 @@ def _typed_fragments(node: Term, ret: Ty, sig: dict, out: list) -> None:
     out.append((node, ret))
     head, args = spine(node)
     if isinstance(head, Prim):
-        for a, t in zip(args, _arg_types_for(head.name, ret, sig)):
+        for a, t in zip(args, arg_types_at(sig[head.name], ret)):
             _typed_fragments(a, t, sig, out)
 
 
@@ -214,7 +206,7 @@ def _anti_unify(t1: Term, t2: Term, ret: Ty, sig: dict, slots: _AuSlots) -> Term
         and len(a1) == len(a2)
         and a1
     ):
-        arg_ts = _arg_types_for(h1.name, ret, sig)
+        arg_ts = arg_types_at(sig[h1.name], ret)
         if len(arg_ts) == len(a1):
             return apply_all(
                 h1, [_anti_unify(x, y, t, sig, slots) for x, y, t in zip(a1, a2, arg_ts)]
@@ -284,7 +276,7 @@ def rewrite(term: Term, cand: _Candidate, name: str, ty: Ty, sig: dict) -> Term:
             Prim(name),
             [rewrite(binding[i], cand, name, t, sig) for i, t in enumerate(cand.arg_types)],
         )
-    arg_ts = _arg_types_for(head.name, ty, sig)
+    arg_ts = arg_types_at(sig[head.name], ty)
     return apply_all(head, [rewrite(a, cand, name, t, sig) for a, t in zip(args, arg_ts)])
 
 

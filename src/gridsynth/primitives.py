@@ -19,7 +19,6 @@ from gridsynth.lang import (
     OBJECT,
     TX,
     TY_COORD,
-    Arrow,
     Ty,
     TyVar,
     arg_types,
@@ -162,14 +161,10 @@ def primitive_table(env_tag: str) -> PrimTable:
     return _TABLES[env_tag]
 
 
-def instantiate(ty: Ty, request: Ty) -> Ty:
-    """Replace every type variable in a signature with `request`.
+def arg_types_at(sig: Ty, ty: Ty) -> list[Ty]:
+    """The argument types of `sig` at a use of type `ty`.
 
-    Only `if` is polymorphic, and its variable always unifies with the type
-    requested at the call site, so plain substitution is enough.
+    Only `if` is polymorphic, and its type variable is always the type asked
+    for where it stands, so a type-variable argument is read as `ty`.
     """
-    if isinstance(ty, TyVar):
-        return request
-    if isinstance(ty, Arrow):
-        return Arrow(instantiate(ty.src, request), instantiate(ty.dst, request))
-    return ty
+    return [ty if isinstance(a, TyVar) else a for a in arg_types(sig)]

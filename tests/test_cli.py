@@ -55,6 +55,17 @@ class TestExitCodes:
         assert main(["run", "--env", "maze", "--out", str(out), "--jobs", "0"]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("episodes", ["0", "-1"])
+    def test_eval_of_no_episodes_is_usage_error_before_loading(
+        self, tmp_path, capsys, monkeypatch, episodes
+    ):
+        def no_eval(*args, **kwargs):
+            raise AssertionError("evaluated before checking the flags")
+
+        monkeypatch.setattr(cli, "eval_run", no_eval)
+        assert main(["eval", str(tmp_path / "nope"), "--episodes", episodes]) == 1
+        assert f"--episodes must be at least 1, got {episodes}" in capsys.readouterr().err
+
     def test_missing_run_dir_is_runtime_error(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -255,6 +266,24 @@ class TestConfigFile:
             "--search-timeout-sec", "--top-k", "--corpus-size", "--oracle-episodes",
             "--eval-episodes", "--max-iterations", "--l-start",
         }
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("env=bogus", "config key env must be one of maze, asterix, spaceinvaders, got 'bogus'"),
+            ("env=maze\nprofile=nope", "config key profile must be one of desk, paper, got 'nope'"),
+        ],
+    )
+    def test_config_choices_are_usage_errors(self, tmp_path, capsys, monkeypatch, line, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before checking the config file")
+
+        monkeypatch.setattr(cli, "run_curriculum", no_run)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\nout={tmp_path / 'x'}\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flag", ["--env", "--profile"])
     def test_run_choices(self, tmp_path, capsys, flag):

@@ -11,7 +11,7 @@ from gridsynth.data import collect_oracle_rollouts, slice_tasks
 from gridsynth.grammar import refit, tables_for, uniform_grammar
 from gridsynth.lang import Lambda, Prim, Term, TyVar, Var, apply_all, arg_types, depth, return_type
 from gridsynth.library import compress
-from gridsynth.primitives import instantiate, primitive_table
+from gridsynth.primitives import arg_types_at, primitive_table
 from gridsynth.search import CandidateList, SearchBudget, solve_many, solve_task
 from gridsynth.sexpr import print_program
 from gridsynth.state import GridState
@@ -70,8 +70,7 @@ def brute_force_terms(prims, request, max_depth):
             rt = return_type(entry.type)
             if rt != ty and not isinstance(rt, TyVar):
                 continue
-            sig = instantiate(entry.type, ty)
-            args = arg_types(sig)
+            args = arg_types_at(entry.type, ty)
             if not args:
                 out.add(Prim(entry.name))
                 continue

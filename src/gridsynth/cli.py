@@ -39,6 +39,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _ConfigError(GridSynthError):
+    """A --config line, key or value that `run` does not accept: a usage
+    error, like the same mistake given as a flag."""
+
+
 def _usage(parser: argparse.ArgumentParser, message: str) -> int:
     parser.print_usage(sys.stderr)
     print(f"{parser.prog}: error: {message}", file=sys.stderr)
@@ -80,16 +85,18 @@ def parse_config_file(path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise GridSynthError(f"{path}:{ln}: expected key=value, got {line!r}")
+            raise _ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         if key not in _RUN_KEYS:
-            raise GridSynthError(f"{path}:{ln}: unknown config key {key!r}")
+            raise _ConfigError(f"{path}:{ln}: unknown config key {key!r}")
         doc[key] = value.strip()
     return doc
 
 
 def _merged_run_settings(args) -> dict:
+    """The run's settings: flags win over --config values, which are cast
+    and checked here as argparse checks the flags."""
     file_cfg = parse_config_file(args.config) if args.config else {}
     merged: dict = {}
     for key, cast in _RUN_KEYS.items():
@@ -100,7 +107,12 @@ def _merged_run_settings(args) -> dict:
             try:
                 merged[key] = cast(file_cfg[key])
             except ValueError as exc:
-                raise GridSynthError(f"config key {key}: {exc}") from exc
+                raise _ConfigError(f"config key {key}: {exc}") from exc
+            choices = _RUN_CHOICES.get(key)
+            if choices and merged[key] not in choices:
+                raise _ConfigError(
+                    f"config key {key} must be one of {', '.join(choices)}, got {merged[key]!r}"
+                )
     return merged
 
 
@@ -129,12 +141,10 @@ def _cmd_collect(args, parser) -> int:
 
 
 def _cmd_run(args, parser) -> int:
-    settings = _merged_run_settings(args)
-    for key, choices in _RUN_CHOICES.items():
-        if key in settings and settings[key] not in choices:
-            return _usage(
-                parser, f"config key {key} must be one of {', '.join(choices)}, got {settings[key]!r}"
-            )
+    try:
+        settings = _merged_run_settings(args)
+    except _ConfigError as exc:
+        return _usage(parser, str(exc))
     env = settings.pop("env", None)
     if env is None:
         return _usage(parser, "run requires --env (flag or config file)")

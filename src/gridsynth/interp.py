@@ -22,6 +22,7 @@ body never used.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,42 +96,28 @@ def _emit(ctx: _Ctx, callee, args, result, accessed_cell=None, branch=None):
         ctx.tracer(callee, tuple(args), result, ctx.level, accessed_cell, branch)
 
 
-def _apply_builtin(ctx: _Ctx, name: str, args: list):
-    if name == "get":
-        m, x, y = args
-        if not (0 <= x < m.width and 0 <= y < m.height):
-            raise OutOfBoundsGetError(x=x, y=y, width=m.width, height=m.height)
-        result = MapObj(m.cell(x, y), x, y)
-        _emit(ctx, name, args, result, accessed_cell=(x, y))
-        return result
-    if name == "eq-obj?":
-        result = args[0].code == args[1].code
-    elif name == "eq-direction?":
-        result = args[0] == args[1]
-    elif name == "get-game-obj":
-        result = Obj(args[0].code)
-    elif name == "not":
-        result = not args[0]
-    elif name == "and":
-        result = args[0] and args[1]
-    elif name == "or":
-        result = args[0] or args[1]
-    elif name == "get-x":
-        result = args[0].x
-    elif name == "get-y":
-        result = args[0].y
-    elif name == "eq-x?":
-        result = args[0] == args[1]
-    elif name == "eq-y?":
-        result = args[0] == args[1]
-    elif name == "gt-x?":
-        result = args[0] > args[1]
-    elif name == "gt-y?":
-        result = args[0] > args[1]
-    else:
-        raise EvalError(f"unknown builtin {name!r}")
-    _emit(ctx, name, args, result)
-    return result
+def _get(m, x, y):
+    if not (0 <= x < m.width and 0 <= y < m.height):
+        raise OutOfBoundsGetError(x=x, y=y, width=m.width, height=m.height)
+    return MapObj(m.cell(x, y), x, y)
+
+
+# Every function primitive but `if`, by name, on its evaluated arguments.
+_BUILTINS = {
+    "get": _get,
+    "eq-obj?": lambda a, b: a.code == b.code,
+    "eq-direction?": operator.eq,
+    "eq-x?": operator.eq,
+    "eq-y?": operator.eq,
+    "gt-x?": operator.gt,
+    "gt-y?": operator.gt,
+    "get-game-obj": lambda m: Obj(m.code),
+    "get-x": lambda m: m.x,
+    "get-y": lambda m: m.y,
+    "not": operator.not_,
+    "and": lambda a, b: a and b,
+    "or": lambda a, b: a or b,
+}
 
 
 def _eval(ctx: _Ctx, term: Term, env: tuple):
@@ -169,7 +156,10 @@ def _eval(ctx: _Ctx, term: Term, env: tuple):
         result = _eval(ctx, args[1] if cond else args[2], env)
         _emit(ctx, "if", [cond], result, branch="then" if cond else "else")
         return result
-    return _apply_builtin(ctx, name, [_eval(ctx, a, env) for a in args])
+    values = [_eval(ctx, a, env) for a in args]
+    result = _BUILTINS[name](*values)
+    _emit(ctx, name, values, result, accessed_cell=(result.x, result.y) if name == "get" else None)
+    return result
 
 
 def exec_program(

@@ -28,11 +28,20 @@ reads only the two fragments and the signatures of the names in them, and a
 step only adds a name, so pairs from programs that no step rewrote are not
 anti-unified again.
 
+The library is one list, earlier entries first. An abstraction keeps its
+name, body, type and use count; its arity (the body's leading lambdas) and
+children (the abstractions it calls) are read off the body. `compress`
+appends what it learns after the input library, then removes each new entry
+used fewer than twice, inlining its current body into the corpus and the
+other entries.
+
 Abstraction bodies are stored as closed lambda terms; their serialized form
-prints argument slots as $0..$2.
+prints argument slots as $0..$2, and writes arity and children from the
+body.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass
@@ -77,14 +86,22 @@ _UNSEEN = object()
 
 @dataclass(frozen=True)
 class Abstraction:
-    """A named reusable function: `body` is a closed term with `arity` lambdas."""
+    """A named reusable function: `body` is a closed term whose leading
+    lambdas bind its arguments. Arity and children are read off the body."""
 
     name: str
     body: Term
     type: Ty
-    arity: int
     use_count: int
-    children: tuple[str, ...]
+
+    @property
+    def arity(self) -> int:
+        return peel(self.body)[0]
+
+    @property
+    def children(self) -> tuple[str, ...]:
+        """The abstractions the body calls, sorted by name."""
+        return tuple(_called(self.body))
 
 
 @dataclass(frozen=True)
@@ -116,11 +133,9 @@ def core_to_lambda(core: Term, arity: int) -> Term:
     return body
 
 
-def lambda_to_core(body: Term, arity: int) -> Term:
+def lambda_to_core(body: Term) -> Term:
     """Inverse of core_to_lambda; bodies contain no internal lambdas."""
-    n, body = peel(body)
-    if n != arity:
-        raise GridSynthError(f"abstraction body has {n} lambdas, its arity is {arity}")
+    arity, body = peel(body)
 
     def conv(t: Term) -> Term:
         if isinstance(t, Var):
@@ -137,7 +152,7 @@ def lambda_to_core(body: Term, arity: int) -> Term:
 
 
 def body_text(a: Abstraction) -> str:
-    return print_program(lambda_to_core(a.body, a.arity))
+    return print_program(lambda_to_core(a.body))
 
 
 def definitions(library) -> dict:
@@ -147,11 +162,7 @@ def definitions(library) -> dict:
 def expand(term: Term, library) -> Term:
     """Inline every abstraction call down to base primitives."""
     defs = definitions(library)
-    missing = sorted(
-        p.name
-        for p in _prims_in(term)
-        if _ABS_RE.match(p.name) and p.name not in defs
-    )
+    missing = [name for name in _called(term) if name not in defs]
     if missing:
         raise UnknownAbstractionError(f"term references unknown abstractions: {missing}")
     return inline(term, defs)
@@ -165,6 +176,11 @@ def _prims_in(term: Term):
         yield from _prims_in(term.arg)
     elif isinstance(term, Lambda):
         yield from _prims_in(term.body)
+
+
+def _called(term: Term) -> list[str]:
+    """The abstraction names `term` calls, sorted."""
+    return sorted({p.name for p in _prims_in(term) if _ABS_RE.match(p.name)})
 
 
 def count_calls(term: Term, name: str) -> int:
@@ -363,19 +379,8 @@ def _next_index(library) -> int:
     return best + 1
 
 
-def _abstraction_from(cand: _Candidate, name: str, use_count: int, library) -> Abstraction:
-    lib_names = {a.name for a in library}
-    children = tuple(
-        sorted({p.name for p in _prims_in(cand.core) if p.name in lib_names})
-    )
-    return Abstraction(
-        name=name,
-        body=core_to_lambda(cand.core, cand.arity),
-        type=cand.type,
-        arity=cand.arity,
-        use_count=use_count,
-        children=children,
-    )
+def _abstraction_from(cand: _Candidate, name: str) -> Abstraction:
+    return Abstraction(name, core_to_lambda(cand.core, cand.arity), cand.type, 0)
 
 
 def _corpus_dl(corpus: dict, grammar: Grammar, request: Ty) -> float:
@@ -387,8 +392,8 @@ def _body_dl(a: Abstraction, grammar: Grammar) -> float:
     return description_length(grammar, a.body, a.type)
 
 
-def _total_dl(corpus: dict, grammar: Grammar, request: Ty, new_abs) -> float:
-    return _corpus_dl(corpus, grammar, request) + sum(_body_dl(a, grammar) for a in new_abs)
+def _total_dl(corpus: dict, grammar: Grammar, request: Ty, bodies) -> float:
+    return _corpus_dl(corpus, grammar, request) + sum(_body_dl(a, grammar) for a in bodies)
 
 
 def compress(
@@ -397,10 +402,10 @@ def compress(
     """Greedy MDL compression; accepts candidates while total DL strictly drops."""
     prims = primitive_table(grammar.env_tag)
     request = prims.request
+    n0 = len(library)
     lib = list(library)
     current = dict(corpus)
     g = grammar
-    new_abs: list[Abstraction] = []
     dl_before = _total_dl(current, g, request, [])
     # Anti-unification results outlive a step: only rewritten programs
     # change, so most fragment pairs recur unchanged.
@@ -416,7 +421,7 @@ def compress(
         for c in counts:
             for key, n in c.items():
                 corpus_counts[key] = corpus_counts.get(key, 0) + n
-        now = counts_dl(tables, corpus_counts) + sum(_body_dl(a, g) for a in new_abs)
+        now = counts_dl(tables, corpus_counts) + sum(_body_dl(a, g) for a in lib[n0:])
         name = f"f{_next_index(lib)}"
         # The extended grammar depends only on the candidate's type, so each
         # step derives its tables once per candidate type and request, from
@@ -425,8 +430,8 @@ def compress(
         extended: dict = {}
         best = None
         for cand in candidates:
-            abs_ = _abstraction_from(cand, name, 0, lib)
-            bodies = new_abs + [abs_]
+            abs_ = _abstraction_from(cand, name)
+            bodies = lib[n0:] + [abs_]
             g2 = add_abstractions(g, [abs_])
             if abs_.type not in extended:
                 requests = {request, *(a.type for a in bodies)}
@@ -458,22 +463,16 @@ def compress(
         _, abs_, g, rewritten = best
         current = {tid: rewritten.get(tid, t) for tid, t in current.items()}
         lib.append(abs_)
-        new_abs.append(abs_)
-    lib, new_abs, current, g = _drop_underused(lib, new_abs, current, grammar)
-    counted = [
-        Abstraction(a.name, a.body, a.type, a.arity, _uses(a.name, current, lib), a.children)
-        for a in lib
-    ]
-    new_names = {a.name for a in new_abs}
-    counted_new = tuple(a for a in counted if a.name in new_names)
-    dl_after = _total_dl(current, g, request, counted_new)
+    lib, current = _drop_underused(lib, n0, current)
+    g = add_abstractions(grammar, lib)
+    counted = [dataclasses.replace(a, use_count=_uses(a.name, current, lib)) for a in lib]
     return CompressionResult(
         grammar=g,
         library=tuple(counted),
-        new_abstractions=counted_new,
+        new_abstractions=tuple(counted[n0:]),
         rewritten=current,
         dl_before=dl_before,
-        dl_after=dl_after,
+        dl_after=_total_dl(current, g, request, counted[n0:]),
     )
 
 
@@ -484,33 +483,19 @@ def _uses(name: str, corpus: dict, lib) -> int:
     return uses + sum(count_calls(b.body, name) for b in lib if b.name != name)
 
 
-def _drop_underused(lib, new_abs, corpus, base_grammar):
-    """Inline and remove freshly added abstractions used fewer than twice."""
+def _drop_underused(lib, n0, corpus):
+    """Inline and remove the abstractions from index `n0` on (the freshly
+    added ones) that are used fewer than twice."""
     lib = list(lib)
-    new_abs = list(new_abs)
-    corpus = dict(corpus)
     while True:
-        victim = next((a for a in new_abs if _uses(a.name, corpus, lib) < 2), None)
+        victim = next((a for a in lib[n0:] if _uses(a.name, corpus, lib) < 2), None)
         if victim is None:
-            break
+            return lib, corpus
         defs = {victim.name: victim.body}
         corpus = {tid: inline(t, defs) for tid, t in corpus.items()}
         lib = [
-            a if victim.name not in a.children and not count_calls(a.body, victim.name)
-            else Abstraction(
-                a.name,
-                inline(a.body, defs),
-                a.type,
-                a.arity,
-                a.use_count,
-                tuple(c for c in a.children if c != victim.name),
-            )
-            for a in lib
-            if a.name != victim.name
+            dataclasses.replace(a, body=inline(a.body, defs)) for a in lib if a is not victim
         ]
-        new_abs = [a for a in new_abs if a.name != victim.name]
-    g = add_abstractions(base_grammar, lib)
-    return lib, new_abs, corpus, g
 
 
 def library_to_json(library) -> dict:
@@ -543,9 +528,7 @@ def library_from_json(doc: dict, prims: PrimTable):
                 name=entry["name"],
                 body=core_to_lambda(core, arity),
                 type=parse_type(entry["type"]),
-                arity=arity,
                 use_count=entry["useCount"],
-                children=tuple(entry["children"]),
             )
         )
     return out

@@ -135,11 +135,13 @@ def parse_program(
     return _convert(_unwrap(sexp), [], known)
 
 
-def print_program(term: Term, binder_names=None) -> str:
+def print_program(term: Term, binder_names=None, depth: int = 0) -> str:
     """Canonical S-expression text, stable across runs.
 
     `binder_names` overrides the default x, y, z, ... naming (library bodies
-    print their argument slots as $0, $1, $2).
+    print their argument slots as $0, $1, $2). `depth` prints `term` as a
+    subterm under that many enclosing binders, so its free variables get the
+    names those binders print with.
     """
 
     def name_for(level):
@@ -164,4 +166,4 @@ def print_program(term: Term, binder_names=None) -> str:
             return name_for(level - 1 - t.index)
         raise ParseError(f"cannot print {t!r}")
 
-    return render(term, 0)
+    return render(term, depth)

@@ -31,11 +31,9 @@ from gridsynth.sexpr import print_program
 _PROGRAM_INPUTS = (MAP, DIRECTION)
 
 
-def _loc(term: Term) -> str:
-    try:
-        return print_program(term)
-    except Exception:
-        return repr(term)
+def _loc(term: Term, env: tuple) -> str:
+    """`term` as the whole program prints it, under the binders of `env`."""
+    return print_program(term, depth=len(env))
 
 
 def signature_map(prims: PrimTable, library=None) -> dict[str, Ty]:
@@ -50,7 +48,7 @@ def _check(term: Term, ty: Ty, env: tuple[Ty, ...], sigs: Mapping[str, Ty]) -> N
     head, args = spine(term)
     if isinstance(head, Lambda):
         if args or not isinstance(ty, Arrow):
-            raise TypeMismatchError(str(ty), "a λ", _loc(term))
+            raise TypeMismatchError(str(ty), "a λ", _loc(term, env))
         _check(head.body, ty.dst, (ty.src,) + env, sigs)
         return
     if isinstance(head, Var):
@@ -64,9 +62,9 @@ def _check(term: Term, ty: Ty, env: tuple[Ty, ...], sigs: Mapping[str, Ty]) -> N
     params = arg_types_at(sig, ty)
     result = return_type(sig)
     if len(args) != len(params):
-        raise TypeMismatchError(f"{len(params)} arguments", str(len(args)), _loc(term))
+        raise TypeMismatchError(f"{len(params)} arguments", str(len(args)), _loc(term, env))
     if result != ty and not isinstance(result, TyVar):
-        raise TypeMismatchError(str(ty), str(result), _loc(term))
+        raise TypeMismatchError(str(ty), str(result), _loc(term, env))
     for arg, param in zip(args, params):
         _check(arg, param, env, sigs)
 
@@ -87,7 +85,9 @@ def infer_type(
     if request is None:
         n, _ = peel(term)
         if n > len(_PROGRAM_INPUTS):
-            raise TypeMismatchError(f"at most {len(_PROGRAM_INPUTS)} inputs", str(n), _loc(term))
+            raise TypeMismatchError(
+                f"at most {len(_PROGRAM_INPUTS)} inputs", str(n), _loc(term, env)
+            )
         request = arrow(*_PROGRAM_INPUTS[:n], ACTION)
     _check(term, request, env, signature_map(prims, library))
     return request

@@ -272,6 +272,9 @@ class TestConfigFile:
         [
             ("env=bogus", "config key env must be one of maze, asterix, spaceinvaders, got 'bogus'"),
             ("env=maze\nprofile=nope", "config key profile must be one of desk, paper, got 'nope'"),
+            ("env=maze\nseed=abc", "config key seed: invalid literal for int()"),
+            ("env=maze\nbogus=1", "unknown config key 'bogus'"),
+            ("env=maze\nseed 3", "expected key=value, got 'seed 3'"),
         ],
     )
     def test_config_choices_are_usage_errors(self, tmp_path, capsys, monkeypatch, line, message):

@@ -82,7 +82,7 @@ class TestTrace:
 
     def test_abstraction_call_and_nested_events(self):
         body = parse_program("(λ(m) (eq-obj? wall-obj (get m 1 0)))", MAZE)
-        lib = [Abstraction("f0", body, arrow(MAP, BOOL), 1, 2, ())]
+        lib = [Abstraction("f0", body, arrow(MAP, BOOL), 2)]
         text = (
             "(λ(x) (if (and (f0 x) (eq-obj? wall-obj (get x 1 0)))"
             " left-action forward-action))"
@@ -104,8 +104,8 @@ class TestTrace:
         )
         f1_body = parse_program("(λ(m) (or f0 (eq-obj? wall-obj (get m 1 0))))", MAZE, extra={"f0"})
         lib = [
-            Abstraction("f0", f0_body, BOOL, 0, 4, ()),
-            Abstraction("f1", f1_body, arrow(MAP, BOOL), 1, 2, ("f0",)),
+            Abstraction("f0", f0_body, BOOL, 4),
+            Abstraction("f1", f1_body, arrow(MAP, BOOL), 2),
         ]
         f0_events = [("eq-direction?", 1), ("eq-direction?", 1), ("and", 1), ("f0", 0)]
         for call, deeper in (("f0", 0), ("(f1 x)", 1)):
@@ -278,7 +278,7 @@ class TestBundle:
         import json
 
         body = parse_program("(λ(m) (eq-obj? wall-obj (get m 1 0)))", MAZE)
-        lib = [Abstraction("f0", body, arrow(MAP, BOOL), 1, 2, ())]
+        lib = [Abstraction("f0", body, arrow(MAP, BOOL), 2)]
         prog = parse_program(
             "(λ(x) (if (f0 x) left-action forward-action))", MAZE, extra={"f0": body}
         )

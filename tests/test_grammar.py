@@ -306,7 +306,7 @@ def test_extended_tables_match_a_fresh_build(env_tag, learned):
     assert len(candidates) >= 10
     name = f"f{_next_index(library)}"
     for cand in candidates:
-        abs_ = _abstraction_from(cand, name, 0, library)
+        abs_ = _abstraction_from(cand, name)
         g2 = add_abstractions(grammar, [abs_])
         for request in {prims.request, abs_.type, *(a.type for a in library)}:
             assert_same_tables(tables_for(grammar, request).extend(g2), Tables(g2, request))

@@ -2,15 +2,23 @@
 import pytest
 
 from gridsynth.errors import EvalError, OutOfBoundsGetError, TypeMismatchError
-from gridsynth.interp import exec_program
+from gridsynth.interp import _BUILTINS, exec_program
 from gridsynth.kernel import KernelUnsupportedError, compile_term
 from gridsynth.lang import BOOL, MAP, arrow
 from gridsynth.data import ProgramRunner
 from gridsynth.library import Abstraction, definitions
+from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import parse_program
 from gridsynth.state import GridState
 
 from conftest import LISTING_WALL_CHECK, learned_grammar, maze_state
+
+
+@pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
+def test_every_function_primitive_but_if_is_a_builtin(env_tag):
+    prims = primitive_table(env_tag)
+    functions = {e.name for e in prims.entries if e.kind == "function"}
+    assert functions - {"if"} <= set(_BUILTINS)
 
 
 def test_wall_check_chooses_left_on_wall(maze_prims):
@@ -142,7 +150,7 @@ def test_terms_outside_the_first_order_dsl_are_rejected(maze_prims, text):
 
 def test_library_call_with_wrong_argument_count_is_rejected(maze_prims):
     body = parse_program("(λ(m) (eq-obj? wall-obj (get m 1 0)))", maze_prims)
-    lib = [Abstraction("f0", body, arrow(MAP, BOOL), 1, 1, ())]
+    lib = [Abstraction("f0", body, arrow(MAP, BOOL), 1)]
     for call in ("f0", "(f0 x x)"):
         term = parse_program(f"(λ(x) (if {call} left-action forward-action))", maze_prims, extra={"f0"})
         with pytest.raises(EvalError):
@@ -170,7 +178,7 @@ def test_library_argument_on_an_untaken_branch_is_not_evaluated(maze_prims):
 
 def test_library_argument_is_evaluated_once_where_first_used(maze_prims):
     body = parse_program("(λ(b) (and (not b) b))", maze_prims)
-    lib = [Abstraction("f0", body, arrow(BOOL, BOOL), 1, 1, ())]
+    lib = [Abstraction("f0", body, arrow(BOOL, BOOL), 1)]
     term = parse_program(
         "(λ(x) (if (f0 (eq-obj? wall-obj (get x 1 0))) left-action forward-action))",
         maze_prims,

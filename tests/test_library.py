@@ -1,5 +1,6 @@
 """Library-learning contracts: proposals, MDL compression, expansion."""
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from gridsynth.grammar import (
 )
 from gridsynth.interp import exec_program
 from gridsynth.kernel import compile_term, execute
-from gridsynth.lang import ACTION, MAP, Lambda
+from gridsynth.lang import ACTION, INT, MAP, MAP_OBJECT, arrow
 from gridsynth.library import (
     Abstraction,
     CompressionResult,
@@ -96,48 +97,46 @@ def reference_compress(corpus, grammar, library=(), max_arity=3):
             description_length(g, a.body, a.type) for a in bodies
         )
 
+    n0 = len(library)
     lib = list(library)
     current = dict(corpus)
     g = grammar
-    new_abs = []
     dl_before = total_dl(current, g, [])
     while True:
         candidates = propose_candidates(current.values(), max_arity, prims, lib)
         sig = signature_map(prims, lib)
-        now = total_dl(current, g, new_abs)
+        now = total_dl(current, g, lib[n0:])
         best = None
         for cand in candidates:
             name = f"f{_next_index(lib)}"
-            abs_ = _abstraction_from(cand, name, 0, lib)
+            abs_ = _abstraction_from(cand, name)
             g2 = add_abstractions(g, [abs_])
             rewritten = {
                 tid: rewrite(t, cand, name, request, sig) for tid, t in current.items()
             }
             if sum(1 for t in rewritten.values() if count_calls(t, name)) < 2:
                 continue
-            gain = now - total_dl(rewritten, g2, new_abs + [abs_])
+            gain = now - total_dl(rewritten, g2, lib[n0:] + [abs_])
             if gain > eps and (best is None or gain > best[0] + eps):
                 best = (gain, abs_, g2, rewritten)
         if best is None:
             break
         _, abs_, g, current = best
         lib.append(abs_)
-        new_abs.append(abs_)
-    lib, new_abs, current, g = _drop_underused(lib, new_abs, current, grammar)
+    lib, current = _drop_underused(lib, n0, current)
+    g = add_abstractions(grammar, lib)
     counted = []
     for a in lib:
         uses = sum(count_calls(t, a.name) for t in current.values())
         uses += sum(count_calls(b.body, a.name) for b in lib if b.name != a.name)
-        counted.append(Abstraction(a.name, a.body, a.type, a.arity, uses, a.children))
-    new_names = {a.name for a in new_abs}
-    counted_new = tuple(a for a in counted if a.name in new_names)
+        counted.append(Abstraction(a.name, a.body, a.type, uses))
     return CompressionResult(
         grammar=g,
         library=tuple(counted),
-        new_abstractions=counted_new,
+        new_abstractions=tuple(counted[n0:]),
         rewritten=current,
         dl_before=dl_before,
-        dl_after=total_dl(current, g, counted_new),
+        dl_after=total_dl(current, g, counted[n0:]),
     )
 
 
@@ -162,6 +161,11 @@ def assert_match_sets(corpus, prims, library=()):
             if count_calls(rewrite(t, cand, "$match", prims.request, sig), "$match")
         }
         assert cand.programs == by_rewrite, cand.text
+
+
+def calls(term):
+    """The abstraction names a term calls, sorted, read off its printed form."""
+    return sorted(set(re.findall(r"\bf\d+\b", print_program(term))))
 
 
 def same_behavior(t1, t2, states):
@@ -282,6 +286,9 @@ class TestCompress:
             assert res.dl_after <= res.dl_before + 1e-9
             for a in res.new_abstractions:
                 assert a.use_count >= 2 and a.arity <= 3
+            for a in res.library:
+                assert list(a.children) == calls(a.body)
+            assert library_from_json(library_to_json(res.library), PRIMS) == list(res.library)
             for tid, term in corpus.items():
                 assert same_behavior(term, expand(res.rewritten[tid], res.library), states)
 
@@ -342,6 +349,52 @@ class TestScoringMatchesReference:
             )
         assert_matches_reference(corpus, first.grammar, first.library)
         assert_match_sets(corpus, PRIMS, first.library)
+
+
+def chain_library():
+    """f0 <- f1 <- f2: f2 calls f1, and f1 calls f0."""
+    entries = [
+        ("f0", "map -> bool", "(eq-obj? wall-obj (get $0 1 0))", []),
+        ("f1", "map -> bool", "(and (f0 $0) (eq-obj? wall-obj (get $0 0 1)))", ["f0"]),
+        ("f2", "map -> action", "(if (f1 $0) left-action forward-action)", ["f1"]),
+    ]
+    doc = {
+        "schema": "gridsynth-library-v1",
+        "abstractions": [
+            {"name": n, "arity": 1, "type": t, "body": b, "children": c, "useCount": 0}
+            for n, t, b, c in entries
+        ],
+    }
+    return library_from_json(doc, PRIMS)
+
+
+class TestDropUnderused:
+    """Dropping an abstraction inlines its current body, so a caller never
+    ends up calling an entry dropped before it."""
+
+    @pytest.mark.parametrize(
+        "programs, kept",
+        [
+            (["(f2 x)", "(f2 x)"], ["f2"]),
+            (["(f2 x)", "(f2 x)", "(if (f0 x) right-action left-action)"], ["f0", "f2"]),
+        ],
+        ids=["f0-and-f1-dropped", "f1-dropped-f0-kept"],
+    )
+    def test_chain(self, programs, kept):
+        lib = chain_library()
+        corpus = {
+            f"p{i}": parse_program(f"(λ(x) (λ(y) {p}))", PRIMS, extra=["f0", "f1", "f2"])
+            for i, p in enumerate(programs)
+        }
+        new_lib, new_corpus = _drop_underused(lib, 0, corpus)
+        assert [a.name for a in new_lib] == kept
+        for term in [*new_corpus.values(), *(a.body for a in new_lib)]:
+            assert set(calls(term)) <= set(kept)
+        for a in new_lib:
+            assert list(a.children) == calls(a.body)
+        assert library_from_json(library_to_json(new_lib), PRIMS) == new_lib
+        for tid, term in corpus.items():
+            assert expand(new_corpus[tid], new_lib) == expand(term, lib)
 
 
 class TestExpand:
@@ -431,11 +484,8 @@ class TestSerialization:
     def test_body_lambdas_must_match_the_arity(self):
         core = parse_program("(get $0 1 $1)", PRIMS, extra=["$0", "$1"])
         body = core_to_lambda(core, 2)
-        assert lambda_to_core(body, 2) == core
-        with pytest.raises(GridSynthError):
-            lambda_to_core(Lambda(body), 2)  # more lambdas than its arity
-        with pytest.raises(GridSynthError):
-            lambda_to_core(body.body, 2)  # fewer
+        assert lambda_to_core(body) == core
+        assert Abstraction("f0", body, arrow(MAP, INT, MAP_OBJECT), 0).arity == 2
 
     def test_report_mentions_every_function(self):
         res = compress(ten_program_corpus(), uniform_grammar(PRIMS))

@@ -74,3 +74,16 @@ def test_open_term_with_env(maze_prims):
     from gridsynth.lang import Var
 
     assert infer_type(Var(0), maze_prims, env=(ACTION,)) == ACTION
+
+
+@pytest.mark.parametrize(
+    "text, location",
+    [
+        ("(λ(m) (get m direction-0 0))", "(get x direction-0 0)"),
+        ("(λ(m) (λ(d) (if (eq-direction? m d) left-action forward-action)))", "x"),
+    ],
+)
+def test_location_names_binders_as_the_program_prints_them(maze_prims, text, location):
+    with pytest.raises(TypeMismatchError) as err:
+        infer_type(parse_program(text, maze_prims), maze_prims)
+    assert err.value.location == location

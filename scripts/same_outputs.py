@@ -46,7 +46,8 @@ CONFIGS = {
          "--corpus-size", "0", "--max-iterations", "2"],
     ],
     # the same run split over two forked workers: the windows a stage groups
-    # and the candidate closures each worker builds must not change a result
+    # and the candidate list each worker checks over its own windows' states
+    # must not change a result
     "minatar-search-jobs2": [
         ["--env", "spaceinvaders", "--profile", "desk", "--seed", "7",
          "--corpus-size", "0", "--max-iterations", "2", "--jobs", "2"],

@@ -229,8 +229,9 @@ def compile_program(program, prims: PrimTable, library=None) -> Callable:
 
 
 def task_inputs(task: Task, prims: PrimTable):
-    """A task as `check_trajectory` reads it: flat grids, directions (0 where
-    a state has none), action ids, and the grids' width and height."""
+    """A task as `check_trajectory` and `StateBatch` read it: flat grids,
+    directions (0 where a state has none), action ids, and the grids' width
+    and height."""
     ids = {w: i for i, w in enumerate(prims.action_words)}
     illegal = [a for _, a in task.steps if a not in ids]
     if illegal:
@@ -327,8 +328,43 @@ def task_set_from_json(doc: dict) -> TaskSet:
     return TaskSet(env_tag, doc["L"], tasks)
 
 
+_EMPTY_GRID = '"grid": []'
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _write_steps_json(doc: dict, items: str, path) -> None:
+    """Write `json.dumps(doc, indent=2)` and a newline, where `doc[items]`
+    is a list of dicts each with a list of `steps`.
+
+    With an indent, `json` encodes in pure Python, one call per grid cell, so
+    the grids are left empty for the dump and then joined in as text, a grid
+    of one-digit codes as its digits. Inside a JSON string every quote is
+    escaped, so `"grid": []` in the dump is always a step's grid, in document
+    order."""
+    grids = []
+    for item in doc[items]:
+        for step in item["steps"]:
+            grids.append(step["grid"])
+            step["grid"] = []
+    pieces = json.dumps(doc, indent=2).split(_EMPTY_GRID)
+    out = [pieces[0]]
+    for grid, piece in zip(grids, pieces[1:]):
+        if grid:
+            line = out[-1][out[-1].rindex("\n") :]  # a newline and the key's indent
+            cell = line + "  "
+            if 0 <= min(grid) and max(grid) <= 9:
+                cells = bytes(grid).translate(_DIGITS).decode()
+            else:
+                cells = map(str, grid)
+            out.append('"grid": [' + cell + ("," + cell).join(cells) + line + "]")
+        else:
+            out.append(_EMPTY_GRID)
+        out.append(piece)
+    Path(path).write_text("".join(out) + "\n", encoding="utf-8")
+
+
 def save_task_set(tasks: TaskSet, path) -> None:
-    Path(path).write_text(json.dumps(task_set_to_json(tasks), indent=2) + "\n", encoding="utf-8")
+    _write_steps_json(task_set_to_json(tasks), "tasks", path)
 
 
 def load_task_set(path) -> TaskSet:
@@ -369,7 +405,7 @@ def rollouts_from_json(doc: dict):
 
 
 def save_rollouts(trajs, path) -> None:
-    Path(path).write_text(json.dumps(rollouts_to_json(trajs), indent=2) + "\n", encoding="utf-8")
+    _write_steps_json(rollouts_to_json(trajs), "rollouts", path)
 
 
 def load_rollouts(path):

@@ -1,22 +1,27 @@
-"""The closure kernel: compile a library-expanded program once, then run it
-on many grids.
+"""The kernel: run a library-expanded program on flat grids, one state at a
+time as closures or many states at once as bitsets.
 
 `compile_term` turns a term into a tree of Python closures, one per node,
 each called as `node(grid, width, height, direction)` on a flat row-major
 grid; `execute` runs the root on one grid, and `check_trajectory` counts how
-many leading steps of a task it reproduces. Every run-time check of a
-program goes through here: candidate checks, dream rollouts, `data.imitates`
-and evaluation. The tree interpreter in `gridsynth.interp` stays the
-semantics of record: it drives `explain`, and the tests hold the kernel to it.
+many leading steps of a task it reproduces. Dream rollouts, `data.imitates`
+and evaluation run on closures. `StateBatch.check` evaluates a program once
+over every state of a batch, each node's value a partition of the states by
+value, and returns the bitset of the states on which it gives the recorded
+action; search checks each candidate so, over all of a solve stage's states.
+Both forms are built by one walk over the term, each from its own table of
+builders. The tree interpreter in `gridsynth.interp` stays the semantics of
+record: it drives `explain`, and the tests hold both forms to it.
 
-Constant operands are captured as values, not nodes. Values are ints:
-booleans as Python bools, object codes raw, mapObject packed as (code << 16)
-| (x << 8) | y, actions as indices into the table's action list. `get` reads
-the grid directly, so the map is never a value. `if` evaluates only the
-taken branch; every other primitive evaluates all of its operands. An
-out-of-bounds `get` fails the imitation: `execute` returns -1 and
-`check_trajectory` stops counting. Grids may be lists, tuples or numpy
-arrays of ints; lists and tuples are the fast form.
+Values are ints: booleans as Python bools, object codes raw, mapObject
+packed as (code << 16) | (x << 8) | y, actions as indices into the table's
+action list. In the closure form, constant operands are captured as values,
+not nodes. `get` reads the grid directly, so the map is never a value. `if`
+evaluates only the taken branch; every other primitive evaluates all of its
+operands. An out-of-bounds `get` fails the imitation: `execute` returns -1,
+`check_trajectory` stops counting, and the batch leaves the state out of
+its bitset. Grids may be lists, tuples or numpy arrays of ints; lists and
+tuples are the fast form.
 
 Every closed, well-typed, first-order, library-expanded program compiles;
 anything else (an unexpanded library call, an open term, an inner lambda, a
@@ -25,6 +30,7 @@ KernelUnsupportedError.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +40,7 @@ from gridsynth.primitives import PrimTable
 
 
 class KernelUnsupportedError(GridSynthError):
-    """Term shape the closure compiler does not handle."""
+    """Term shape the kernel does not handle."""
 
 
 class _OutOfRange(Exception):
@@ -129,16 +135,17 @@ _BUILDERS = {
 }
 
 
-def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
-    """Compile a closed, library-expanded program term."""
+def _build(term: Term, prims: PrimTable, builders, constant, map_value, direction):
+    """Build a closed, library-expanded program term bottom-up: `builders[name]`
+    applied to the operands of each primitive, `constant(value)` for each
+    constant (actions as ids), and `map_value` and `direction` for the
+    binders."""
     arity, body = peel(term)
     if arity not in (1, 2):
         raise KernelUnsupportedError(f"program arity {arity}")
     action_ids = {w: i for i, w in enumerate(prims.action_words)}
 
     def build(term: Term):
-        """A closure for the node, or the operand itself for a constant or
-        the map."""
         head, args = spine(term)
         if isinstance(head, Lambda):
             raise KernelUnsupportedError("inner lambda")
@@ -148,7 +155,7 @@ def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
             # arity 2: Var(1) = map, Var(0) = direction; arity 1: Var(0) = map
             if head.index >= arity:
                 raise KernelUnsupportedError("unbound variable")
-            return _MAP if head.index == arity - 1 else _direction
+            return map_value if head.index == arity - 1 else direction
         name = head.name
         entry = prims.by_name.get(name)
         if entry is None:
@@ -156,14 +163,20 @@ def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
         if len(args) != entry.arity:
             raise KernelUnsupportedError(f"{name} takes {entry.arity} arguments, applied to {len(args)}")
         if entry.kind == "action":
-            return action_ids[entry.value]
+            return constant(action_ids[entry.value])
         if entry.kind != "function":
-            return int(entry.value)
-        if name not in _BUILDERS:
-            raise KernelUnsupportedError(f"no closure for {name}")
-        return _BUILDERS[name](*map(build, args))
+            return constant(int(entry.value))
+        if name not in builders:
+            raise KernelUnsupportedError(f"no builder for {name}")
+        return builders[name](*map(build, args))
 
-    return CompiledProgram(code=_fn(build(body)))
+    return build(body)
+
+
+def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
+    """Compile a closed, library-expanded program term to closures; constants
+    and the map stay operands, not nodes."""
+    return CompiledProgram(code=_fn(_build(term, prims, _BUILDERS, lambda v: v, _MAP, _direction)))
 
 
 def execute(code, grid, width, height, direction):
@@ -186,3 +199,132 @@ def check_trajectory(code, grids, dirs, acts, width, height):
     except _OutOfRange:
         pass
     return i
+
+
+# --- The batch form: one program over many states at once -------------------
+#
+# A node's batch value is a partition: a dict mapping each value the node
+# takes to the bitset of the states on which it takes it, bit i standing for
+# state i. The bitsets are disjoint, and the states that none covers are
+# those on which evaluating the node fails: every builder intersects its
+# operands' bitsets, so a state an operand fails on stays uncovered. Values
+# are those of the closure form. A partition holds values of one type, which
+# is what lets the keys True and 1 share a dict slot.
+
+
+def _bitsets(column: bytes) -> dict:
+    """{value: bitset of the positions holding it} for a column of byte
+    values listed last position first."""
+    return {v: int(column.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2) for v in set(column)}
+
+
+def _batch_if(c, t, e):
+    """Each state takes its taken branch's value, so a state on which only the
+    branch not taken fails does not fail."""
+    parts = {}
+    for branch, taken in ((t, c.get(True, 0)), (e, c.get(False, 0))):
+        for v, bits in branch.items():
+            bits &= taken
+            if bits:
+                parts[v] = parts.get(v, 0) | bits
+    return parts
+
+
+def _relation(rel):
+    """A two-operand test; a state on which either operand fails fails."""
+    def node(a, b):
+        true = false = 0
+        for av, ab in a.items():
+            for bv, bb in b.items():
+                if rel(av, bv):
+                    true |= ab & bb
+                else:
+                    false |= ab & bb
+        return {True: true, False: false}
+    return node
+
+
+def _project(f):
+    """A one-operand primitive: f of the value, merging equal results."""
+    def node(a):
+        parts = {}
+        for v, bits in a.items():
+            v = f(v)
+            parts[v] = parts.get(v, 0) | bits
+        return parts
+    return node
+
+
+_BATCH_BUILDERS = {  # `get` reads the states, so each StateBatch adds its own
+    "if": _batch_if,
+    "eq-obj?": _relation(lambda o, m: o == m >> 16),
+    "eq-direction?": _relation(operator.eq),
+    "eq-x?": _relation(operator.eq),
+    "eq-y?": _relation(operator.eq),
+    "gt-x?": _relation(operator.gt),
+    "gt-y?": _relation(operator.gt),
+    "get-game-obj": _project(lambda m: m >> 16),
+    "get-x": _project(lambda m: (m >> 8) & 0xFF),
+    "get-y": _project(lambda m: m & 0xFF),
+    "not": _project(operator.not_),
+    "and": _relation(operator.and_),
+    "or": _relation(operator.or_),
+}
+
+
+class StateBatch:
+    """Many states laid end to end, for checking a program on all of them at
+    once: bit i of every bitset stands for state i.
+
+    `get`'s coordinates are ints, and an int is a constant or an `if` of
+    constants, so every `get` is a union of per-cell, per-code bitsets. Each
+    cell's are built the first time a program reads it. Grids are flat and
+    row-major, as for `check_trajectory`; cell codes, directions and action
+    ids must each fit in a byte.
+    """
+
+    def __init__(self, grids, dirs, acts, width: int, height: int):
+        self.width, self.height = width, height
+        self._all = (1 << len(acts)) - 1
+        self._acts = _bitsets(bytes(reversed(acts)))
+        self._direction = _bitsets(bytes(reversed(dirs)))
+        self._map = {0: self._all}  # the map is never a value; 0 stands for it
+        self._columns = [bytes(c) for c in zip(*reversed(grids))] or [b""] * (width * height)
+        self._cells: dict = {}
+        self._builders = {**_BATCH_BUILDERS, "get": self._get}
+
+    def check(self, term: Term, prims: PrimTable) -> int:
+        """The bitset of the states on which a closed, library-expanded
+        program evaluates, without failing, to the state's recorded action."""
+        parts = _build(term, prims, self._builders, self._constant, self._map, self._direction)
+        correct = 0
+        for v, bits in parts.items():
+            correct |= bits & self._acts.get(v, 0)
+        return correct
+
+    def _constant(self, value) -> dict:
+        return {value: self._all}
+
+    def _cell(self, x: int, y: int) -> dict:
+        """{packed mapObject: bitset} for the cell at (x, y)."""
+        cell = self._cells.get((x, y))
+        if cell is None:
+            xy = (x << 8) | y
+            column = self._columns[y * self.width + x]
+            cell = self._cells[x, y] = {(code << 16) | xy: bits for code, bits in _bitsets(column).items()}
+        return cell
+
+    def _get(self, m, x, y):
+        """A state fails where its map or a coordinate does, or where the
+        coordinates fall outside the grid."""
+        ok = m.get(0, 0)
+        parts = {}
+        for xv, xb in x.items():
+            for yv, yb in y.items():
+                at = xb & yb & ok
+                if at and 0 <= xv < self.width and 0 <= yv < self.height:
+                    for v, bits in self._cell(xv, yv).items():
+                        bits &= at
+                        if bits:
+                            parts[v] = bits
+        return parts

@@ -8,13 +8,15 @@ Terms are only materialized when a derivation completes.
 
 The stream depends only on the grammar, the library and the depth bound, which
 a solve stage fixes for all of its tasks. So `solve_many` keeps the stream as
-one `CandidateList` per stage: each candidate is enumerated, expanded and
-compiled to a closure the first time any task's scan reaches it, and every
-task scans the list from its start with its own top-k, candidate cap and
-deadline. Tasks with equal steps are searched once. With `jobs` > 1 the
-searched tasks are split into contiguous chunks, one forked worker and one
-shared list per chunk (closures do not pickle, so each worker builds its
-own), and the results are joined in task order.
+one `CandidateList` per stage, built for the stage's windows: each candidate
+is enumerated and expanded the first time any task's scan reaches it, and
+evaluated once over every state of every window at once, as bitsets
+(`kernel.StateBatch`). Each task then scans the list from its start with its
+own top-k, candidate cap and deadline, and a candidate imitates the task when
+the bitset of states it gets right covers the task's window. Tasks with
+equal steps are searched once. With `jobs` > 1 the searched tasks are split
+into contiguous chunks, one forked worker and one shared list per chunk, and
+the results are joined in task order.
 """
 from __future__ import annotations
 
@@ -23,11 +25,11 @@ import math
 import time
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
-from typing import Callable
 
 from gridsynth.data import task_inputs
+from gridsynth.envs import env_spec
 from gridsynth.grammar import Grammar, Tables, tables_for
-from gridsynth.kernel import check_trajectory, compile_term
+from gridsynth.kernel import StateBatch
 from gridsynth.lang import Lambda, Prim, Term, Ty, Var, apply_all, inline
 from gridsynth.library import definitions
 from gridsynth.primitives import primitive_table
@@ -117,27 +119,39 @@ def _reconstruct(tables: Tables, path) -> Term:
 class CandidateList:
     """A solve stage's candidate stream, extended lazily and shared by its tasks.
 
-    Entry i is (dl, term, code) for the i-th program of depth at most
-    `max_depth` in `_stream`: its DL, the term itself, and the closure
-    compiled from its library expansion under `prims`, the grammar's
-    environment's table. An entry is enumerated, expanded and compiled the
-    first time a scan reaches it. Iterating yields the entries from the
-    first; a scan that passes the end of the list extends it, and the scan's
-    caller pays for that.
+    The list is built for the stage's windows, `tasks`, whose states it lays
+    end to end in one `StateBatch`. Entry i is (dl, term, correct) for the
+    i-th program of depth at most `max_depth` in `_stream`: its DL, the term
+    itself, and the bitset of the stage's states on which its library
+    expansion gives the recorded action. An entry is enumerated, expanded
+    and checked over every state the first time a scan reaches it.
+    Iterating yields the entries from the first; a scan that passes the end
+    of the list extends it, and the scan's caller pays for that.
     """
 
-    def __init__(self, grammar: Grammar, library, max_depth: int):
+    def __init__(self, grammar: Grammar, library, max_depth: int, tasks):
         self.prims = primitive_table(grammar.env_tag)
-        self.entries: list[tuple[float, Term, Callable]] = []
+        self.entries: list[tuple[float, Term, int]] = []
         self._stream = _stream(tables_for(grammar, grammar.request), max_depth)
         self._defs = definitions(library)
+        grids, dirs, acts = [], [], []
+        self.masks = {}  # steps -> the bitset of a window's states
+        for task in tasks:
+            g, d, a, _, _ = task_inputs(task, self.prims)
+            self.masks[task.steps] = ((1 << len(a)) - 1) << len(acts)
+            grids += g
+            dirs += d
+            acts += a
+        height, width = env_spec(grammar.env_tag).obs_shape
+        self.states = StateBatch(grids, dirs, acts, width, height)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         entries = self.entries
-        i = 0
+        yield from entries  # a list iterator also yields entries appended meanwhile
+        i = len(entries)
         while True:
             if i == len(entries):
                 nxt = next(self._stream, None)
@@ -145,28 +159,25 @@ class CandidateList:
                     return
                 dl, term = nxt
                 flat = inline(term, self._defs) if self._defs else term
-                entries.append((dl, term, compile_term(flat, self.prims).code))
+                entries.append((dl, term, self.states.check(flat, self.prims)))
             yield entries[i]
             i += 1
 
 
 def solve_task(candidates: CandidateList, task, budget: SearchBudget) -> SolvedTask:
     """Scan `candidates` from the start for programs that imitate every step
-    of `task`, a window of the list's environment, until the budget's top-k
-    hits, candidate cap or timeout, or the list's end."""
+    of `task`, one of the windows the list was built for, until the budget's
+    top-k hits, candidate cap or timeout, or the list's end."""
     if budget.timeout_sec is None and budget.max_candidates is None:
         raise ValueError("search budget needs a timeout or a candidate cap")
-    grids, dirs, acts, width, height = task_inputs(task, candidates.prims)
-    n = len(acts)
+    mask = candidates.masks[task.steps]
     hits: list[tuple[float, str, Term]] = []
     tried = 0
     start = time.monotonic()
     deadline = None if budget.timeout_sec is None else start + budget.timeout_sec
     stop_reason = "exhausted"
-    for dl, term, code in candidates:
-        tried += 1
-        matched = check_trajectory(code, grids, dirs, acts, width, height)
-        if matched == n:
+    for tried, (dl, term, correct) in enumerate(candidates, 1):
+        if correct & mask == mask:
             hits.append((dl, print_program(term), term))
             if len(hits) >= budget.top_k:
                 stop_reason = "top-k"
@@ -197,7 +208,7 @@ class StageResults(dict):
 
 def _solve_chunk(grammar, tasks, budget, library, max_depth):
     """Solve tasks in order against one shared candidate list."""
-    shared = CandidateList(grammar, library, max_depth)
+    shared = CandidateList(grammar, library, max_depth, tasks)
     results = [solve_task(shared, t, budget) for t in tasks]
     return results, len(shared)
 
@@ -212,10 +223,10 @@ def solve_many(
     is what their own searches would return; without one, a duplicate shares
     its group's result instead of racing the clock again. The searched tasks
     share one `CandidateList`, so each candidate is enumerated, expanded and
-    compiled at most once, while each scan, stop reason and hit list is that
-    of a `solve_task` call on a fresh list; only a timeout can come later,
-    since reading entries another task compiled is faster than compiling
-    them. The list grows to the longest scan: at most
+    checked at most once, while each scan, stop reason and hit list is that
+    of a `solve_task` call on a list of its own; only a timeout can come
+    later, since reading entries another task checked is faster than
+    checking them. The list grows to the longest scan: at most
     `budget.max_candidates`, or without a cap as far as the timeout allows.
     `jobs` > 1 splits the searched tasks into contiguous chunks, each solved
     in a forked worker with its own list, so no result depends on `jobs`.

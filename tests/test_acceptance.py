@@ -164,7 +164,7 @@ def test_criterion_04_resolve_rate():
     assert tasks.n >= 200
     full = {t.traj_id: Task(t.traj_id, "maze", t.steps) for t in trajs}
     budget = SearchBudget(timeout_sec=5.0, top_k=1, max_candidates=None)
-    candidates = CandidateList(grammar, (), 6)
+    candidates = CandidateList(grammar, (), 6, tasks.tasks[:200])
     good = 0
     for task in tasks.tasks[:200]:
         res = solve_task(candidates, task, budget)

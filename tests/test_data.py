@@ -1,5 +1,7 @@
 """Imitation-data contracts: prompts, slicing, imitates, accuracy, rollouts."""
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -402,6 +404,27 @@ class TestSerialization:
         path = tmp_path / "rollouts.json"
         save_rollouts(trajs, path)
         assert load_rollouts(path) == trajs
+
+    @pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
+    def test_files_are_indented_json(self, env_tag, tmp_path):
+        """Task-set and rollout files hold `json.dumps(doc, indent=2)` and a
+        newline, byte for byte: with the maze's direction, with no tasks or
+        rollouts, with a provenance that quotes a step's grid key, and with a
+        code of two digits."""
+        trajs = collect_oracle_rollouts(env_tag, 3, seed=17, max_steps=40)
+        trajs[1] = replace(trajs[1], provenance='(λ(x) "grid": [] left-action)')
+        (state, action), *rest = trajs[2].steps
+        wide = replace(state, cells=(12,) + state.cells[1:])
+        trajs[2] = replace(trajs[2], steps=((wide, action), *rest))
+        path = tmp_path / "out.json"
+        empty = slice_tasks(trajs, 500)
+        assert empty.n == 0
+        for tasks in (slice_tasks(trajs, 3), empty):
+            save_task_set(tasks, path)
+            assert path.read_text(encoding="utf-8") == json.dumps(task_set_to_json(tasks), indent=2) + "\n"
+        for rollouts in (trajs, []):
+            save_rollouts(rollouts, path)
+            assert path.read_text(encoding="utf-8") == json.dumps(rollouts_to_json(rollouts), indent=2) + "\n"
 
     def test_bad_schema_rejected(self):
         with pytest.raises(GridSynthError):

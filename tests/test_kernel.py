@@ -1,10 +1,12 @@
-"""Differential tests: the closure kernel against the reference interpreter.
+"""Differential tests: both kernel forms against the reference interpreter.
 
-Every sampled program must compile, and the kernel must pick the same action
-as the interpreter on every state, including the error-to-(-1) mapping for
-out-of-bounds `get`. Programs are drawn from the uniform grammar and from
-grammars with a learned library; the latter are library-expanded before they
-are compiled, while the interpreter runs their library calls by need.
+Every sampled program must compile, and the closure form must pick the same
+action as the interpreter on every state, including the error-to-(-1)
+mapping for out-of-bounds `get`; the batch form must set each state's bit
+exactly where the interpreter gives the recorded action. Programs are drawn
+from the uniform grammar and from grammars with a learned library; the
+latter are library-expanded before the kernel runs them, while the
+interpreter runs their library calls by need.
 """
 
 import random
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import learned_grammar, maze_state
+from gridsynth.data import collect_oracle_rollouts
 from gridsynth.envs import env_spec, make_env
 from gridsynth.errors import EvalError, OutOfBoundsGetError, TypeMismatchError
 from gridsynth.grammar import sample_program, uniform_grammar
@@ -24,6 +27,7 @@ from gridsynth.lang import Lambda, Prim, depth, parse_type, spine
 from gridsynth.kernel import (
     BACKEND,
     KernelUnsupportedError,
+    StateBatch,
     check_trajectory,
     compile_term,
     execute,
@@ -32,6 +36,7 @@ from gridsynth.library import compress, expand
 from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import parse_program
 from gridsynth.state import GridState
+from gridsynth.typecheck import infer_type
 
 ENVS = ["maze", "asterix", "spaceinvaders"]
 DIRECTION_REQUEST = parse_type("map -> direction -> action")
@@ -110,6 +115,45 @@ def _assert_agree(term, states, prims, library=()):
         assert _kernel_result(compiled, state, prims) == want
         failed += want is None
     return failed
+
+
+def _batches(states, prims):
+    """One StateBatch per action over the states, each recording that action
+    on every state."""
+    grids = [s.flat() for s in states]
+    dirs = [s.direction or 0 for s in states]
+    width, height = states[0].width, states[0].height
+    return [StateBatch(grids, dirs, [a] * len(states), width, height) for a in range(len(prims.action_words))]
+
+
+def _batch_results(term, batches, prims, library=()):
+    """Each state's action as the batch form gives it: the action whose
+    batch sets the state's bit, or None where none does."""
+    flat = expand(term, library)
+    results = {}
+    for word, batch in zip(prims.action_words, batches):
+        bits = batch.check(flat, prims)
+        for i in range(bits.bit_length()):
+            if bits >> i & 1:
+                assert i not in results
+                results[i] = word
+    return results
+
+
+def _assert_batch_agrees(term, states, batches, prims, library=()):
+    """The batch form gives each state the interpreter's action, and no
+    action where the interpreter fails; returns how many states failed."""
+    want = [_interp_result(term, s, prims, library) for s in states]
+    got = _batch_results(term, batches, prims, library)
+    assert [got.get(i) for i in range(len(states))] == want
+    return want.count(None)
+
+
+def _oracle_states(env_tag, seed):
+    """Seeded fresh oracle states, and on the maze border states whose
+    `get`s fall off the grid."""
+    states = [s for t in collect_oracle_rollouts(env_tag, 2, seed, max_steps=25) for s, _ in t.steps]
+    return states + _border_states(env_tag, 10, seed)
 
 
 def _border_states(env_tag, count, seed):
@@ -264,17 +308,49 @@ class TestEquivalenceFuzz:
             assert unused_failing > 0
 
 
+class TestBatch:
+    """The batch form against the interpreter on sampled programs."""
+
+    @pytest.mark.parametrize("learned", [False, True], ids=["no-library", "learned-library"])
+    @pytest.mark.parametrize("env_tag", ENVS)
+    def test_sampled_programs_agree(self, env_tag, learned):
+        prims = primitive_table(env_tag)
+        states = _oracle_states(env_tag, seed=41)
+        batches = _batches(states, prims)
+        if learned:
+            grammar, library, programs = _learned(env_tag)
+        else:
+            grammar, library, programs = uniform_grammar(prims), (), []
+        programs = programs + [_sample(grammar, 6000 + k, d_max=7) for k in range(150)]
+        failed = sum(_assert_batch_agrees(t, states, batches, prims, library) for t in programs)
+        if env_tag == "maze":
+            assert failed > 0
+        if env_tag == "maze" and learned:  # `_learned`'s maze abstractions take no arguments
+            grammar, library = _relearned(env_tag)
+            for k in range(60):
+                _assert_batch_agrees(_sample(grammar, 6500 + k), states, batches, prims, library)
+
+    def test_no_states_is_the_empty_bitset(self):
+        prims = primitive_table("maze")
+        empty = StateBatch([], [], [], 5, 5)
+        for k in range(30):
+            assert empty.check(_sample(uniform_grammar(prims), 7000 + k), prims) == 0
+
+
 class TestOutOfRangeGet:
     """An out-of-range `get` fails the program where it is evaluated and only
-    there: `if` skips its branch not taken, `and` and `or` evaluate both
-    operands."""
+    there: `if` skips its branch not taken, `and`, `or` and the comparisons
+    evaluate all of their operands, and a `get` fails where its map or a
+    coordinate does."""
 
     @staticmethod
     def _run(text):
         """The action on an empty maze, the same from the interpreter,
-        `execute` and `check_trajectory`; None if evaluation fails."""
+        `execute`, `check_trajectory` and the batch form; None if evaluation
+        fails."""
         prims = primitive_table("maze")
         term = parse_program(text, prims)
+        infer_type(term, prims)
         state = maze_state()
         code = compile_term(term, prims).code
         want = _interp_result(term, state, prims)
@@ -282,6 +358,7 @@ class TestOutOfRangeGet:
         assert execute(code, state.flat(), 5, 5, 0) == aid
         for a in range(len(prims.action_words)):
             assert check_trajectory(code, [state.flat()], [0], [a], 5, 5) == (a == aid)
+            assert StateBatch([state.flat()], [0], [a], 5, 5).check(term, prims) == (a == aid)
         return want
 
     @pytest.mark.parametrize("taken", ["then", "else"])
@@ -301,6 +378,41 @@ class TestOutOfRangeGet:
         bad = "(eq-obj? wall-obj (get x 0 5))"
         pair = f"{bad} {good}" if bad_first else f"{good} {bad}"
         assert self._run(f"(λ(x) (if ({op} {pair}) left-action right-action))") is None
+
+    @pytest.mark.parametrize(
+        "test",
+        [
+            "(eq-obj? (get-game-obj (get x 5 5)) (get x 0 0))",
+            "(eq-obj? empty-obj (get x 0 5))",
+            *(
+                f"({op} {pair})"
+                for op, good, bad in [
+                    ("eq-x?", "(get-x (get x 0 0))", "(get-x (get x 5 0))"),
+                    ("gt-x?", "(get-x (get x 0 0))", "(get-x (get x 0 5))"),
+                    ("eq-y?", "(get-y (get x 0 0))", "(get-y (get x 5 1))"),
+                    ("gt-y?", "(get-y (get x 1 1))", "(get-y (get x 2 5))"),
+                    ("eq-direction?", "direction-0",
+                     "(if (eq-obj? wall-obj (get x 5 0)) direction-0 direction-1)"),
+                ]
+                for pair in (f"{good} {bad}", f"{bad} {good}")
+            ),
+        ],
+    )
+    def test_failing_comparison_operand_fails(self, test):
+        assert self._run(f"(λ(x) (if {test} left-action right-action))") is None
+
+    @pytest.mark.parametrize("cond, want", [("empty-obj", None), ("wall-obj", "left")])
+    def test_coordinates_chosen_by_if(self, cond, want):
+        """On an empty maze the condition picks x = 5, off the grid, when it
+        tests for empty-obj, and x = 0 when it tests for wall-obj."""
+        at = f"(get x (if (eq-obj? {cond} (get x 0 0)) 5 0) 0)"
+        assert self._run(f"(λ(x) (if (eq-obj? empty-obj {at}) left-action right-action))") == want
+
+    @pytest.mark.parametrize("cond, want", [("(get x 5 0)", None), ("(get x 0 0)", "right")])
+    def test_map_chosen_by_if(self, cond, want):
+        """A `get` of a map chosen by `if` fails where the condition does."""
+        at = f"(get (if (eq-obj? wall-obj {cond}) x x) 1 1)"
+        assert self._run(f"(λ(x) (if (eq-obj? wall-obj {at}) left-action right-action))") == want
 
 
 class TestCompile:

@@ -1,5 +1,6 @@
 """Enumeration order, completeness against a brute-force oracle, solving, and
-the shared candidate list against per-task searches."""
+the shared, batch-checked candidate list against per-task searches on the
+closure kernel."""
 import itertools
 import math
 from functools import lru_cache
@@ -7,12 +8,13 @@ from functools import lru_cache
 import pytest
 
 from gridsynth import search
-from gridsynth.data import collect_oracle_rollouts, slice_tasks
+from gridsynth.data import collect_oracle_rollouts, slice_tasks, task_inputs
 from gridsynth.grammar import refit, tables_for, uniform_grammar
-from gridsynth.lang import Lambda, Prim, Term, TyVar, Var, apply_all, arg_types, depth, return_type
-from gridsynth.library import compress
+from gridsynth.kernel import StateBatch, check_trajectory, compile_term
+from gridsynth.lang import Lambda, Prim, Term, TyVar, Var, apply_all, arg_types, depth, inline, return_type
+from gridsynth.library import compress, definitions
 from gridsynth.primitives import arg_types_at, primitive_table
-from gridsynth.search import CandidateList, SearchBudget, solve_many, solve_task
+from gridsynth.search import CandidateList, SearchBudget, SolvedTask, solve_many, solve_task
 from gridsynth.sexpr import print_program
 from gridsynth.state import GridState
 from gridsynth.typecheck import infer_type
@@ -36,7 +38,32 @@ def programs(grammar, max_depth):
 
 def solve(grammar, task, budget, library=(), max_depth=6):
     """A lone search: `solve_task` on a candidate list of its own."""
-    return solve_task(CandidateList(grammar, library, max_depth), task, budget)
+    return solve_task(CandidateList(grammar, library, max_depth, [task]), task, budget)
+
+
+def reference(grammar, task, budget, library=(), max_depth=6):
+    """A lone search on the closure kernel, the reference for the batch
+    check: each candidate is compiled by `compile_term` and checked by
+    `check_trajectory`, with `solve_task`'s top-k, candidate cap and hit
+    order. Its callers' budgets never let a timeout bind, so it has none."""
+    prims = primitive_table(grammar.env_tag)
+    defs = definitions(library)
+    grids, dirs, acts, width, height = task_inputs(task, prims)
+    hits, tried, stop_reason = [], 0, "exhausted"
+    for dl, term in stream(grammar, max_depth):
+        tried += 1
+        code = compile_term(inline(term, defs) if defs else term, prims).code
+        if check_trajectory(code, grids, dirs, acts, width, height) == len(acts):
+            hits.append((dl, print_program(term), term))
+            if len(hits) >= budget.top_k:
+                stop_reason = "top-k"
+                break
+        if budget.max_candidates is not None and tried >= budget.max_candidates:
+            stop_reason = "candidates"
+            break
+    hits.sort(key=lambda h: h[:2])
+    programs, dls = tuple(h[2] for h in hits), tuple(h[0] for h in hits)
+    return SolvedTask(task.task_id, programs, dls, tried, 0.0, stop_reason)
 
 
 class FakeTask:
@@ -280,8 +307,8 @@ def _outcome(result):
 
 def assert_shared_matches_reference(grammar, tasks, budget, library, max_depth):
     """solve_many at jobs 1, 2 and 3 gives every task exactly what a lone
-    search on a list of its own gives it. Returns the reference."""
-    want = {t.task_id: solve(grammar, t, budget, library, max_depth) for t in tasks}
+    search on the closure kernel gives it. Returns the reference."""
+    want = {t.task_id: reference(grammar, t, budget, library, max_depth) for t in tasks}
     for jobs in (1, 2, 3):
         got = solve_many(grammar, tasks, budget, library, max_depth, jobs=jobs)
         assert list(got) == list(want)
@@ -319,6 +346,20 @@ def test_scans_stopping_for_each_reason_share_one_list(maze_grammar):
     assert want["easy"].candidates_tried < want["turn"].candidates_tried == 87
 
 
+def test_empty_window_is_imitated_by_every_candidate(maze_grammar):
+    """A window of no steps has no state to get wrong, so its first top-k
+    candidates imitate it, in a stage of its own and beside a window with
+    states."""
+    empty = FakeTask("empty", "maze", [])
+    easy = FakeTask("easy", "maze", [(maze_state(direction=0), "left")])
+    budget = SearchBudget(timeout_sec=None, max_candidates=50, top_k=3)
+    alone = solve(maze_grammar, empty, budget)
+    assert _outcome(alone) == _outcome(reference(maze_grammar, empty, budget))
+    assert alone.candidates_tried == 3 and alone.stop_reason == "top-k"
+    want = assert_shared_matches_reference(maze_grammar, [easy, empty], budget, (), 6)
+    assert _outcome(want["empty"]) == _outcome(alone)
+
+
 def test_each_distinct_window_is_searched_once(monkeypatch):
     """Tasks with equal steps get exactly what their own searches would give,
     under their own ids, at every `jobs`; copies sit before, between and after
@@ -334,7 +375,7 @@ def test_each_distinct_window_is_searched_once(monkeypatch):
     mixed = [copy(base[8], "front")] + base[:5] + [copy(base[0], "mid")] + base[5:]
     mixed += [copy(t, "back") for t in base[::4]] + [copy(base[0], "back2")]
     budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=2)
-    want = [solve(grammar, t, budget, library, d_max) for t in mixed]
+    want = [reference(grammar, t, budget, library, d_max) for t in mixed]
     for jobs in (1, 2, 3):
         got = solve_many(grammar, mixed, budget, library, d_max, jobs=jobs)
         assert list(got) == [t.task_id for t in mixed]
@@ -355,15 +396,17 @@ def test_each_distinct_window_is_searched_once(monkeypatch):
 
 @pytest.mark.parametrize("learned", [False, True], ids=["no-library", "learned-library"])
 def test_each_candidate_compiled_once_per_stage(monkeypatch, learned):
+    """Each candidate is checked over all of the stage's states by one batch
+    evaluation."""
     grammar, library, tasks, d_max = _stage("spaceinvaders", learned)
     compiled = []
-    compile_term = search.compile_term
+    check = StateBatch.check
 
-    def counting(term, prims):
+    def counting(self, term, prims):
         compiled.append(term)
-        return compile_term(term, prims)
+        return check(self, term, prims)
 
-    monkeypatch.setattr(search, "compile_term", counting)
+    monkeypatch.setattr(StateBatch, "check", counting)
     budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=2)
     got = solve_many(grammar, tasks, budget, library, d_max)
     longest = max(r.candidates_tried for r in got.values())

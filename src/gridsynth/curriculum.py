@@ -16,9 +16,9 @@ byte-identical regardless of --jobs.  run.json names the package version
 that ran.  Each history entry in run.json records the seconds spent in the
 dream, refit, solve and compress stages (stageSec), how many searches stopped
 for each reason (stopReasons) and on their timeout (timeoutStops), and how
-many candidates the solve stage enumerated and checked into its shared
-candidate lists (candidatesCompiled).  A timeout stop depends on machine speed, so a nonzero
-count means the artifacts may differ on another machine.
+many candidates the solve stage enumerated and checked for its shared
+candidate lists (candidatesCompiled).  A timeout stop depends on machine
+speed, so a nonzero count means the artifacts may differ on another machine.
 """
 
 from __future__ import annotations

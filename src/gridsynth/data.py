@@ -329,7 +329,6 @@ def task_set_from_json(doc: dict) -> TaskSet:
 
 
 _EMPTY_GRID = '"grid": []'
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _write_steps_json(doc: dict, items: str, path) -> None:
@@ -337,10 +336,9 @@ def _write_steps_json(doc: dict, items: str, path) -> None:
     is a list of dicts each with a list of `steps`.
 
     With an indent, `json` encodes in pure Python, one call per grid cell, so
-    the grids are left empty for the dump and then joined in as text, a grid
-    of one-digit codes as its digits. Inside a JSON string every quote is
-    escaped, so `"grid": []` in the dump is always a step's grid, in document
-    order."""
+    the grids are left empty for the dump and then joined in as text. Inside
+    a JSON string every quote is escaped, so `"grid": []` in the dump is
+    always a step's grid, in document order."""
     grids = []
     for item in doc[items]:
         for step in item["steps"]:
@@ -352,11 +350,7 @@ def _write_steps_json(doc: dict, items: str, path) -> None:
         if grid:
             line = out[-1][out[-1].rindex("\n") :]  # a newline and the key's indent
             cell = line + "  "
-            if 0 <= min(grid) and max(grid) <= 9:
-                cells = bytes(grid).translate(_DIGITS).decode()
-            else:
-                cells = map(str, grid)
-            out.append('"grid": [' + cell + ("," + cell).join(cells) + line + "]")
+            out.append('"grid": [' + cell + ("," + cell).join(map(str, grid)) + line + "]")
         else:
             out.append(_EMPTY_GRID)
         out.append(piece)

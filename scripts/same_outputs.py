@@ -16,6 +16,12 @@ command is compared too, with the run directory's path masked. It prints a
 count of identical and differing files per configuration and exits 1 if any
 file differs or exists on one side only.
 
+One more check, `compress-corpus`, runs no `gridsynth run`: it calls
+`library.compress` from an empty library on the 229 programs of
+`perfbench/data/asterix-corpus.json`, as perfbench's workload of that name
+does, and writes `library.json`, the `library_report`, the rewritten
+programs and the `repr` of `dl_before` and `dl_after`.
+
 Each configuration runs with `--jobs 1` unless its flags name another
 `--jobs`. The whole set takes a few minutes.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import functools
 import json
 import os
 import re
@@ -64,6 +71,29 @@ CONFIGS = {
     ],
 }
 SKIPPED = {"run.json"}
+CORPUS = ROOT / "perfbench" / "data" / "asterix-corpus.json"
+# the compress-corpus check: one compression of CORPUS, written to argv[2]
+COMPRESS = """
+import json, sys
+from pathlib import Path
+from gridsynth.grammar import refit, uniform_grammar
+from gridsynth.library import compress, library_report, save_library
+from gridsynth.primitives import primitive_table
+from gridsynth.sexpr import parse_program, print_program
+
+doc = json.loads(Path(sys.argv[1]).read_text(encoding="utf-8"))
+prims = primitive_table(doc["envTag"])
+corpus = {e["key"]: parse_program(e["program"], prims) for e in doc["programs"]}
+grammar = refit(uniform_grammar(prims), list(corpus.values()))
+result = compress(corpus, grammar, library=(), max_arity=3)
+out = Path(sys.argv[2])
+save_library(result.library, out / "library.json")
+(out / "library-report.txt").write_text(library_report(result.library) + "\\n")
+(out / "rewritten.txt").write_text(
+    "".join(f"{key} {print_program(t)}\\n" for key, t in result.rewritten.items())
+)
+(out / "dl.txt").write_text(f"{result.dl_before!r} {result.dl_after!r}\\n")
+"""
 # a call of a learned abstraction (f0, f1, ...) in a program's text
 _LIBRARY_CALL = re.compile(r"[( ]f\d+[ )]")
 
@@ -102,7 +132,7 @@ def explained_task(out: Path) -> str | None:
     return None
 
 
-def run(src: Path, flags: list[str], out: Path) -> None:
+def run(flags: list[str], src: Path, out: Path) -> None:
     """One pinned run, then its library report and one explanation bundle."""
     jobs = [] if "--jobs" in flags else ["--jobs", "1"]
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -113,6 +143,21 @@ def run(src: Path, flags: list[str], out: Path) -> None:
     if task is not None:
         stdout = gridsynth(src, ["explain", str(out), "--task", task], out)
         (out / "explain-stdout.txt").write_text(stdout)
+
+
+def compress_corpus(src: Path, out: Path) -> None:
+    """The compress-corpus check: compress CORPUS with `src`, into `out`."""
+    out.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-c", COMPRESS, str(CORPUS), str(out)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"compress-corpus failed with {src}:\n{proc.stderr}")
+
+
+# name -> one callable per run, called with a `src/` and an output directory
+CHECKS = {name: [functools.partial(run, flags) for flags in runs] for name, runs in CONFIGS.items()}
+CHECKS["compress-corpus"] = [compress_corpus]
 
 
 def compare(a: Path, b: Path) -> tuple[int, list[str]]:
@@ -133,22 +178,22 @@ def compare(a: Path, b: Path) -> tuple[int, list[str]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="git revision to compare the working tree with")
-    parser.add_argument("--only", action="append", choices=sorted(CONFIGS), help="run only these configurations")
+    parser.add_argument("--only", action="append", choices=sorted(CHECKS), help="run only these configurations")
     args = parser.parse_args(argv)
     failed = False
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         tmp = Path(tmp)
         sides = {"base": export(args.base, tmp / "base-tree"), "work": ROOT / "src"}
-        for name in args.only or CONFIGS:
+        for name in args.only or CHECKS:
             same, bad = 0, []
-            for i, flags in enumerate(CONFIGS[name]):
+            for i, check in enumerate(CHECKS[name]):
                 outs = {side: tmp / side / f"{name}-{i}" for side in sides}
                 for side, src in sides.items():
-                    run(src, flags, outs[side])
+                    check(src, outs[side])
                 n, diff = compare(outs["base"], outs["work"])
                 same += n
                 bad += [f"{name}-{i}/{rel}" for rel in diff]
-            print(f"{name}: {same} identical, {len(bad)} differ ({len(CONFIGS[name])} runs, run.json skipped)")
+            print(f"{name}: {same} identical, {len(bad)} differ ({len(CHECKS[name])} runs, run.json skipped)")
             for rel in bad:
                 print(f"  differs: {rel}")
             failed |= bool(bad)

@@ -5,9 +5,10 @@ from different corpus programs: mismatching subtrees become argument slots
 (at most three), repeated mismatches share a slot, and slots are numbered by
 first use. Each candidate carries its match set: the programs holding a
 subtree its core matches, found by matching the core against the distinct
-fragments with its head and type, without building terms. Only candidates
-matched in at least two programs are kept. Matching is typed because `if` is
-polymorphic: a core headed by `if` matches only at positions of its own type.
+fragments with its head, argument count and type, without building terms.
+Only candidates matched in at least two programs are kept. Matching is typed
+because `if` is polymorphic: a core headed by `if` matches only at positions
+of its own type.
 
 The greedy compressor scores each candidate by the change in total
 description length (corpus under the extended grammar, rewritten to call the
@@ -19,14 +20,22 @@ priced as those counts times the extended grammar's costs, and only the
 matched programs are rewritten and walked, together with the abstraction
 bodies. The reported dl_before and dl_after are full passes over the corpus.
 
-Each step reuses what it can. The grammar extended with a candidate differs
-from the current one only in the choice set of the candidate's return type,
-so its tables are derived from the current grammar's (`Tables.extend`), once
-per candidate type and request, and kept out of `tables_for`'s cache. The
-anti-unifier of each fragment pair is kept for the whole `compress` call: it
-reads only the two fragments and the signatures of the names in them, and a
-step only adds a name, so pairs from programs that no step rewrote are not
-anti-unified again.
+Each step does only what is new, and each piece of work is done once per
+distinct program: a corpus of solved windows holds many copies of a few
+programs, and copies are counted, walked, rewritten and priced once, with
+their counts and prices multiplied or added per copy so that every sum is
+the one a pass over all programs makes. The grammar extended with a
+candidate differs from the current one only in the choice set of the
+candidate's return type, so its tables are derived from the current
+grammar's (`Tables.extend`), once per candidate type and request, and kept
+out of `tables_for`'s cache; the bodies learned at earlier steps are priced
+under them once per candidate type too. A `compress` call keeps, for all of
+its steps, an int id for each distinct (fragment, type), the fragment ids
+of each distinct program, the anti-unifier of each pair of fragment ids, and
+whether each candidate core matches each fragment id (`_Memo`). A step adds
+a name but changes no signature, so all of these stay valid: only the
+programs that the previous step rewrote are walked again, and only the
+fragments first met in them are anti-unified and matched.
 
 The library is one list, earlier entries first. An abstraction keeps its
 name, body, type and use count; its arity (the body's leading lambdas) and
@@ -78,7 +87,9 @@ from gridsynth.sexpr import parse_program, print_program
 from gridsynth.typecheck import signature_map
 
 LIBRARY_SCHEMA = "gridsynth-library-v1"
-_SLOT_RE = re.compile(r"^\$(\d)$")
+# argument slot name -> slot index: a dict lookup, not a regex match, since
+# `_match` tests every primitive of a core against it
+_SLOTS = {f"${i}": i for i in range(10)}
 _ABS_RE = re.compile(r"^f\d+$")
 _EPS = 1e-9
 _UNSEEN = object()
@@ -119,10 +130,8 @@ def core_to_lambda(core: Term, arity: int) -> Term:
 
     def conv(t: Term) -> Term:
         if isinstance(t, Prim):
-            m = _SLOT_RE.match(t.name)
-            if m:
-                return Var(arity - 1 - int(m.group(1)))
-            return t
+            i = _SLOTS.get(t.name)
+            return t if i is None else Var(arity - 1 - i)
         if isinstance(t, Apply):
             return Apply(conv(t.fn), conv(t.arg))
         raise GridSynthError(f"unexpected node in abstraction core: {t!r}")
@@ -232,7 +241,7 @@ def _anti_unify(t1: Term, t2: Term, ret: Ty, sig: dict, slots: _AuSlots) -> Term
 
 def _non_slot_nodes(core: Term) -> int:
     if isinstance(core, Prim):
-        return 0 if _SLOT_RE.match(core.name) else 1
+        return 0 if core.name in _SLOTS else 1
     if isinstance(core, Apply):
         return _non_slot_nodes(core.fn) + _non_slot_nodes(core.arg)
     return 0
@@ -240,14 +249,13 @@ def _non_slot_nodes(core: Term) -> int:
 
 def _match(core: Term, term: Term, binding: dict) -> bool:
     if isinstance(core, Prim):
-        m = _SLOT_RE.match(core.name)
-        if m:
-            i = int(m.group(1))
-            if i in binding:
-                return binding[i] == term
-            binding[i] = term
-            return True
-        return core == term
+        i = _SLOTS.get(core.name)
+        if i is None:
+            return core == term
+        if i in binding:
+            return binding[i] == term
+        binding[i] = term
+        return True
     if isinstance(core, Apply):
         return (
             isinstance(term, Apply)
@@ -280,33 +288,44 @@ def rewrite(term: Term, cand: _Candidate, name: str, ty: Ty, sig: dict) -> Term:
 
     The core matches only at positions of its own return type: a core headed
     by the polymorphic `if` would otherwise also match an `if` of another
-    type, and the call put there would not be derivable."""
-    if isinstance(term, Lambda):
-        return Lambda(rewrite(term.body, cand, name, ty.dst, sig))
-    head, args = spine(term)
-    if not args or not isinstance(head, Prim):
-        return term
-    binding: dict = {}
-    if ty == cand.ret and _match(cand.core, term, binding):
-        return apply_all(
-            Prim(name),
-            [rewrite(binding[i], cand, name, t, sig) for i, t in enumerate(cand.arg_types)],
-        )
-    arg_ts = arg_types_at(sig[head.name], ty)
-    return apply_all(head, [rewrite(a, cand, name, t, sig) for a, t in zip(args, arg_ts)])
+    type, and the call put there would not be derivable. Nodes whose head
+    or argument count differ from the core's are not matched at all."""
+    core_head, core_args = spine(cand.core)
+    core_name, core_arity = core_head.name, len(core_args)
+
+    def walk(term: Term, ty: Ty) -> Term:
+        if isinstance(term, Lambda):
+            return Lambda(walk(term.body, ty.dst))
+        head, args = spine(term)
+        if not args or not isinstance(head, Prim):
+            return term
+        binding: dict = {}
+        if (
+            head.name == core_name
+            and len(args) == core_arity
+            and ty == cand.ret
+            and _match(cand.core, term, binding)
+        ):
+            return apply_all(
+                Prim(name), [walk(binding[i], t) for i, t in enumerate(cand.arg_types)]
+            )
+        arg_ts = arg_types_at(sig[head.name], ty)
+        return apply_all(head, [walk(a, t) for a, t in zip(args, arg_ts)])
+
+    return walk(term, ty)
 
 
-def _matching_programs(core: Term, fragments: list) -> frozenset:
-    """Programs holding a subterm that `core` matches at the core's type.
-
-    A core is a full application of a primitive, so it can only match a
-    fragment with the same head, argument count and type; `fragments` pairs
-    each such fragment with the programs it occurs in."""
-    found: set = set()
-    for frag, progs in fragments:
-        if not progs <= found and _match(core, frag, {}):
-            found |= progs
-    return frozenset(found)
+def _distinct(terms) -> tuple[list, list]:
+    """The distinct terms, in order of first occurrence, and the indices at
+    which each one occurs."""
+    index: dict = {}
+    groups: list = []
+    for i, term in enumerate(terms):
+        d = index.setdefault(term, len(groups))
+        if d == len(groups):
+            groups.append([])
+        groups[d].append(i)
+    return list(index), groups
 
 
 def _generalize(f1: Term, f2: Term, ty: Ty, sig: dict, max_arity: int):
@@ -320,53 +339,118 @@ def _generalize(f1: Term, f2: Term, ty: Ty, sig: dict, max_arity: int):
     return print_program(core), core, tuple(slots.types)
 
 
+class _Memo:
+    """What one `compress` call keeps across its greedy steps (see the module
+    docstring), keyed by int ids: a fragment id per distinct (fragment,
+    type) and a proposal id per distinct (core text, type) that
+    anti-unification yields. It stays valid while `prims` and `max_arity`
+    stay the same and the library only grows."""
+
+    def __init__(self):
+        self.fragment_ids: dict = {}  # (fragment, type) -> fragment id
+        self.fragments: list = []  # fragment id -> fragment
+        self.buckets: list = []  # fragment id -> (head name, argument count, type)
+        self.programs: dict = {}  # program -> the ids of its typed fragments
+        self.pairs: dict = {}  # (fragment id, fragment id) -> proposal id or None
+        self.proposal_ids: dict = {}  # (core text, type) -> proposal id
+        self.proposals: list = []  # proposal id -> _Candidate with no programs
+        self.matches: list = []  # proposal id -> {fragment id: core matches it}
+
+    def program_fragments(self, program: Term, ret: Ty, sig: dict) -> list:
+        ids = self.programs.get(program)
+        if ids is None:
+            frags: list = []
+            _typed_fragments(peel(program)[1], ret, sig, frags)
+            ids = self.programs[program] = [self._fragment_id(f, ty) for f, ty in frags]
+        return ids
+
+    def _fragment_id(self, frag: Term, ty: Ty) -> int:
+        f = self.fragment_ids.get((frag, ty))
+        if f is None:
+            f = self.fragment_ids[(frag, ty)] = len(self.fragments)
+            head, args = spine(frag)
+            self.fragments.append(frag)
+            self.buckets.append((head.name, len(args), ty) if isinstance(head, Prim) else None)
+        return f
+
+    def proposal(self, f1: int, f2: int, sig: dict, max_arity: int):
+        """The proposal id of the anti-unifier of two fragments of one
+        bucket, or None if `_generalize` rejects it."""
+        ty = self.buckets[f1][2]
+        found = _generalize(self.fragments[f1], self.fragments[f2], ty, sig, max_arity)
+        if found is None:
+            return None
+        text, core, arg_tys = found
+        p = self.proposal_ids.get((text, ty))
+        if p is None:
+            p = self.proposal_ids[(text, ty)] = len(self.proposals)
+            self.proposals.append(_Candidate(core, arg_tys, ty, text, frozenset()))
+            self.matches.append({})
+        return p
+
+
 def propose_candidates(
-    corpus_terms, max_arity: int, prims: PrimTable, library=(), memo: dict | None = None
+    corpus_terms, max_arity: int, prims: PrimTable, library=(), memo: _Memo | None = None
 ) -> list:
     """Candidate patterns (core with $-slots, argTypes, ret), sorted by text.
 
-    `memo`, if given, keeps `_generalize`'s result per fragment pair and type
-    across calls. It is valid while `prims` and `max_arity` stay the same and
-    the library only grows, as within one `compress` call: the result reads
-    only the fragments and the signatures of the names in them. Without it,
-    nothing outlives the call, since a call meets each pair once."""
+    The work is done once per distinct program: a program that occurs many
+    times is walked once, and the programs a fragment occurs in are counted
+    with their repeats. A core matches only fragments with its head,
+    argument count and type, so only those are matched.
+
+    `memo`, if given, is kept by the caller across calls (see `_Memo`), as
+    `compress` keeps one for each call: then each program's fragments are
+    listed, each fragment pair anti-unified and each core matched against
+    each fragment once for the whole call. Without it, nothing outlives the
+    call."""
     if memo is None:
-        memo = {}
+        memo = _Memo()
     sig = signature_map(prims, library)
     ret = return_type(prims.request)
-    frag_progs: dict = {}
-    for pi, term in enumerate(corpus_terms):
-        frags: list = []
-        _typed_fragments(peel(term)[1], ret, sig, frags)
-        for frag, ty in frags:
-            frag_progs.setdefault((frag, ty), set()).add(pi)
+    programs, groups = _distinct(corpus_terms)
+    frag_progs: dict = {}  # fragment id -> the distinct programs holding it
+    for d, program in enumerate(programs):
+        for f in memo.program_fragments(program, ret, sig):
+            frag_progs.setdefault(f, set()).add(d)
     buckets: dict = {}
-    for (frag, ty), progs in frag_progs.items():
-        head, args = spine(frag)
-        if isinstance(head, Prim):
-            buckets.setdefault((head.name, len(args), ty), []).append((frag, progs))
-    seen: dict = {}
-    for (_, _, ty), bucket in sorted(buckets.items(), key=lambda kv: str(kv[0])):
-        for i, (f1, p1) in enumerate(bucket):
-            for f2, p2 in bucket[i:]:
-                if f1 == f2 and len(p1) < 2:
+    for f in frag_progs:
+        key = memo.buckets[f]
+        if key is not None:
+            buckets.setdefault(key, []).append(f)
+    pairs = memo.pairs
+    seen: set = set()
+    for bucket in buckets.values():
+        for i, f1 in enumerate(bucket):
+            p1 = frag_progs[f1]
+            # a fragment of one program only pairs with fragments of others
+            lone = len(p1) == 1 and len(groups[next(iter(p1))]) == 1
+            for f2 in bucket[i:]:
+                if lone and (f1 == f2 or p1 == frag_progs[f2]):
                     continue
-                if f1 != f2 and p1 == p2 and len(p1) < 2:
-                    continue
-                key = (f1, f2, ty)
-                found = memo.get(key, _UNSEEN)
-                if found is _UNSEEN:
-                    found = memo[key] = _generalize(f1, f2, ty, sig, max_arity)
-                if found is not None:
-                    text, core, arg_tys = found
-                    seen.setdefault((text, ty), (core, arg_tys))
+                p = pairs.get((f1, f2), _UNSEEN)
+                if p is _UNSEEN:
+                    p = pairs[(f1, f2)] = memo.proposal(f1, f2, sig, max_arity)
+                if p is not None:
+                    seen.add(p)
     out = []
-    for text, ty in sorted(seen, key=lambda k: (k[0], str(k[1]))):
-        core, arg_tys = seen[(text, ty)]
-        head, args = spine(core)
-        programs = _matching_programs(core, buckets[(head.name, len(args), ty)])
-        if len(programs) >= 2:
-            out.append(_Candidate(core, arg_tys, ty, text, programs))
+    for p in sorted(seen, key=lambda p: (memo.proposals[p].text, str(memo.proposals[p].ret))):
+        cand = memo.proposals[p]
+        matches = memo.matches[p]
+        head, args = spine(cand.core)
+        found: set = set()
+        for f in buckets[(head.name, len(args), cand.ret)]:
+            progs = frag_progs[f]
+            if progs <= found:
+                continue
+            hit = matches.get(f)
+            if hit is None:
+                hit = matches[f] = _match(cand.core, memo.fragments[f], {})
+            if hit:
+                found |= progs
+        indices = frozenset(i for d in found for i in groups[d])
+        if len(indices) >= 2:
+            out.append(dataclasses.replace(cand, programs=indices))
     return out
 
 
@@ -405,63 +489,69 @@ def compress(
     n0 = len(library)
     lib = list(library)
     current = dict(corpus)
+    keys = list(current)
     g = grammar
     dl_before = _total_dl(current, g, request, [])
-    # Anti-unification results outlive a step: only rewritten programs
-    # change, so most fragment pairs recur unchanged.
-    memo: dict = {}
+    memo = _Memo()
     while True:
-        keys = list(current)
         terms = list(current.values())
         candidates = propose_candidates(terms, max_arity, prims, lib, memo)
+        programs, groups = _distinct(terms)
+        owner = {i: d for d, group in enumerate(groups) for i in group}
         sig = signature_map(prims, lib)
         tables = tables_for(g, request)
-        counts = [choice_counts(tables, t) for t in terms]
+        counts = [choice_counts(tables, t) for t in programs]
         corpus_counts: dict = {}
-        for c in counts:
+        for c, group in zip(counts, groups):
             for key, n in c.items():
-                corpus_counts[key] = corpus_counts.get(key, 0) + n
-        now = counts_dl(tables, corpus_counts) + sum(_body_dl(a, g) for a in lib[n0:])
+                corpus_counts[key] = corpus_counts.get(key, 0) + n * len(group)
+        earlier = lib[n0:]
+        now = counts_dl(tables, corpus_counts) + sum(_body_dl(a, g) for a in earlier)
         name = f"f{_next_index(lib)}"
         # The extended grammar depends only on the candidate's type, so each
         # step derives its tables once per candidate type and request, from
-        # the current grammar's tables for that request.
+        # the current grammar's tables for that request, and prices the
+        # earlier bodies under them once.
         base = {request: tables}
         extended: dict = {}
         best = None
         for cand in candidates:
             abs_ = _abstraction_from(cand, name)
-            bodies = lib[n0:] + [abs_]
             g2 = add_abstractions(g, [abs_])
             if abs_.type not in extended:
-                requests = {request, *(a.type for a in bodies)}
+                requests = {request, abs_.type, *(a.type for a in earlier)}
                 for r in requests - base.keys():
                     base[r] = tables_for(g, r)
-                extended[abs_.type] = {r: base[r].extend(g2) for r in requests}
-            tables2 = extended[abs_.type]
+                tables2 = {r: base[r].extend(g2) for r in requests}
+                earlier_dl = sum(term_dl(tables2[a.type], a.body) for a in earlier)
+                extended[abs_.type] = tables2, earlier_dl
+            tables2, earlier_dl = extended[abs_.type]
             # Programs without a match keep their derivation; only the
             # choice costs change, so they are priced from their counts.
+            # A matched program is rewritten and priced once however often
+            # it occurs, and its price is added once per occurrence.
             untouched = dict(corpus_counts)
-            rewritten = {}
+            rewritten: dict = {}  # distinct program -> (rewritten term, its DL)
             touched_dl = 0.0
             for i in sorted(cand.programs):
-                for key, n in counts[i].items():
-                    untouched[key] -= n
-                term = rewrite(terms[i], cand, name, request, sig)
-                rewritten[keys[i]] = term
-                touched_dl += term_dl(tables2[request], term)
-            total = (
-                counts_dl(tables2[request], untouched)
-                + touched_dl
-                + sum(term_dl(tables2[a.type], a.body) for a in bodies)
-            )
+                d = owner[i]
+                if d not in rewritten:
+                    for key, n in counts[d].items():
+                        untouched[key] -= n * len(groups[d])
+                    term = rewrite(programs[d], cand, name, request, sig)
+                    rewritten[d] = term, term_dl(tables2[request], term)
+                touched_dl += rewritten[d][1]
+            bodies_dl = earlier_dl + term_dl(tables2[abs_.type], abs_.body)
+            total = counts_dl(tables2[request], untouched) + touched_dl + bodies_dl
             gain = now - total
             if gain > _EPS and (best is None or gain > best[0] + _EPS):
                 best = (gain, abs_, g2, rewritten)
         if best is None:
             break
         _, abs_, g, rewritten = best
-        current = {tid: rewritten.get(tid, t) for tid, t in current.items()}
+        for d, (term, _) in rewritten.items():
+            for i in groups[d]:
+                current[keys[i]] = term
         lib.append(abs_)
     lib, current = _drop_underused(lib, n0, current)
     g = add_abstractions(grammar, lib)

@@ -1,6 +1,7 @@
 """Library-learning contracts: proposals, MDL compression, expansion."""
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from gridsynth.grammar import (
     sample_program,
     uniform_grammar,
 )
+from gridsynth import library as library_module
 from gridsynth.interp import exec_program
 from gridsynth.kernel import compile_term, execute
 from gridsynth.lang import ACTION, INT, MAP, MAP_OBJECT, arrow
@@ -140,6 +142,19 @@ def reference_compress(corpus, grammar, library=(), max_arity=3):
     )
 
 
+def duplicated_corpus(grammar, seed, copies=40):
+    """The ten largest of 60 sampled programs, the largest of them `copies`
+    times more and the next three times more, shuffled; each copy is a term
+    of its own."""
+    rng = random.Random(seed)
+    seeds = [rng.randrange(1 << 30) for _ in range(60)]
+    sizes = {print_program(sample_program(grammar, 5, s)): s for s in seeds}
+    largest = [sizes[text] for text in sorted(sizes, key=len, reverse=True)[:10]]
+    draws = largest + [largest[0]] * copies + [largest[1]] * 3
+    rng.shuffle(draws)
+    return {f"p{i}": sample_program(grammar, 5, s) for i, s in enumerate(draws)}
+
+
 def assert_matches_reference(corpus, grammar, library=()):
     want = reference_compress(corpus, grammar, library=library)
     got = compress(corpus, grammar, library=library)
@@ -151,16 +166,37 @@ def assert_matches_reference(corpus, grammar, library=()):
     assert got.dl_after == want.dl_after
 
 
-def assert_match_sets(corpus, prims, library=()):
-    terms = list(corpus.values())
-    sig = signature_map(prims, library)
-    for cand in propose_candidates(terms, 3, prims, library):
-        by_rewrite = {
-            i
-            for i, t in enumerate(terms)
-            if count_calls(rewrite(t, cand, "$match", prims.request, sig), "$match")
-        }
-        assert cand.programs == by_rewrite, cand.text
+def compress_steps(corpus, grammar, library=()):
+    """`compress`'s result and, per greedy step, the corpus programs, the
+    library and the candidates that the step scored."""
+    steps = []
+    propose = library_module.propose_candidates
+
+    def recording(terms, max_arity, prims, lib, memo):
+        candidates = propose(terms, max_arity, prims, lib, memo)
+        steps.append((list(terms), list(lib), candidates))
+        return candidates
+
+    with mock.patch.object(library_module, "propose_candidates", recording):
+        result = compress(corpus, grammar, library=library)
+    return result, steps
+
+
+def assert_match_sets(corpus, grammar, library=()):
+    """At every greedy step, each candidate's match set is the set of
+    programs that rewriting with it changes; returns the steps."""
+    prims = primitive_table(grammar.env_tag)
+    _, steps = compress_steps(corpus, grammar, library)
+    for terms, lib, candidates in steps:
+        sig = signature_map(prims, lib)
+        for cand in candidates:
+            by_rewrite = {
+                i
+                for i, t in enumerate(terms)
+                if count_calls(rewrite(t, cand, "$match", prims.request, sig), "$match")
+            }
+            assert cand.programs == by_rewrite, cand.text
+    return steps
 
 
 def calls(term):
@@ -207,6 +243,14 @@ class TestProposals:
         key = "(eq-obj? wall-obj (get $0 1 0))"
         assert key in by_text and by_text[key].arity == 1
         # the map argument is a program variable, so one slot remains
+
+    def test_repeated_program_proposed_whole(self):
+        """A program that occurs twice pairs with its own copy; a program
+        that occurs once pairs with nothing."""
+        twice = [wall_check(1, 0), wall_check(1, 0)]
+        texts = {c.text for c in propose_candidates(twice, 3, PRIMS)}
+        assert "(if (eq-obj? wall-obj (get $0 1 0)) left-action forward-action)" in texts
+        assert propose_candidates([wall_check(1, 0)], 3, PRIMS) == []
 
     def test_if_core_rewrites_only_at_its_type(self):
         cond = "(eq-obj? wall-obj (get x 1 0))"
@@ -299,20 +343,20 @@ class TestScoringMatchesReference:
 
     def test_ten_program_corpus(self):
         assert_matches_reference(ten_program_corpus(), uniform_grammar(PRIMS))
-        assert_match_sets(ten_program_corpus(), PRIMS)
+        assert_match_sets(ten_program_corpus(), uniform_grammar(PRIMS))
 
     def test_fuzzed_corpora(self):
         grammar = uniform_grammar(PRIMS)
         for corpus in fuzzed_corpora():
             assert_matches_reference(corpus, grammar)
-            assert_match_sets(corpus, PRIMS)
+            assert_match_sets(corpus, grammar)
 
     def test_fuzzed_corpora_with_starting_library(self):
         base = compress(ten_program_corpus(), uniform_grammar(PRIMS))
         for corpus in fuzzed_corpora():
             corpus = {**corpus, **base.rewritten}
             assert_matches_reference(corpus, base.grammar, base.library)
-            assert_match_sets(corpus, PRIMS, base.library)
+            assert_match_sets(corpus, base.grammar, base.library)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -330,7 +374,7 @@ class TestScoringMatchesReference:
             grammar, library = first.grammar, first.library
         corpus = sampled_corpus(grammar, prims, seeds, d_max)
         assert_matches_reference(corpus, grammar, library)
-        assert_match_sets(corpus, prims, library)
+        assert_match_sets(corpus, grammar, library)
 
 
     def test_polymorphic_if_core_with_learned_library(self):
@@ -348,7 +392,37 @@ class TestScoringMatchesReference:
                 expand(term, first.library), expand(res.rewritten[tid], res.library), states
             )
         assert_matches_reference(corpus, first.grammar, first.library)
-        assert_match_sets(corpus, PRIMS, first.library)
+        assert_match_sets(corpus, first.grammar, first.library)
+
+    @pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
+    def test_heavily_duplicated_corpus(self, env_tag):
+        """One program repeated dozens of times among a few others, as in a
+        solved corpus where most windows share one program."""
+        prims = primitive_table(env_tag)
+        grammar = uniform_grammar(prims)
+        corpus = duplicated_corpus(grammar, seed=4)
+        assert len(set(corpus.values())) < len(corpus) / 4
+        assert_matches_reference(corpus, grammar)
+        steps = assert_match_sets(corpus, grammar)
+        assert len(steps) > 1
+
+    def test_later_steps_match_rewritten_programs(self):
+        """Programs that one step rewrote are matched by a later step's
+        best candidate and rewritten again."""
+        corpus = {
+            **ten_program_corpus(),
+            **{f"d{i}": wall_check(1, 0) for i in range(12)},
+            **{f"e{i}": wall_check(0, 1, then="right-action") for i in range(5)},
+        }
+        grammar = uniform_grammar(PRIMS)
+        assert_matches_reference(corpus, grammar)
+        steps = assert_match_sets(corpus, grammar)
+        programs = [terms for terms, _, _ in steps]
+        changes = [
+            sum(before[i] != after[i] for before, after in zip(programs, programs[1:]))
+            for i in range(len(corpus))
+        ]
+        assert max(changes) >= 2
 
 
 def chain_library():

@@ -17,8 +17,10 @@ that ran.  Each history entry in run.json records the seconds spent in the
 dream, refit, solve and compress stages (stageSec), how many searches stopped
 for each reason (stopReasons) and on their timeout (timeoutStops), and how
 many candidates the solve stage enumerated and checked for its shared
-candidate lists (candidatesCompiled).  A timeout stop depends on machine
-speed, so a nonzero count means the artifacts may differ on another machine.
+candidate lists (candidatesCompiled).  compressCandidates counts the greedy
+steps of the compress stage, the candidates it bounded and those it priced
+exactly.  A timeout stop depends on machine speed, so a nonzero count means
+the artifacts may differ on another machine.
 """
 
 from __future__ import annotations
@@ -345,6 +347,7 @@ def run_curriculum(config: RunConfig) -> dict:
                 "timeoutStops": stop_reasons["timeout"],
                 "stopReasons": stop_reasons,
                 "candidatesCompiled": results.candidates_compiled,
+                "compressCandidates": res.candidate_counts,
                 "stageSec": stage_sec,
                 "wallTimeSec": time.monotonic() - t0,
             }

@@ -103,7 +103,8 @@ class Tables:
 
     `extend` derives the tables of a grammar with productions appended, as
     `add_abstractions` makes it, by rebuilding only the choice sets those
-    productions join; compression prices each candidate that way. `min_depth`
+    productions join and their `by_head` entries; compression prices each
+    candidate that way. `min_depth`
     and `min_dl` are computed on first use, since compression reads neither.
     """
 
@@ -152,7 +153,9 @@ class Tables:
                 changed.add(ty)
         for ty in changed:
             new.choices[ty] = new._choice_set(ty)
-        new.by_head = _index_heads(new.choices)
+        # a changed choice set keeps every choice it had, so its new entries
+        # replace all of its old ones
+        new.by_head = {**self.by_head, **_index_heads({ty: new.choices[ty] for ty in changed})}
         new._sites = {}
         return new
 

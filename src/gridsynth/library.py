@@ -6,19 +6,46 @@ from different corpus programs: mismatching subtrees become argument slots
 first use. Each candidate carries its match set: the programs holding a
 subtree its core matches, found by matching the core against the distinct
 fragments with its head, argument count and type, without building terms.
+It also carries `hits`, the occurrences of those fragments, copies included.
 Only candidates matched in at least two programs are kept. Matching is typed
 because `if` is polymorphic: a core headed by `if` matches only at positions
 of its own type.
 
-The greedy compressor scores each candidate by the change in total
+The greedy compressor scores each candidate by its gain: the drop in total
 description length (corpus under the extended grammar, rewritten to call the
-candidate, plus the candidate body stored once) and keeps accepting the best
-candidate while that total strictly drops. Scoring touches only the match
-set: each greedy step counts every program's uses of each (type, production)
-once, the programs outside the match set keep their derivations and are
-priced as those counts times the extended grammar's costs, and only the
-matched programs are rewritten and walked, together with the abstraction
-bodies. The reported dl_before and dl_after are full passes over the corpus.
+candidate, plus the candidate body stored once). It keeps accepting the best
+candidate while that total strictly drops. Candidates are taken in text
+order, and one replaces the best only if its gain exceeds the threshold:
+`_EPS` before any is kept, then the best gain plus `_EPS`.
+
+A candidate is priced exactly only if a cheap upper bound on its gain can
+beat the threshold. Say it returns ρ. Under the extended program-request
+tables, `core` is the DL of its core's non-slot nodes at ρ and `call` the
+cost of the new production at ρ. `hits` counts every occurrence, copies
+included, of every fragment the core matches. Rewriting replaces at most
+`hits` occurrences, each by a call whose arguments are the slots' subtrees
+at the same types; the rest of every derivation keeps its choices. So the
+corpus costs at least its current choice counts priced under the extended
+tables, less hits · max(0, core - call). Those counts grow by `growth`: the
+new production joins ρ's choice set and raises the cost of every other
+choice there. The earlier bodies grow the same way, which the bound leaves
+out, and the new body costs its DL. So the gain is at most
+hits · max(0, core - call) - growth - body.
+A core that uses a slot twice also drops a duplicate argument, which this
+does not cover; such a candidate is always priced. A candidate is skipped
+only if its bound is below the threshold by `_SLACK` of the step's DL,
+since the bound adds its floats in another order than the exact price: each
+is a sum of far fewer than 10^5 terms whose sizes add up to a few times the
+step's DL, so each is within about 10^-10 of the step's DL of its real
+value. A skipped candidate cannot be the step's winner, so every step keeps
+the winner that pricing every candidate finds.
+
+Exact pricing touches only the match set: each greedy step counts every
+program's uses of each (type, production) once, the programs outside the
+match set keep their derivations and are priced as those counts times the
+extended grammar's costs, and only the matched programs are rewritten and
+walked, together with the abstraction bodies. The reported dl_before and
+dl_after are full passes over the corpus.
 
 Each step does only what is new, and each piece of work is done once per
 distinct program: a corpus of solved windows holds many copies of a few
@@ -28,14 +55,16 @@ the one a pass over all programs makes. The grammar extended with a
 candidate differs from the current one only in the choice set of the
 candidate's return type, so its tables are derived from the current
 grammar's (`Tables.extend`), once per candidate type and request, and kept
-out of `tables_for`'s cache; the bodies learned at earlier steps are priced
-under them once per candidate type too. A `compress` call keeps, for all of
-its steps, an int id for each distinct (fragment, type), the fragment ids
-of each distinct program, the anti-unifier of each pair of fragment ids, and
-whether each candidate core matches each fragment id (`_Memo`). A step adds
-a name but changes no signature, so all of these stay valid: only the
-programs that the previous step rewrote are walked again, and only the
-fragments first met in them are anti-unified and matched.
+out of `tables_for`'s cache. A step starts from the tables that the previous
+step's winner was priced under, and brings the tables of other requests up
+to date with `Tables.extend` too, so a call builds tables afresh only for a
+request it has not met. A `compress` call keeps, for all of its steps, an
+int id for each distinct (fragment, type), the fragment ids of each distinct
+program, the anti-unifier of each pair of fragment ids, and whether each
+candidate core matches each fragment id (`_Memo`). A step adds a name but
+changes no signature, so all of these stay valid: only the programs that the
+previous step rewrote are walked again, and only the fragments first met in
+them are anti-unified and matched.
 
 The library is one list, earlier entries first. An abstraction keeps its
 name, body, type and use count; its arity (the body's leading lambdas) and
@@ -52,6 +81,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +89,7 @@ from pathlib import Path
 from gridsynth.errors import GridSynthError, UnknownAbstractionError
 from gridsynth.grammar import (
     Grammar,
+    Tables,
     add_abstractions,
     choice_counts,
     counts_dl,
@@ -92,6 +123,9 @@ LIBRARY_SCHEMA = "gridsynth-library-v1"
 _SLOTS = {f"${i}": i for i in range(10)}
 _ABS_RE = re.compile(r"^f\d+$")
 _EPS = 1e-9
+# A candidate is priced exactly unless its bound is below the step's
+# threshold by this share of the step's DL (see the module docstring).
+_SLACK = 1e-9
 _UNSEEN = object()
 
 
@@ -123,6 +157,9 @@ class CompressionResult:
     rewritten: dict
     dl_before: float
     dl_after: float
+    # {"steps": greedy steps, the last of which accepts nothing, "scored":
+    # candidates bounded, "priced": candidates priced exactly}
+    candidate_counts: dict = dataclasses.field(default_factory=dict)
 
 
 def core_to_lambda(core: Term, arity: int) -> Term:
@@ -272,10 +309,15 @@ class _Candidate:
     ret: Ty
     text: str
     programs: frozenset  # indices of the corpus programs containing a match
+    hits: int = 0  # occurrences of the fragments it matches, copies included
 
     @property
     def arity(self) -> int:
         return len(self.arg_types)
+
+    @property
+    def repeats_slot(self) -> bool:
+        return sum(1 for p in _prims_in(self.core) if p.name in _SLOTS) > self.arity
 
     @property
     def type(self) -> Ty:
@@ -397,7 +439,8 @@ def propose_candidates(
     The work is done once per distinct program: a program that occurs many
     times is walked once, and the programs a fragment occurs in are counted
     with their repeats. A core matches only fragments with its head,
-    argument count and type, so only those are matched.
+    argument count and type, so only those are matched, every one of them:
+    each candidate's `hits` adds up the occurrences of all it matches.
 
     `memo`, if given, is kept by the caller across calls (see `_Memo`), as
     `compress` keeps one for each call: then each program's fragments are
@@ -410,9 +453,11 @@ def propose_candidates(
     ret = return_type(prims.request)
     programs, groups = _distinct(corpus_terms)
     frag_progs: dict = {}  # fragment id -> the distinct programs holding it
+    frag_uses: dict = {}  # fragment id -> its occurrences, copies included
     for d, program in enumerate(programs):
         for f in memo.program_fragments(program, ret, sig):
             frag_progs.setdefault(f, set()).add(d)
+            frag_uses[f] = frag_uses.get(f, 0) + len(groups[d])
     buckets: dict = {}
     for f in frag_progs:
         key = memo.buckets[f]
@@ -439,18 +484,17 @@ def propose_candidates(
         matches = memo.matches[p]
         head, args = spine(cand.core)
         found: set = set()
+        hits = 0
         for f in buckets[(head.name, len(args), cand.ret)]:
-            progs = frag_progs[f]
-            if progs <= found:
-                continue
             hit = matches.get(f)
             if hit is None:
                 hit = matches[f] = _match(cand.core, memo.fragments[f], {})
             if hit:
-                found |= progs
+                found |= frag_progs[f]
+                hits += frag_uses[f]
         indices = frozenset(i for d in found for i in groups[d])
         if len(indices) >= 2:
-            out.append(dataclasses.replace(cand, programs=indices))
+            out.append(dataclasses.replace(cand, programs=indices, hits=hits))
     return out
 
 
@@ -480,6 +524,119 @@ def _total_dl(corpus: dict, grammar: Grammar, request: Ty, bodies) -> float:
     return _corpus_dl(corpus, grammar, request) + sum(_body_dl(a, grammar) for a in bodies)
 
 
+def _tables_at(cache: dict, grammar: Grammar, request: Ty) -> Tables:
+    """`grammar`'s tables for `request`. `cache` maps a request to the tables
+    of `grammar` or of a grammar that `grammar` extends; those are brought up
+    to date with `Tables.extend` and kept."""
+    tables = cache.get(request)
+    if tables is None:
+        tables = tables_for(grammar, request)
+    elif tables.grammar is not grammar:
+        tables = tables.extend(grammar)
+    cache[request] = tables
+    return tables
+
+
+def _core_dl(tables: Tables, core: Term, ty: Ty) -> float:
+    """The DL of the core's nodes other than its slots, derived at `ty`."""
+    head, args = spine(core)
+    if head.name in _SLOTS:
+        return 0.0
+    c = tables.by_head[(ty, head.name)]
+    total = c.cost
+    for a, aty in zip(args, c.args):
+        total += _core_dl(tables, a, aty)
+    return total
+
+
+class _Extension:
+    """A step's grammar extended with the production of one candidate type,
+    and its tables: for the program request and the type at first, and for
+    the types of the bodies learned at earlier steps once a candidate of the
+    type is priced exactly."""
+
+    def __init__(self, step: "_Step", abs_: Abstraction):
+        self.grammar = add_abstractions(step.g, [abs_])
+        self.tables = {
+            r: _tables_at(step.cache, step.g, r).extend(self.grammar)
+            for r in (step.request, abs_.type)
+        }
+        # how much the DL of the corpus counts grows
+        self.growth = counts_dl(self.tables[step.request], step.corpus_counts) - step.corpus_dl
+        self.earlier_dl: float | None = None
+
+
+class _Step:
+    """One greedy step of `compress`: the corpus and the bodies learned at
+    earlier steps under the current grammar `g`, and the bound and the exact
+    gain of a candidate against them (see the module docstring). `cache` is
+    the call's tables cache (`_tables_at`)."""
+
+    def __init__(self, terms, g: Grammar, earlier, name: str, request: Ty, sig: dict, cache):
+        self.g, self.earlier, self.name, self.request, self.sig = g, earlier, name, request, sig
+        self.cache = cache
+        self.programs, self.groups = _distinct(terms)
+        self.owner = {i: d for d, group in enumerate(self.groups) for i in group}
+        tables = _tables_at(cache, g, request)
+        self.counts = [choice_counts(tables, t) for t in self.programs]
+        self.corpus_counts: dict = {}
+        for c, group in zip(self.counts, self.groups):
+            for key, n in c.items():
+                self.corpus_counts[key] = self.corpus_counts.get(key, 0) + n * len(group)
+        self.corpus_dl = counts_dl(tables, self.corpus_counts)
+        self.now = self.corpus_dl + sum(
+            term_dl(_tables_at(cache, g, a.type), a.body) for a in earlier
+        )
+        self.extended: dict = {}  # candidate type -> _Extension
+
+    def extension(self, abs_: Abstraction) -> _Extension:
+        """The extension by `abs_`, made once per candidate type: the
+        extended grammar depends only on the type."""
+        ext = self.extended.get(abs_.type)
+        if ext is None:
+            ext = self.extended[abs_.type] = _Extension(self, abs_)
+        return ext
+
+    def bound(self, cand: _Candidate, abs_: Abstraction) -> float:
+        """An upper bound on the gain of accepting `cand` as `abs_`."""
+        if cand.repeats_slot:
+            return math.inf
+        ext = self.extension(abs_)
+        tables = ext.tables[self.request]
+        saved = _core_dl(tables, cand.core, cand.ret) - tables.by_head[(cand.ret, self.name)].cost
+        body_dl = term_dl(ext.tables[abs_.type], abs_.body)
+        return cand.hits * max(0.0, saved) - ext.growth - body_dl
+
+    def gain(self, cand: _Candidate, abs_: Abstraction) -> tuple[float, dict]:
+        """The drop in total DL from accepting `cand` as `abs_`, and the
+        matched distinct programs rewritten: {index: term}."""
+        ext = self.extension(abs_)
+        if ext.earlier_dl is None:
+            for a in self.earlier:
+                if a.type not in ext.tables:
+                    ext.tables[a.type] = _tables_at(self.cache, self.g, a.type).extend(ext.grammar)
+            ext.earlier_dl = sum(term_dl(ext.tables[a.type], a.body) for a in self.earlier)
+        tables = ext.tables[self.request]
+        # Programs without a match keep their derivation; only the choice
+        # costs change, so they are priced from their counts. A matched
+        # program is rewritten and priced once however often it occurs, and
+        # its price is added once per occurrence.
+        untouched = dict(self.corpus_counts)
+        rewritten: dict = {}  # distinct program -> (rewritten term, its DL)
+        touched_dl = 0.0
+        for i in sorted(cand.programs):
+            d = self.owner[i]
+            if d not in rewritten:
+                for key, n in self.counts[d].items():
+                    untouched[key] -= n * len(self.groups[d])
+                term = rewrite(self.programs[d], cand, self.name, self.request, self.sig)
+                rewritten[d] = term, term_dl(tables, term)
+            touched_dl += rewritten[d][1]
+        bodies_dl = ext.earlier_dl + term_dl(ext.tables[abs_.type], abs_.body)
+        total = counts_dl(tables, untouched) + touched_dl + bodies_dl
+        return self.now - total, {d: term for d, (term, _) in rewritten.items()}
+
+
 def compress(
     corpus: dict, grammar: Grammar, library=(), max_arity: int = 3
 ) -> CompressionResult:
@@ -493,69 +650,41 @@ def compress(
     g = grammar
     dl_before = _total_dl(current, g, request, [])
     memo = _Memo()
+    cache: dict = {}
+    tally = {"steps": 0, "scored": 0, "priced": 0}
     while True:
         terms = list(current.values())
         candidates = propose_candidates(terms, max_arity, prims, lib, memo)
-        programs, groups = _distinct(terms)
-        owner = {i: d for d, group in enumerate(groups) for i in group}
         sig = signature_map(prims, lib)
-        tables = tables_for(g, request)
-        counts = [choice_counts(tables, t) for t in programs]
-        corpus_counts: dict = {}
-        for c, group in zip(counts, groups):
-            for key, n in c.items():
-                corpus_counts[key] = corpus_counts.get(key, 0) + n * len(group)
-        earlier = lib[n0:]
-        now = counts_dl(tables, corpus_counts) + sum(_body_dl(a, g) for a in earlier)
-        name = f"f{_next_index(lib)}"
-        # The extended grammar depends only on the candidate's type, so each
-        # step derives its tables once per candidate type and request, from
-        # the current grammar's tables for that request, and prices the
-        # earlier bodies under them once.
-        base = {request: tables}
-        extended: dict = {}
+        step = _Step(terms, g, lib[n0:], f"f{_next_index(lib)}", request, sig, cache)
+        slack = _SLACK * step.now
         best = None
         for cand in candidates:
-            abs_ = _abstraction_from(cand, name)
-            g2 = add_abstractions(g, [abs_])
-            if abs_.type not in extended:
-                requests = {request, abs_.type, *(a.type for a in earlier)}
-                for r in requests - base.keys():
-                    base[r] = tables_for(g, r)
-                tables2 = {r: base[r].extend(g2) for r in requests}
-                earlier_dl = sum(term_dl(tables2[a.type], a.body) for a in earlier)
-                extended[abs_.type] = tables2, earlier_dl
-            tables2, earlier_dl = extended[abs_.type]
-            # Programs without a match keep their derivation; only the
-            # choice costs change, so they are priced from their counts.
-            # A matched program is rewritten and priced once however often
-            # it occurs, and its price is added once per occurrence.
-            untouched = dict(corpus_counts)
-            rewritten: dict = {}  # distinct program -> (rewritten term, its DL)
-            touched_dl = 0.0
-            for i in sorted(cand.programs):
-                d = owner[i]
-                if d not in rewritten:
-                    for key, n in counts[d].items():
-                        untouched[key] -= n * len(groups[d])
-                    term = rewrite(programs[d], cand, name, request, sig)
-                    rewritten[d] = term, term_dl(tables2[request], term)
-                touched_dl += rewritten[d][1]
-            bodies_dl = earlier_dl + term_dl(tables2[abs_.type], abs_.body)
-            total = counts_dl(tables2[request], untouched) + touched_dl + bodies_dl
-            gain = now - total
-            if gain > _EPS and (best is None or gain > best[0] + _EPS):
-                best = (gain, abs_, g2, rewritten)
+            abs_ = _abstraction_from(cand, step.name)
+            threshold = _EPS if best is None else best[0] + _EPS
+            if step.bound(cand, abs_) <= threshold - slack:
+                continue
+            tally["priced"] += 1
+            gain, rewritten = step.gain(cand, abs_)
+            if gain > threshold:
+                best = (gain, abs_, rewritten)
+        tally["steps"] += 1
+        tally["scored"] += len(candidates)
         if best is None:
             break
-        _, abs_, g, rewritten = best
-        for d, (term, _) in rewritten.items():
-            for i in groups[d]:
+        _, abs_, rewritten = best
+        # the next step starts from the tables the winner was priced under
+        ext = step.extended[abs_.type]
+        g = ext.grammar
+        cache.update(ext.tables)
+        for d, term in rewritten.items():
+            for i in step.groups[d]:
                 current[keys[i]] = term
         lib.append(abs_)
     lib, current = _drop_underused(lib, n0, current)
     g = add_abstractions(grammar, lib)
-    counted = [dataclasses.replace(a, use_count=_uses(a.name, current, lib)) for a in lib]
+    uses = _use_counts(current, lib)
+    counted = [dataclasses.replace(a, use_count=uses[a.name]) for a in lib]
     return CompressionResult(
         grammar=g,
         library=tuple(counted),
@@ -563,14 +692,20 @@ def compress(
         rewritten=current,
         dl_before=dl_before,
         dl_after=_total_dl(current, g, request, counted[n0:]),
+        candidate_counts=tally,
     )
 
 
-def _uses(name: str, corpus: dict, lib) -> int:
-    """Calls of the abstraction `name` in the corpus programs and in the
-    bodies of the library's other abstractions."""
-    uses = sum(count_calls(t, name) for t in corpus.values())
-    return uses + sum(count_calls(b.body, name) for b in lib if b.name != name)
+def _use_counts(corpus: dict, lib) -> dict:
+    """Calls of each abstraction of `lib` in the corpus programs and in the
+    bodies of the library's other abstractions, counted in one walk."""
+    uses = dict.fromkeys((a.name for a in lib), 0)
+    walks = [(t, None) for t in corpus.values()] + [(a.body, a.name) for a in lib]
+    for term, own in walks:
+        for p in _prims_in(term):
+            if p.name in uses and p.name != own:
+                uses[p.name] += 1
+    return uses
 
 
 def _drop_underused(lib, n0, corpus):
@@ -578,7 +713,8 @@ def _drop_underused(lib, n0, corpus):
     added ones) that are used fewer than twice."""
     lib = list(lib)
     while True:
-        victim = next((a for a in lib[n0:] if _uses(a.name, corpus, lib) < 2), None)
+        uses = _use_counts(corpus, lib)
+        victim = next((a for a in lib[n0:] if uses[a.name] < 2), None)
         if victim is None:
             return lib, corpus
         defs = {victim.name: victim.body}

@@ -263,6 +263,20 @@ class TestRunRecord:
             longest = max((e["candidatesTried"] for e in solved["solved"]), default=0)
             assert longest <= h["candidatesCompiled"] <= cfg.programs_per_task
 
+    def test_compress_candidates_in_history(self, micro_run):
+        _, doc, out = micro_run
+        for h in doc["history"]:
+            counts = h["compressCandidates"]
+            assert list(counts) == ["steps", "scored", "priced"]
+            # every greedy step but the last accepts one abstraction, and
+            # only candidates bounded can be priced
+            assert len(h["newAbstractions"]) <= counts["steps"] - 1
+            assert counts["steps"] - 1 <= counts["priced"] <= counts["scored"]
+            it = out / f"iter-{h['iteration']}"
+            for name in ("report.json", "library.json", "solved.json"):
+                assert "compressCandidates" not in (it / name).read_text()
+        assert any(h["compressCandidates"]["scored"] > 0 for h in doc["history"])
+
     def test_version_recorded(self, micro_run):
         _, doc, out = micro_run
         assert doc["version"] == __version__

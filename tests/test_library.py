@@ -1,6 +1,9 @@
 """Library-learning contracts: proposals, MDL compression, expansion."""
+import dataclasses
+import json
 import random
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -16,6 +19,7 @@ from gridsynth.errors import (
 from gridsynth.grammar import (
     add_abstractions,
     description_length,
+    refit,
     sample_program,
     uniform_grammar,
 )
@@ -423,6 +427,139 @@ class TestScoringMatchesReference:
             for i in range(len(corpus))
         ]
         assert max(changes) >= 2
+
+
+def bounds_and_gains(corpus, grammar, library=()):
+    """For every candidate of every greedy step of `compress`: the candidate,
+    its bound, its exact gain, and the slack that `compress` allows the bound
+    at that step. The exact gain is priced as `reference_compress` prices
+    it: every program rewritten and the whole corpus and every body
+    rescored with `description_length`."""
+    request = primitive_table(grammar.env_tag).request
+
+    def total_dl(programs, g, bodies):
+        return sum(description_length(g, t, request) for t in programs) + sum(
+            description_length(g, a.body, a.type) for a in bodies
+        )
+
+    made = []
+    step_class = library_module._Step
+
+    def recording_step(*args):
+        made.append(step_class(*args))
+        return made[-1]
+
+    with mock.patch.object(library_module, "_Step", recording_step):
+        _, steps = compress_steps(corpus, grammar, library)
+    assert len(made) == len(steps)
+    out = []
+    for step, (terms, _, candidates) in zip(made, steps):
+        now = total_dl(terms, step.g, step.earlier)
+        for cand in candidates:
+            abs_ = _abstraction_from(cand, step.name)
+            rewritten = [rewrite(t, cand, step.name, request, step.sig) for t in terms]
+            g2 = add_abstractions(step.g, [abs_])
+            gain = now - total_dl(rewritten, g2, [*step.earlier, abs_])
+            out.append((cand, step.bound(cand, abs_), gain, library_module._SLACK * step.now))
+    return out
+
+
+def bound_violations(corpus, grammar, library=()):
+    """The candidates whose exact gain exceeds their bound by more than the
+    slack, as (text, bound, gain)."""
+    return [
+        (cand.text, bound, gain)
+        for cand, bound, gain, slack in bounds_and_gains(corpus, grammar, library)
+        if gain > bound + slack
+    ]
+
+
+def learned_start(env_tag):
+    """A uniform grammar and library learned from 12 sampled programs."""
+    prims = primitive_table(env_tag)
+    grammar = uniform_grammar(prims)
+    first = compress(sampled_corpus(grammar, prims, range(12), 5), grammar)
+    return first.grammar, first.library
+
+
+class TestGainBound:
+    """`compress` prices a candidate exactly only when a bound on its gain
+    can beat the step's best; the bound must never be below the gain."""
+
+    def test_fuzzed_corpora(self):
+        grammar = uniform_grammar(PRIMS)
+        base = compress(ten_program_corpus(), grammar)
+        for corpus in fuzzed_corpora():
+            assert bound_violations(corpus, grammar) == []
+            corpus = {**corpus, **base.rewritten}
+            assert bound_violations(corpus, base.grammar, base.library) == []
+
+    @pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
+    @pytest.mark.parametrize("with_library", [False, True])
+    def test_duplicated_corpora(self, env_tag, with_library):
+        grammar, library = uniform_grammar(primitive_table(env_tag)), ()
+        if with_library:
+            grammar, library = learned_start(env_tag)
+        found = bounds_and_gains(duplicated_corpus(grammar, seed=4), grammar, library)
+        assert [c.text for c, bound, gain, slack in found if gain > bound + slack] == []
+        # the bound is finite and below the threshold for some candidates
+        assert any(bound < 0 for _, bound, _, _ in found)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        env_tag=st.sampled_from(["maze", "asterix", "spaceinvaders"]),
+        seeds=st.lists(st.integers(0, 1 << 30), min_size=2, max_size=12),
+        d_max=st.integers(3, 6),
+        with_library=st.booleans(),
+    )
+    def test_sampled_corpora(self, env_tag, seeds, d_max, with_library):
+        prims = primitive_table(env_tag)
+        grammar, library = uniform_grammar(prims), ()
+        if with_library:
+            grammar, library = learned_start(env_tag)
+        corpus = sampled_corpus(grammar, prims, seeds, d_max)
+        assert bound_violations(corpus, grammar, library) == []
+
+    def test_halved_occurrence_counts_trip_the_check(self):
+        """A seeded mutation: with each candidate's occurrence count halved
+        the bound falls below the gain of a candidate that pays."""
+        propose = library_module.propose_candidates
+
+        def halved(*args):
+            return [dataclasses.replace(c, hits=c.hits // 2) for c in propose(*args)]
+
+        with mock.patch.object(library_module, "propose_candidates", halved):
+            assert bound_violations(ten_program_corpus(), uniform_grammar(PRIMS))
+            assert bound_violations(next(fuzzed_corpora()), uniform_grammar(PRIMS))
+
+    def test_repeated_slot_core_matches_reference(self):
+        """Checking one cell for a wall or the goal: the core uses each slot
+        twice, so rewriting also drops the duplicate arguments."""
+        cells = [(1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (0, 2)]
+        corpus = {
+            f"t{i}": parse(
+                f"(λ(x) (λ(y) (if (or (eq-obj? wall-obj (get x {a} {b})) "
+                f"(eq-obj? goal-obj (get x {a} {b}))) left-action forward-action)))"
+            )
+            for i, (a, b) in enumerate(cells)
+        }
+        grammar = uniform_grammar(PRIMS)
+        res = compress(corpus, grammar)
+        core = lambda_to_core(res.new_abstractions[0].body)
+        slots = re.findall(r"\$\d", print_program(core))
+        assert len(slots) > len(set(slots)) == res.new_abstractions[0].arity
+        assert_matches_reference(corpus, grammar)
+        assert bound_violations(corpus, grammar) == []
+
+    def test_pruning_skips_candidates_on_the_benchmark_corpus(self):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "asterix-corpus.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        prims = primitive_table(doc["envTag"])
+        corpus = {e["key"]: parse_program(e["program"], prims) for e in doc["programs"]}
+        grammar = refit(uniform_grammar(prims), list(corpus.values()))
+        counts = compress(corpus, grammar).candidate_counts
+        assert counts["steps"] >= 2
+        assert counts["steps"] - 1 <= counts["priced"] and 4 * counts["priced"] < counts["scored"]
 
 
 def chain_library():

@@ -104,8 +104,8 @@ class Tables:
     `extend` derives the tables of a grammar with productions appended, as
     `add_abstractions` makes it, by rebuilding only the choice sets those
     productions join and their `by_head` entries; compression prices each
-    candidate that way. `min_depth`
-    and `min_dl` are computed on first use, since compression reads neither.
+    candidate that way. `min_depth` and `min_dl` are computed on first use,
+    since compression reads neither.
     """
 
     def __init__(self, grammar: Grammar, request: Ty):

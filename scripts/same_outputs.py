@@ -20,7 +20,9 @@ One more check, `compress-corpus`, runs no `gridsynth run`: it calls
 `library.compress` from an empty library on the 229 programs of
 `perfbench/data/asterix-corpus.json`, as perfbench's workload of that name
 does, and writes `library.json`, the `library_report`, the rewritten
-programs and the `repr` of `dl_before` and `dl_after`.
+programs, the `repr` of `dl_before` and `dl_after`, and `candidate_counts`
+(greedy steps, candidates scored and candidates priced exactly), so that a
+change to pruning shows even when the winners stay the same.
 
 Each configuration runs with `--jobs 1` unless its flags name another
 `--jobs`. The whole set takes a few minutes.
@@ -93,6 +95,7 @@ save_library(result.library, out / "library.json")
     "".join(f"{key} {print_program(t)}\\n" for key, t in result.rewritten.items())
 )
 (out / "dl.txt").write_text(f"{result.dl_before!r} {result.dl_after!r}\\n")
+(out / "candidates.json").write_text(json.dumps(result.candidate_counts) + "\\n")
 """
 # a call of a learned abstraction (f0, f1, ...) in a program's text
 _LIBRARY_CALL = re.compile(r"[( ]f\d+[ )]")

@@ -7,9 +7,9 @@ first use. Each candidate carries its match set: the programs holding a
 subtree its core matches, found by matching the core against the distinct
 fragments with its head, argument count and type, without building terms.
 It also carries `hits`, the occurrences of those fragments, copies included.
-Only candidates matched in at least two programs are kept. Matching is typed
-because `if` is polymorphic: a core headed by `if` matches only at positions
-of its own type.
+Only candidates matched in at least two corpus programs, copies counted,
+are kept. Matching is typed because `if` is polymorphic: a core headed by
+`if` matches only at positions of its own type.
 
 The greedy compressor scores each candidate by its gain: the drop in total
 description length (corpus under the extended grammar, rewritten to call the
@@ -48,10 +48,15 @@ walked, together with the abstraction bodies. The reported dl_before and
 dl_after are full passes over the corpus.
 
 Each step does only what is new, and each piece of work is done once per
-distinct program: a corpus of solved windows holds many copies of a few
-programs, and copies are counted, walked, rewritten and priced once, with
-their counts and prices multiplied or added per copy so that every sum is
-the one a pass over all programs makes. The grammar extended with a
+distinct program. A corpus of solved windows holds many copies of a few
+programs, so `compress` groups it once, at entry, into its distinct
+programs (in order of first occurrence) and each one's copies, and every
+step works on that grouping: a program is counted, walked, rewritten and
+priced once, and its counts and price are multiplied by its copies. The
+grouping never changes within a call, since rewriting keeps distinct
+programs distinct (inlining the new abstraction undoes it): a winner's
+rewritten programs replace their own positions, and the corpus is rebuilt
+in its key order once, after the last step. The grammar extended with a
 candidate differs from the current one only in the choice set of the
 candidate's return type, so its tables are derived from the current
 grammar's (`Tables.extend`), once per candidate type and request, and kept
@@ -308,7 +313,7 @@ class _Candidate:
     arg_types: tuple
     ret: Ty
     text: str
-    programs: frozenset  # indices of the corpus programs containing a match
+    programs: frozenset  # positions of the distinct programs holding a match
     hits: int = 0  # occurrences of the fragments it matches, copies included
 
     @property
@@ -355,19 +360,6 @@ def rewrite(term: Term, cand: _Candidate, name: str, ty: Ty, sig: dict) -> Term:
         return apply_all(head, [walk(a, t) for a, t in zip(args, arg_ts)])
 
     return walk(term, ty)
-
-
-def _distinct(terms) -> tuple[list, list]:
-    """The distinct terms, in order of first occurrence, and the indices at
-    which each one occurs."""
-    index: dict = {}
-    groups: list = []
-    for i, term in enumerate(terms):
-        d = index.setdefault(term, len(groups))
-        if d == len(groups):
-            groups.append([])
-        groups[d].append(i)
-    return list(index), groups
 
 
 def _generalize(f1: Term, f2: Term, ty: Ty, sig: dict, max_arity: int):
@@ -432,15 +424,16 @@ class _Memo:
 
 
 def propose_candidates(
-    corpus_terms, max_arity: int, prims: PrimTable, library=(), memo: _Memo | None = None
+    programs, copies, max_arity: int, prims: PrimTable, library=(), memo: _Memo | None = None
 ) -> list:
     """Candidate patterns (core with $-slots, argTypes, ret), sorted by text.
 
-    The work is done once per distinct program: a program that occurs many
-    times is walked once, and the programs a fragment occurs in are counted
-    with their repeats. A core matches only fragments with its head,
-    argument count and type, so only those are matched, every one of them:
-    each candidate's `hits` adds up the occurrences of all it matches.
+    `programs` are the corpus's distinct programs and `copies[d]` how often
+    `programs[d]` occurs; a candidate's `programs` are positions in it, and
+    it is kept if their copies add up to at least two. A core matches only
+    fragments with its head, argument count and type, so only those are
+    matched, every one of them: each candidate's `hits` adds up the
+    occurrences, copies included, of all it matches.
 
     `memo`, if given, is kept by the caller across calls (see `_Memo`), as
     `compress` keeps one for each call: then each program's fragments are
@@ -451,13 +444,12 @@ def propose_candidates(
         memo = _Memo()
     sig = signature_map(prims, library)
     ret = return_type(prims.request)
-    programs, groups = _distinct(corpus_terms)
     frag_progs: dict = {}  # fragment id -> the distinct programs holding it
     frag_uses: dict = {}  # fragment id -> its occurrences, copies included
     for d, program in enumerate(programs):
         for f in memo.program_fragments(program, ret, sig):
             frag_progs.setdefault(f, set()).add(d)
-            frag_uses[f] = frag_uses.get(f, 0) + len(groups[d])
+            frag_uses[f] = frag_uses.get(f, 0) + copies[d]
     buckets: dict = {}
     for f in frag_progs:
         key = memo.buckets[f]
@@ -469,7 +461,7 @@ def propose_candidates(
         for i, f1 in enumerate(bucket):
             p1 = frag_progs[f1]
             # a fragment of one program only pairs with fragments of others
-            lone = len(p1) == 1 and len(groups[next(iter(p1))]) == 1
+            lone = len(p1) == 1 and copies[next(iter(p1))] == 1
             for f2 in bucket[i:]:
                 if lone and (f1 == f2 or p1 == frag_progs[f2]):
                     continue
@@ -492,9 +484,8 @@ def propose_candidates(
             if hit:
                 found |= frag_progs[f]
                 hits += frag_uses[f]
-        indices = frozenset(i for d in found for i in groups[d])
-        if len(indices) >= 2:
-            out.append(dataclasses.replace(cand, programs=indices, hits=hits))
+        if sum(copies[d] for d in found) >= 2:
+            out.append(dataclasses.replace(cand, programs=frozenset(found), hits=hits))
     return out
 
 
@@ -572,17 +563,18 @@ class _Step:
     gain of a candidate against them (see the module docstring). `cache` is
     the call's tables cache (`_tables_at`)."""
 
-    def __init__(self, terms, g: Grammar, earlier, name: str, request: Ty, sig: dict, cache):
+    def __init__(
+        self, programs, copies, g: Grammar, earlier, name: str, request: Ty, sig: dict, cache
+    ):
+        self.programs, self.copies = programs, copies
         self.g, self.earlier, self.name, self.request, self.sig = g, earlier, name, request, sig
         self.cache = cache
-        self.programs, self.groups = _distinct(terms)
-        self.owner = {i: d for d, group in enumerate(self.groups) for i in group}
         tables = _tables_at(cache, g, request)
-        self.counts = [choice_counts(tables, t) for t in self.programs]
+        self.counts = [choice_counts(tables, t) for t in programs]
         self.corpus_counts: dict = {}
-        for c, group in zip(self.counts, self.groups):
+        for c, k in zip(self.counts, copies):
             for key, n in c.items():
-                self.corpus_counts[key] = self.corpus_counts.get(key, 0) + n * len(group)
+                self.corpus_counts[key] = self.corpus_counts.get(key, 0) + n * k
         self.corpus_dl = counts_dl(tables, self.corpus_counts)
         self.now = self.corpus_dl + sum(
             term_dl(_tables_at(cache, g, a.type), a.body) for a in earlier
@@ -609,7 +601,7 @@ class _Step:
 
     def gain(self, cand: _Candidate, abs_: Abstraction) -> tuple[float, dict]:
         """The drop in total DL from accepting `cand` as `abs_`, and the
-        matched distinct programs rewritten: {index: term}."""
+        matched distinct programs rewritten: {position: term}."""
         ext = self.extension(abs_)
         if ext.earlier_dl is None:
             for a in self.earlier:
@@ -619,22 +611,21 @@ class _Step:
         tables = ext.tables[self.request]
         # Programs without a match keep their derivation; only the choice
         # costs change, so they are priced from their counts. A matched
-        # program is rewritten and priced once however often it occurs, and
-        # its price is added once per occurrence.
+        # program is rewritten and priced once, and its price counts once
+        # per copy.
         untouched = dict(self.corpus_counts)
-        rewritten: dict = {}  # distinct program -> (rewritten term, its DL)
+        rewritten: dict = {}
         touched_dl = 0.0
-        for i in sorted(cand.programs):
-            d = self.owner[i]
-            if d not in rewritten:
-                for key, n in self.counts[d].items():
-                    untouched[key] -= n * len(self.groups[d])
-                term = rewrite(self.programs[d], cand, self.name, self.request, self.sig)
-                rewritten[d] = term, term_dl(tables, term)
-            touched_dl += rewritten[d][1]
+        for d in sorted(cand.programs):
+            k = self.copies[d]
+            for key, n in self.counts[d].items():
+                untouched[key] -= n * k
+            term = rewrite(self.programs[d], cand, self.name, self.request, self.sig)
+            rewritten[d] = term
+            touched_dl += k * term_dl(tables, term)
         bodies_dl = ext.earlier_dl + term_dl(ext.tables[abs_.type], abs_.body)
         total = counts_dl(tables, untouched) + touched_dl + bodies_dl
-        return self.now - total, {d: term for d, (term, _) in rewritten.items()}
+        return self.now - total, rewritten
 
 
 def compress(
@@ -645,18 +636,24 @@ def compress(
     request = prims.request
     n0 = len(library)
     lib = list(library)
-    current = dict(corpus)
-    keys = list(current)
+    # the distinct programs, in order of first occurrence, each corpus key's
+    # position among them and each one's copies; rewriting keeps them
+    # distinct, so they are grouped once
+    index: dict = {}
+    owner = [index.setdefault(term, len(index)) for term in corpus.values()]
+    programs = list(index)
+    copies = [0] * len(programs)
+    for d in owner:
+        copies[d] += 1
     g = grammar
-    dl_before = _total_dl(current, g, request, [])
+    dl_before = _total_dl(corpus, g, request, [])
     memo = _Memo()
     cache: dict = {}
     tally = {"steps": 0, "scored": 0, "priced": 0}
     while True:
-        terms = list(current.values())
-        candidates = propose_candidates(terms, max_arity, prims, lib, memo)
+        candidates = propose_candidates(programs, copies, max_arity, prims, lib, memo)
         sig = signature_map(prims, lib)
-        step = _Step(terms, g, lib[n0:], f"f{_next_index(lib)}", request, sig, cache)
+        step = _Step(programs, copies, g, lib[n0:], f"f{_next_index(lib)}", request, sig, cache)
         slack = _SLACK * step.now
         best = None
         for cand in candidates:
@@ -678,9 +675,9 @@ def compress(
         g = ext.grammar
         cache.update(ext.tables)
         for d, term in rewritten.items():
-            for i in step.groups[d]:
-                current[keys[i]] = term
+            programs[d] = term
         lib.append(abs_)
+    current = {key: programs[d] for key, d in zip(corpus, owner)}
     lib, current = _drop_underused(lib, n0, current)
     g = add_abstractions(grammar, lib)
     uses = _use_counts(current, lib)
@@ -745,18 +742,19 @@ def library_from_json(doc: dict, prims: PrimTable):
     if doc.get("schema") != LIBRARY_SCHEMA:
         raise GridSynthError(f"unexpected library schema {doc.get('schema')!r}")
     out: list[Abstraction] = []
-    for entry in doc["abstractions"]:
+    for n, entry in enumerate(doc["abstractions"]):
+        where = f"library entry {n} ({entry.get('name', 'unnamed')})"
+        missing = [k for k in ("name", "arity", "type", "body", "useCount") if k not in entry]
+        if missing:
+            raise GridSynthError(f"{where} has no {missing[0]!r} field")
+        try:
+            ty = parse_type(entry["type"])
+        except ValueError as exc:
+            raise GridSynthError(f"{where} has a bad 'type' field: {exc}") from exc
         arity = entry["arity"]
         extra = [f"${i}" for i in range(arity)] + [a.name for a in out]
         core = parse_program(entry["body"], prims, extra=extra)
-        out.append(
-            Abstraction(
-                name=entry["name"],
-                body=core_to_lambda(core, arity),
-                type=parse_type(entry["type"]),
-                use_count=entry["useCount"],
-            )
-        )
+        out.append(Abstraction(entry["name"], core_to_lambda(core, arity), ty, entry["useCount"]))
     return out
 
 

@@ -56,3 +56,12 @@ def learned_grammar(prims):
     res = compress(corpus, uniform_grammar(prims), max_arity=3)
     assert len(res.library) >= 2
     return refit(res.grammar, list(res.rewritten.values())), res.library
+
+
+def grouped(terms) -> tuple[list, list]:
+    """(programs, copies): the distinct terms in order of first occurrence
+    and how often each occurs, the corpus as `propose_candidates` takes it."""
+    copies: dict = {}
+    for term in terms:
+        copies[term] = copies.get(term, 0) + 1
+    return list(copies), list(copies.values())

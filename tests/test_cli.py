@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, config merging, and subcommand smoke tests."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,32 @@ class TestExitCodes:
         assert main([command, str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed JSON") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "library"])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"arity": None}, "library entry 0 (f0) has no 'arity' field"),
+            ({"type": "map -> widget"}, "library entry 0 (f0) has a bad 'type' field"),
+        ],
+        ids=["no-arity", "bad-type"],
+    )
+    def test_malformed_library_is_runtime_error(
+        self, run_dir, tmp_path, capsys, command, fault, message
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        last = json.loads((run / "run.json").read_text())["history"][-1]["iteration"]
+        path = run / f"iter-{last}" / "library.json"
+        doc = json.loads(path.read_text())
+        entry = {"name": "f0", "arity": 1, "type": "map -> bool",
+                 "body": "(eq-obj? wall-obj (get $0 1 0))", "children": [], "useCount": 2}
+        entry.update(fault)
+        doc["abstractions"] = [{k: v for k, v in entry.items() if v is not None}]
+        path.write_text(json.dumps(doc))
+        assert main([command, str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
     def test_malformed_rollouts_is_runtime_error(self, tmp_path, capsys):
         rolls = tmp_path / "r.json"

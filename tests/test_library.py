@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import maze_state
+from conftest import grouped, maze_state
 from gridsynth.errors import (
     EvalError,
     GridSynthError,
@@ -109,7 +109,7 @@ def reference_compress(corpus, grammar, library=(), max_arity=3):
     g = grammar
     dl_before = total_dl(current, g, [])
     while True:
-        candidates = propose_candidates(current.values(), max_arity, prims, lib)
+        candidates = propose_candidates(*grouped(current.values()), max_arity, prims, lib)
         sig = signature_map(prims, lib)
         now = total_dl(current, g, lib[n0:])
         best = None
@@ -171,14 +171,15 @@ def assert_matches_reference(corpus, grammar, library=()):
 
 
 def compress_steps(corpus, grammar, library=()):
-    """`compress`'s result and, per greedy step, the corpus programs, the
-    library and the candidates that the step scored."""
+    """`compress`'s result and, per greedy step, the distinct corpus
+    programs, their copies, the library and the candidates that the step
+    scored."""
     steps = []
     propose = library_module.propose_candidates
 
-    def recording(terms, max_arity, prims, lib, memo):
-        candidates = propose(terms, max_arity, prims, lib, memo)
-        steps.append((list(terms), list(lib), candidates))
+    def recording(programs, copies, max_arity, prims, lib, memo):
+        candidates = propose(programs, copies, max_arity, prims, lib, memo)
+        steps.append((list(programs), list(copies), list(lib), candidates))
         return candidates
 
     with mock.patch.object(library_module, "propose_candidates", recording):
@@ -187,16 +188,19 @@ def compress_steps(corpus, grammar, library=()):
 
 
 def assert_match_sets(corpus, grammar, library=()):
-    """At every greedy step, each candidate's match set is the set of
-    programs that rewriting with it changes; returns the steps."""
+    """At every greedy step, the distinct programs are pairwise distinct and
+    each candidate's match set is the set of their positions that rewriting
+    with it changes; returns the steps."""
     prims = primitive_table(grammar.env_tag)
     _, steps = compress_steps(corpus, grammar, library)
-    for terms, lib, candidates in steps:
+    assert sum(steps[0][1]) == len(corpus)
+    for programs, copies, lib, candidates in steps:
+        assert len(set(programs)) == len(programs) == len(copies)
         sig = signature_map(prims, lib)
         for cand in candidates:
             by_rewrite = {
-                i
-                for i, t in enumerate(terms)
+                d
+                for d, t in enumerate(programs)
                 if count_calls(rewrite(t, cand, "$match", prims.request, sig), "$match")
             }
             assert cand.programs == by_rewrite, cand.text
@@ -227,13 +231,13 @@ class TestProposals:
     def test_spec_anti_unification_example(self):
         p1 = wall_check(1, 0)
         p2 = wall_check(0, 1, then="right-action")
-        texts = {c.text for c in propose_candidates([p1, p2], 3, PRIMS)}
+        texts = {c.text for c in propose_candidates(*grouped([p1, p2]), 3, PRIMS)}
         assert "(eq-obj? wall-obj (get $0 $1 $2))" in texts
 
     def test_disjoint_programs_give_nothing(self):
         p1 = parse("(λ(x) (λ(y) left-action))")
         p2 = parse("(λ(x) (λ(y) (if (eq-direction? y direction-0) right-action forward-action)))")
-        assert propose_candidates([p1, p2], 3, PRIMS) == []
+        assert propose_candidates(*grouped([p1, p2]), 3, PRIMS) == []
 
     def test_identical_subtree_proposed_closed(self):
         shared = "(eq-obj? wall-obj (get x 1 0))"
@@ -242,19 +246,31 @@ class TestProposals:
             parse(f"(λ(x) (λ(y) (if {shared} right-action forward-action)))"),
             parse(f"(λ(x) (λ(y) (if {shared} forward-action left-action)))"),
         ]
-        cands = propose_candidates(progs, 3, PRIMS)
+        cands = propose_candidates(*grouped(progs), 3, PRIMS)
         by_text = {c.text: c for c in cands}
         key = "(eq-obj? wall-obj (get $0 1 0))"
         assert key in by_text and by_text[key].arity == 1
         # the map argument is a program variable, so one slot remains
 
     def test_repeated_program_proposed_whole(self):
-        """A program that occurs twice pairs with its own copy; a program
-        that occurs once pairs with nothing."""
-        twice = [wall_check(1, 0), wall_check(1, 0)]
-        texts = {c.text for c in propose_candidates(twice, 3, PRIMS)}
+        """A program with two copies pairs with its own copy, so copies count
+        toward the two-program rule; a program with one pairs with nothing."""
+        cands = propose_candidates([wall_check(1, 0)], [2], 3, PRIMS)
+        texts = {c.text for c in cands}
         assert "(if (eq-obj? wall-obj (get $0 1 0)) left-action forward-action)" in texts
-        assert propose_candidates([wall_check(1, 0)], 3, PRIMS) == []
+        assert all(c.programs == {0} for c in cands)
+        assert propose_candidates([wall_check(1, 0)], [1], 3, PRIMS) == []
+
+    def test_match_sets_are_positions_in_programs(self):
+        """A candidate's `programs` are positions in `programs`, and its
+        `hits` count every copy of the fragments it matches."""
+        programs = [wall_check(2, 2), wall_check(1, 0), wall_check(0, 1, then="right-action")]
+        cands = propose_candidates(programs, [1, 3, 2], 3, PRIMS)
+        by_text = {c.text: c for c in cands}
+        whole = by_text["(if (eq-obj? wall-obj (get $0 1 0)) left-action forward-action)"]
+        assert whole.programs == {1} and whole.hits == 3
+        cond = by_text["(eq-obj? wall-obj (get $0 $1 $2))"]
+        assert cond.programs == {0, 1, 2} and cond.hits == 6
 
     def test_if_core_rewrites_only_at_its_type(self):
         cond = "(eq-obj? wall-obj (get x 1 0))"
@@ -276,7 +292,7 @@ class TestProposals:
         p1 = wall_check(1, 0)
         p2 = wall_check(0, 1, then="right-action")
         for cap in (0, 1, 2, 3):
-            for cand in propose_candidates([p1, p2], cap, PRIMS):
+            for cand in propose_candidates(*grouped([p1, p2]), cap, PRIMS):
                 assert cand.arity <= cap
 
 
@@ -421,10 +437,10 @@ class TestScoringMatchesReference:
         grammar = uniform_grammar(PRIMS)
         assert_matches_reference(corpus, grammar)
         steps = assert_match_sets(corpus, grammar)
-        programs = [terms for terms, _, _ in steps]
+        programs = [step[0] for step in steps]
         changes = [
-            sum(before[i] != after[i] for before, after in zip(programs, programs[1:]))
-            for i in range(len(corpus))
+            sum(before[d] != after[d] for before, after in zip(programs, programs[1:]))
+            for d in range(len(programs[0]))
         ]
         assert max(changes) >= 2
 
@@ -433,8 +449,8 @@ def bounds_and_gains(corpus, grammar, library=()):
     """For every candidate of every greedy step of `compress`: the candidate,
     its bound, its exact gain, and the slack that `compress` allows the bound
     at that step. The exact gain is priced as `reference_compress` prices
-    it: every program rewritten and the whole corpus and every body
-    rescored with `description_length`."""
+    it: every program rewritten and the whole corpus, each copy of each
+    distinct program, and every body rescored with `description_length`."""
     request = primitive_table(grammar.env_tag).request
 
     def total_dl(programs, g, bodies):
@@ -453,7 +469,8 @@ def bounds_and_gains(corpus, grammar, library=()):
         _, steps = compress_steps(corpus, grammar, library)
     assert len(made) == len(steps)
     out = []
-    for step, (terms, _, candidates) in zip(made, steps):
+    for step, (programs, copies, _, candidates) in zip(made, steps):
+        terms = [t for t, k in zip(programs, copies) for _ in range(k)]
         now = total_dl(terms, step.g, step.earlier)
         for cand in candidates:
             abs_ = _abstraction_from(cand, step.name)

@@ -21,8 +21,9 @@ One more check, `compress-corpus`, runs no `gridsynth run`: it calls
 `perfbench/data/asterix-corpus.json`, as perfbench's workload of that name
 does, and writes `library.json`, the `library_report`, the rewritten
 programs, the `repr` of `dl_before` and `dl_after`, and `candidate_counts`
-(greedy steps, candidates scored and candidates priced exactly), so that a
-change to pruning shows even when the winners stay the same.
+(greedy steps, patterns the candidate search bounded and candidates priced
+exactly), so that a change to pruning shows even when the winners stay the
+same.
 
 Each configuration runs with `--jobs 1` unless its flags name another
 `--jobs`. The whole set takes a few minutes.
@@ -70,6 +71,12 @@ CONFIGS = {
     "asterix-compress": [
         ["--env", "asterix", "--profile", "desk", "--seed", "7",
          "--corpus-size", "0", "--max-iterations", "4"],
+    ],
+    # paper scale: seven iterations to the two-fails stop, solve stages of up
+    # to 1,810 windows, a first compression of 880 programs and a library
+    # that grows to dozens of entries
+    "minatar-paper": [
+        ["--env", "spaceinvaders", "--profile", "paper", "--seed", "7", "--corpus-size", "0"],
     ],
 }
 SKIPPED = {"run.json"}

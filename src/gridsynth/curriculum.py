@@ -18,8 +18,8 @@ dream, refit, solve and compress stages (stageSec), how many searches stopped
 for each reason (stopReasons) and on their timeout (timeoutStops), and how
 many candidates the solve stage enumerated and checked for its shared
 candidate lists (candidatesCompiled).  compressCandidates counts the greedy
-steps of the compress stage, the candidates it bounded and those it priced
-exactly.  A timeout stop depends on machine speed, so a nonzero count means
+steps of the compress stage, the patterns its candidate search bounded and
+the candidates it priced exactly.  A timeout stop depends on machine speed, so a nonzero count means
 the artifacts may differ on another machine.
 """
 

@@ -105,7 +105,9 @@ class Tables:
     `add_abstractions` makes it, by rebuilding only the choice sets those
     productions join and their `by_head` entries; compression prices each
     candidate that way. `min_depth` and `min_dl` are computed on first use,
-    since compression reads neither.
+    since compression reads neither. `signatures` holds each production's
+    return and argument types, read off its type once when the tables are
+    built and carried over by `extend`.
     """
 
     def __init__(self, grammar: Grammar, request: Ty):
@@ -114,6 +116,7 @@ class Tables:
         self.binders = arg_types(request)  # outermost first
         self.env = tuple(reversed(self.binders))  # de Bruijn indexed
         self.body_request = return_type(request)
+        self.signatures = [_signature(p) for p in grammar.productions]
         self.choices: dict[Ty, tuple[Choice, ...]] = {
             ty: self._choice_set(ty) for ty in self._reachable_types()
         }
@@ -140,14 +143,16 @@ class Tables:
         new.binders = self.binders
         new.env = self.env
         new.body_request = self.body_request
+        added = [_signature(p) for p in grammar.productions[n:]]
+        new.signatures = self.signatures + added
         new.choices = dict(self.choices)
         changed = set()
-        for p in grammar.productions[n:]:
-            rt = return_type(p.type)
-            for ty in self.choices if isinstance(rt, TyVar) else [rt]:
+        for p, rt, args in added:
+            for ty in self.choices if rt is None else [rt]:
                 if ty not in self.choices:
                     continue
-                unreachable = [a for a in arg_types_at(p.type, ty) if a not in self.choices]
+                arg_tys = args if args is not None else arg_types_at(p.type, ty)
+                unreachable = [a for a in arg_tys if a not in self.choices]
                 if unreachable:
                     raise ValueError(f"{p.name} takes unreachable argument type {unreachable[0]}")
                 changed.add(ty)
@@ -164,10 +169,9 @@ class Tables:
         frontier = [self.body_request]
         while frontier:
             ty = frontier.pop()
-            for p in self.grammar.productions:
-                rt = return_type(p.type)
-                if rt == ty or isinstance(rt, TyVar):
-                    for arg in arg_types_at(p.type, ty):
+            for p, rt, args in self.signatures:
+                if rt is None or rt == ty:
+                    for arg in args if args is not None else arg_types_at(p.type, ty):
                         if arg not in seen:
                             seen.add(arg)
                             frontier.append(arg)
@@ -177,10 +181,10 @@ class Tables:
         """Every production that can return `ty`, in grammar order, then the
         variables of type `ty`, with costs normalized over the set."""
         raw = []
-        for p in self.grammar.productions:
-            rt = return_type(p.type)
-            if rt == ty or isinstance(rt, TyVar):
-                raw.append(("prim", p.name, None, tuple(arg_types_at(p.type, ty)), p.logp))
+        for p, rt, args in self.signatures:
+            if rt is None or rt == ty:
+                arg_tys = args if args is not None else tuple(arg_types_at(p.type, ty))
+                raw.append(("prim", p.name, None, arg_tys, p.logp))
         for i, binder_ty in enumerate(self.env):
             if binder_ty == ty:
                 raw.append(("var", None, i, (), self.grammar.var_logp))
@@ -271,6 +275,16 @@ class Site:
     choices: tuple[Choice, ...]
     bounds: tuple[float, ...]
     total: float
+
+
+def _signature(p: Production) -> tuple:
+    """(p, its return type, its argument types); either is None where it
+    holds a type variable, which reads as the type asked for."""
+    rt = return_type(p.type)
+    args = tuple(arg_types(p.type))
+    if any(isinstance(a, TyVar) for a in args):
+        args = None
+    return p, None if isinstance(rt, TyVar) else rt, args
 
 
 @lru_cache(maxsize=64)

@@ -1,75 +1,71 @@
-"""Library learning: anti-unification candidates, MDL compression, expansion.
+"""Library learning: a top-down candidate search, MDL compression, expansion.
 
-Candidates come from anti-unifying pairs of full-application subtrees drawn
-from different corpus programs: mismatching subtrees become argument slots
-(at most three), repeated mismatches share a slot, and slots are numbered by
-first use. Each candidate carries its match set: the programs holding a
-subtree its core matches, found by matching the core against the distinct
-fragments with its head, argument count and type, without building terms.
-It also carries `hits`, the occurrences of those fragments, copies included.
-Only candidates matched in at least two corpus programs, copies counted,
-are kept. Matching is typed because `if` is polymorphic: a core headed by
-`if` matches only at positions of its own type.
+A candidate is a core: a full application with at most `max_arity`
+argument slots $0..$k, numbered by first use. It keeps at least two
+non-slot nodes, leaves every program variable in a slot, and matches
+subtrees in two corpus programs, copies counted. Matching is typed because
+`if` is polymorphic: a core of type ρ matches only subtrees derived at ρ.
 
-The greedy compressor scores each candidate by its gain: the drop in total
-description length (corpus under the extended grammar, rewritten to call the
-candidate, plus the candidate body stored once). It keeps accepting the best
-candidate while that total strictly drops. Candidates are taken in text
-order, and one replaces the best only if its gain exceeds the threshold:
-`_EPS` before any is kept, then the best gain plus `_EPS`.
+Each greedy step numbers every distinct (subtree, type) of the corpus with
+an int, children first, and finds its candidates with one search over
+patterns: cores with open holes. A pattern's match locations are fragment
+ids, each with the ids of the subtrees at its holes and slots. The search
+starts from each (head, argument count, type) bucket of fragments and fills
+the first hole of a pattern in each way that keeps two copies matched: with
+a head that subtrees there share (the locations split by head), with a new
+slot, or with an earlier slot of its type, at the locations where both
+values are equal. So it meets every core once. Patterns are taken from a
+heap, highest bound first, so that the pruning threshold rises early.
 
-A candidate is priced exactly only if a cheap upper bound on its gain can
-beat the threshold. Say it returns ρ. Under the extended program-request
-tables, `core` is the DL of its core's non-slot nodes at ρ and `call` the
-cost of the new production at ρ. `hits` counts every occurrence, copies
-included, of every fragment the core matches. Rewriting replaces at most
-`hits` occurrences, each by a call whose arguments are the slots' subtrees
-at the same types; the rest of every derivation keeps its choices. So the
-corpus costs at least its current choice counts priced under the extended
-tables, less hits · max(0, core - call). Those counts grow by `growth`: the
-new production joins ρ's choice set and raises the cost of every other
-choice there. The earlier bodies grow the same way, which the bound leaves
-out, and the new body costs its DL. So the gain is at most
-hits · max(0, core - call) - growth - body.
-A core that uses a slot twice also drops a duplicate argument, which this
-does not cover; such a candidate is always priced. A candidate is skipped
-only if its bound is below the threshold by `_SLACK` of the step's DL,
-since the bound adds its floats in another order than the exact price: each
-is a sum of far fewer than 10^5 terms whose sizes add up to a few times the
-step's DL, so each is within about 10^-10 of the step's DL of its real
-value. A skipped candidate cannot be the step's winner, so every step keeps
-the winner that pricing every candidate finds.
+A candidate's gain is the drop in total description length: the corpus
+under the extended grammar, rewritten to call the candidate, plus the
+candidate's body stored once. `compress` keeps accepting the step's winner
+while the total strictly drops. The winner is found among the candidates
+within 2·`_EPS` of the step's best gain: in text order, one replaces the
+winner so far if its gain exceeds `_EPS` (before any is kept) or the
+winner's gain plus `_EPS`.
 
-Exact pricing touches only the match set: each greedy step counts every
-program's uses of each (type, production) once, the programs outside the
-match set keep their derivations and are priced as those counts times the
-extended grammar's costs, and only the matched programs are rewritten and
-walked, together with the abstraction bodies. The reported dl_before and
-dl_after are full passes over the corpus.
+The search drops a pattern, with every core completing it, when its bound
+is at most max(`_EPS`, best exact gain so far - 2·`_EPS`) less a slack; so
+every candidate that can win is priced. Say the pattern returns ρ. Adding a
+production returning ρ changes only ρ's choice set, whatever its argument
+types, so under the extended program-request tables each subtree has one
+DL′ and a call one cost `call`. Rewriting a location f whose slots hold v_i
+replaces DL′(f) by call + Σ DL′(v_i), a slot used twice counted once, and
+its arguments are then rewritten as locations of their own; the rest of the
+derivation keeps its choices. So rewriting saves
+s(f) = DL′(f) - Σ DL′(v_i) - call at each of at most `uses(f)` occurrences
+(copies included). The current choice counts cost `growth` more under the
+extended tables, the earlier bodies cost more too, and the new body costs
+at least `fixed`: its non-slot nodes' costs at the request ρ, which lacks
+the body's variables and so makes no choice dearer. A completion matches
+some of the pattern's locations, keeps its slots and their values, and
+adds slots, whose values cost at least 0, and non-slot nodes. So every
+completion's gain is at most
+    Σ over the pattern's locations of uses(f) · max(0, s(f)) - growth - fixed.
+The bound adds its floats in another order than the exact price, so the
+threshold is lowered by `_SLACK` of the step's DL: each sum has far fewer
+than 10^5 terms whose sizes add up to a few times the step's DL, so each is
+within about 10^-10 of the step's DL of its real value.
 
-Each step does only what is new, and each piece of work is done once per
-distinct program. A corpus of solved windows holds many copies of a few
-programs, so `compress` groups it once, at entry, into its distinct
-programs (in order of first occurrence) and each one's copies, and every
-step works on that grouping: a program is counted, walked, rewritten and
-priced once, and its counts and price are multiplied by its copies. The
-grouping never changes within a call, since rewriting keeps distinct
-programs distinct (inlining the new abstraction undoes it): a winner's
-rewritten programs replace their own positions, and the corpus is rebuilt
-in its key order once, after the last step. The grammar extended with a
-candidate differs from the current one only in the choice set of the
-candidate's return type, so its tables are derived from the current
-grammar's (`Tables.extend`), once per candidate type and request, and kept
-out of `tables_for`'s cache. A step starts from the tables that the previous
-step's winner was priced under, and brings the tables of other requests up
-to date with `Tables.extend` too, so a call builds tables afresh only for a
-request it has not met. A `compress` call keeps, for all of its steps, an
-int id for each distinct (fragment, type), the fragment ids of each distinct
-program, the anti-unifier of each pair of fragment ids, and whether each
-candidate core matches each fragment id (`_Memo`). A step adds a name but
-changes no signature, so all of these stay valid: only the programs that the
-previous step rewrote are walked again, and only the fragments first met in
-them are anti-unified and matched.
+Exact pricing touches only the match set: the programs outside it keep
+their derivations and are priced as their (type, production) counts, taken
+once per step, times the extended grammar's costs; only the matched
+programs are rewritten and walked, with the abstraction bodies. The
+reported dl_before and dl_after are full passes over the corpus.
+
+A corpus of solved windows holds many copies of a few programs, so
+`compress` groups it once, at entry, into its distinct programs and their
+copies. A step counts, numbers, rewrites and prices each distinct program
+once and multiplies by its copies. Rewriting keeps distinct programs
+distinct (inlining the new abstraction undoes it), so a winner's rewritten
+programs replace their own positions, and the corpus is rebuilt in key
+order once, after the last step. An extended grammar's tables are derived
+from the current grammar's (`Tables.extend`), once per production type and
+request, and kept out of `tables_for`'s cache. A step starts from the
+tables the previous winner was priced under and brings other requests' up
+to date the same way, so a call builds tables only for requests it has not
+met.
 
 The library is one list, earlier entries first. An abstraction keeps its
 name, body, type and use count; its arity (the body's leading lambdas) and
@@ -85,15 +81,18 @@ body.
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
 import json
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from gridsynth.errors import GridSynthError, UnknownAbstractionError
 from gridsynth.grammar import (
     Grammar,
+    Production,
     Tables,
     add_abstractions,
     choice_counts,
@@ -110,8 +109,8 @@ from gridsynth.lang import (
     Ty,
     Var,
     apply_all,
+    arg_types,
     arrow,
-    free_vars,
     inline,
     parse_type,
     peel,
@@ -128,10 +127,11 @@ LIBRARY_SCHEMA = "gridsynth-library-v1"
 _SLOTS = {f"${i}": i for i in range(10)}
 _ABS_RE = re.compile(r"^f\d+$")
 _EPS = 1e-9
-# A candidate is priced exactly unless its bound is below the step's
-# threshold by this share of the step's DL (see the module docstring).
+# The search drops a pattern only if its bound is below the step's threshold
+# by this share of the step's DL (see the module docstring).
 _SLACK = 1e-9
-_UNSEEN = object()
+# the fields `library_from_json` reads from each entry, with their JSON kinds
+_ENTRY_FIELDS = (("name", str), ("arity", int), ("type", str), ("body", str), ("useCount", int))
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,8 @@ class CompressionResult:
     dl_before: float
     dl_after: float
     # {"steps": greedy steps, the last of which accepts nothing, "scored":
-    # candidates bounded, "priced": candidates priced exactly}
+    # patterns bounded, partial ones included, "priced": candidates priced
+    # exactly}
     candidate_counts: dict = dataclasses.field(default_factory=dict)
 
 
@@ -238,57 +239,6 @@ def count_calls(term: Term, name: str) -> int:
     return sum(1 for p in _prims_in(term) if p.name == name)
 
 
-def _typed_fragments(node: Term, ret: Ty, sig: dict, out: list) -> None:
-    """Every full-application subtree paired with its (syntax-directed) type."""
-    if not isinstance(node, Apply):
-        return
-    out.append((node, ret))
-    head, args = spine(node)
-    if isinstance(head, Prim):
-        for a, t in zip(args, arg_types_at(sig[head.name], ret)):
-            _typed_fragments(a, t, sig, out)
-
-
-class _AuSlots:
-    def __init__(self):
-        self.by_key = {}
-        self.types = []
-
-    def slot(self, key, ty: Ty) -> Term:
-        if key not in self.by_key:
-            self.by_key[key] = len(self.types)
-            self.types.append(ty)
-        return Prim(f"${self.by_key[key]}")
-
-
-def _anti_unify(t1: Term, t2: Term, ret: Ty, sig: dict, slots: _AuSlots) -> Term:
-    if t1 == t2 and not free_vars(t1):
-        return t1
-    h1, a1 = spine(t1)
-    h2, a2 = spine(t2)
-    if (
-        isinstance(h1, Prim)
-        and isinstance(h2, Prim)
-        and h1.name == h2.name
-        and len(a1) == len(a2)
-        and a1
-    ):
-        arg_ts = arg_types_at(sig[h1.name], ret)
-        if len(arg_ts) == len(a1):
-            return apply_all(
-                h1, [_anti_unify(x, y, t, sig, slots) for x, y, t in zip(a1, a2, arg_ts)]
-            )
-    return slots.slot((t1, t2), ret)
-
-
-def _non_slot_nodes(core: Term) -> int:
-    if isinstance(core, Prim):
-        return 0 if core.name in _SLOTS else 1
-    if isinstance(core, Apply):
-        return _non_slot_nodes(core.fn) + _non_slot_nodes(core.arg)
-    return 0
-
-
 def _match(core: Term, term: Term, binding: dict) -> bool:
     if isinstance(core, Prim):
         i = _SLOTS.get(core.name)
@@ -314,15 +264,10 @@ class _Candidate:
     ret: Ty
     text: str
     programs: frozenset  # positions of the distinct programs holding a match
-    hits: int = 0  # occurrences of the fragments it matches, copies included
 
     @property
     def arity(self) -> int:
         return len(self.arg_types)
-
-    @property
-    def repeats_slot(self) -> bool:
-        return sum(1 for p in _prims_in(self.core) if p.name in _SLOTS) > self.arity
 
     @property
     def type(self) -> Ty:
@@ -362,131 +307,45 @@ def rewrite(term: Term, cand: _Candidate, name: str, ty: Ty, sig: dict) -> Term:
     return walk(term, ty)
 
 
-def _generalize(f1: Term, f2: Term, ty: Ty, sig: dict, max_arity: int):
-    """The anti-unifier of two fragments of type `ty` as (printed core, core,
-    slot types), or None if it needs more than `max_arity` slots or keeps
-    fewer than two non-slot nodes."""
-    slots = _AuSlots()
-    core = _anti_unify(f1, f2, ty, sig, slots)
-    if len(slots.types) > max_arity or _non_slot_nodes(core) < 2:
-        return None
-    return print_program(core), core, tuple(slots.types)
+def _core(pre) -> Term:
+    """The core whose nodes in preorder are `pre`: a (head name, argument
+    count) pair or a slot index each."""
+    nodes = iter(pre)
+
+    def build() -> Term:
+        node = next(nodes)
+        if isinstance(node, int):
+            return Prim(f"${node}")
+        name, n = node
+        return apply_all(Prim(name), [build() for _ in range(n)])
+
+    return build()
 
 
-class _Memo:
-    """What one `compress` call keeps across its greedy steps (see the module
-    docstring), keyed by int ids: a fragment id per distinct (fragment,
-    type) and a proposal id per distinct (core text, type) that
-    anti-unification yields. It stays valid while `prims` and `max_arity`
-    stay the same and the library only grows."""
+class _Pattern(NamedTuple):
+    """A core being built top down, and where it matches."""
 
-    def __init__(self):
-        self.fragment_ids: dict = {}  # (fragment, type) -> fragment id
-        self.fragments: list = []  # fragment id -> fragment
-        self.buckets: list = []  # fragment id -> (head name, argument count, type)
-        self.programs: dict = {}  # program -> the ids of its typed fragments
-        self.pairs: dict = {}  # (fragment id, fragment id) -> proposal id or None
-        self.proposal_ids: dict = {}  # (core text, type) -> proposal id
-        self.proposals: list = []  # proposal id -> _Candidate with no programs
-        self.matches: list = []  # proposal id -> {fragment id: core matches it}
-
-    def program_fragments(self, program: Term, ret: Ty, sig: dict) -> list:
-        ids = self.programs.get(program)
-        if ids is None:
-            frags: list = []
-            _typed_fragments(peel(program)[1], ret, sig, frags)
-            ids = self.programs[program] = [self._fragment_id(f, ty) for f, ty in frags]
-        return ids
-
-    def _fragment_id(self, frag: Term, ty: Ty) -> int:
-        f = self.fragment_ids.get((frag, ty))
-        if f is None:
-            f = self.fragment_ids[(frag, ty)] = len(self.fragments)
-            head, args = spine(frag)
-            self.fragments.append(frag)
-            self.buckets.append((head.name, len(args), ty) if isinstance(head, Prim) else None)
-        return f
-
-    def proposal(self, f1: int, f2: int, sig: dict, max_arity: int):
-        """The proposal id of the anti-unifier of two fragments of one
-        bucket, or None if `_generalize` rejects it."""
-        ty = self.buckets[f1][2]
-        found = _generalize(self.fragments[f1], self.fragments[f2], ty, sig, max_arity)
-        if found is None:
-            return None
-        text, core, arg_tys = found
-        p = self.proposal_ids.get((text, ty))
-        if p is None:
-            p = self.proposal_ids[(text, ty)] = len(self.proposals)
-            self.proposals.append(_Candidate(core, arg_tys, ty, text, frozenset()))
-            self.matches.append({})
-        return p
+    bound: float  # on the gain of every core that completes it
+    ret: Ty
+    pre: tuple  # its nodes so far in preorder (see `_core`)
+    holes: tuple  # the types of its open holes, leftmost first
+    slots: tuple  # the type of each slot
+    fixed: float  # its non-slot nodes' cost at the request of its type
+    # per match location: (fragment id, the node ids at the open holes and
+    # at the slots, the fragment's DL less its slot values')
+    locs: list
 
 
-def propose_candidates(
-    programs, copies, max_arity: int, prims: PrimTable, library=(), memo: _Memo | None = None
-) -> list:
-    """Candidate patterns (core with $-slots, argTypes, ret), sorted by text.
+class _Prices(NamedTuple):
+    """Under the grammar extended with a candidate returning one type."""
 
-    `programs` are the corpus's distinct programs and `copies[d]` how often
-    `programs[d]` occurs; a candidate's `programs` are positions in it, and
-    it is kept if their copies add up to at least two. A core matches only
-    fragments with its head, argument count and type, so only those are
-    matched, every one of them: each candidate's `hits` adds up the
-    occurrences, copies included, of all it matches.
-
-    `memo`, if given, is kept by the caller across calls (see `_Memo`), as
-    `compress` keeps one for each call: then each program's fragments are
-    listed, each fragment pair anti-unified and each core matched against
-    each fragment once for the whole call. Without it, nothing outlives the
-    call."""
-    if memo is None:
-        memo = _Memo()
-    sig = signature_map(prims, library)
-    ret = return_type(prims.request)
-    frag_progs: dict = {}  # fragment id -> the distinct programs holding it
-    frag_uses: dict = {}  # fragment id -> its occurrences, copies included
-    for d, program in enumerate(programs):
-        for f in memo.program_fragments(program, ret, sig):
-            frag_progs.setdefault(f, set()).add(d)
-            frag_uses[f] = frag_uses.get(f, 0) + copies[d]
-    buckets: dict = {}
-    for f in frag_progs:
-        key = memo.buckets[f]
-        if key is not None:
-            buckets.setdefault(key, []).append(f)
-    pairs = memo.pairs
-    seen: set = set()
-    for bucket in buckets.values():
-        for i, f1 in enumerate(bucket):
-            p1 = frag_progs[f1]
-            # a fragment of one program only pairs with fragments of others
-            lone = len(p1) == 1 and copies[next(iter(p1))] == 1
-            for f2 in bucket[i:]:
-                if lone and (f1 == f2 or p1 == frag_progs[f2]):
-                    continue
-                p = pairs.get((f1, f2), _UNSEEN)
-                if p is _UNSEEN:
-                    p = pairs[(f1, f2)] = memo.proposal(f1, f2, sig, max_arity)
-                if p is not None:
-                    seen.add(p)
-    out = []
-    for p in sorted(seen, key=lambda p: (memo.proposals[p].text, str(memo.proposals[p].ret))):
-        cand = memo.proposals[p]
-        matches = memo.matches[p]
-        head, args = spine(cand.core)
-        found: set = set()
-        hits = 0
-        for f in buckets[(head.name, len(args), cand.ret)]:
-            hit = matches.get(f)
-            if hit is None:
-                hit = matches[f] = _match(cand.core, memo.fragments[f], {})
-            if hit:
-                found |= frag_progs[f]
-                hits += frag_uses[f]
-        if sum(copies[d] for d in found) >= 2:
-            out.append(dataclasses.replace(cand, programs=frozenset(found), hits=hits))
-    return out
+    dl: list  # each node's DL, at the program request
+    call: float  # the cost of a call, at the program request
+    growth: float  # how much the DL of the step's corpus counts grows
+    # (type, head) -> the choice at the request of the candidate's type: it
+    # costs at most what it costs in the body, which adds variables to its
+    # choice set
+    least: dict
 
 
 def _next_index(library) -> int:
@@ -502,17 +361,11 @@ def _abstraction_from(cand: _Candidate, name: str) -> Abstraction:
     return Abstraction(name, core_to_lambda(cand.core, cand.arity), cand.type, 0)
 
 
-def _corpus_dl(corpus: dict, grammar: Grammar, request: Ty) -> float:
-    tables = tables_for(grammar, request)
-    return sum(term_dl(tables, term) for term in corpus.values())
-
-
-def _body_dl(a: Abstraction, grammar: Grammar) -> float:
-    return description_length(grammar, a.body, a.type)
-
-
 def _total_dl(corpus: dict, grammar: Grammar, request: Ty, bodies) -> float:
-    return _corpus_dl(corpus, grammar, request) + sum(_body_dl(a, grammar) for a in bodies)
+    tables = tables_for(grammar, request)
+    return sum(term_dl(tables, term) for term in corpus.values()) + sum(
+        description_length(grammar, a.body, a.type) for a in bodies
+    )
 
 
 def _tables_at(cache: dict, grammar: Grammar, request: Ty) -> Tables:
@@ -528,40 +381,17 @@ def _tables_at(cache: dict, grammar: Grammar, request: Ty) -> Tables:
     return tables
 
 
-def _core_dl(tables: Tables, core: Term, ty: Ty) -> float:
-    """The DL of the core's nodes other than its slots, derived at `ty`."""
-    head, args = spine(core)
-    if head.name in _SLOTS:
-        return 0.0
-    c = tables.by_head[(ty, head.name)]
-    total = c.cost
-    for a, aty in zip(args, c.args):
-        total += _core_dl(tables, a, aty)
-    return total
-
-
-class _Extension:
-    """A step's grammar extended with the production of one candidate type,
-    and its tables: for the program request and the type at first, and for
-    the types of the bodies learned at earlier steps once a candidate of the
-    type is priced exactly."""
-
-    def __init__(self, step: "_Step", abs_: Abstraction):
-        self.grammar = add_abstractions(step.g, [abs_])
-        self.tables = {
-            r: _tables_at(step.cache, step.g, r).extend(self.grammar)
-            for r in (step.request, abs_.type)
-        }
-        # how much the DL of the corpus counts grows
-        self.growth = counts_dl(self.tables[step.request], step.corpus_counts) - step.corpus_dl
-        self.earlier_dl: float | None = None
-
-
 class _Step:
     """One greedy step of `compress`: the corpus and the bodies learned at
-    earlier steps under the current grammar `g`, and the bound and the exact
-    gain of a candidate against them (see the module docstring). `cache` is
-    the call's tables cache (`_tables_at`)."""
+    earlier steps under the current grammar `g`, the search for candidates
+    and the exact gain of one (see the module docstring). `cache` is the
+    call's tables cache (`_tables_at`).
+
+    The step numbers every distinct (subtree, type) of its programs, bottom
+    up, so that a node's id follows its children's: `keys`, `types` and
+    `kids` hold each node's head (a name, or a variable's index), type and
+    child ids, `uses` its occurrences, copies included, and `progs` the
+    positions of the distinct programs holding it."""
 
     def __init__(
         self, programs, copies, g: Grammar, earlier, name: str, request: Ty, sig: dict, cache
@@ -579,36 +409,153 @@ class _Step:
         self.now = self.corpus_dl + sum(
             term_dl(_tables_at(cache, g, a.type), a.body) for a in earlier
         )
-        self.extended: dict = {}  # candidate type -> _Extension
+        self.extended: dict = {}  # production type -> (grammar, {request: tables})
+        self.earlier_dl: dict = {}  # production type -> the earlier bodies' DL
+        self.by_ret: dict = {}  # return type -> its _Prices
+        self.ids: dict = {}  # (head, child ids, type) -> node id
+        self.keys, self.types, self.kids, self.uses, self.progs = [], [], [], [], []
+        ret = return_type(request)
+        for d, program in enumerate(programs):
+            self._node(peel(program)[1], ret, d, copies[d])
+        self.scored = 0  # patterns bounded
 
-    def extension(self, abs_: Abstraction) -> _Extension:
-        """The extension by `abs_`, made once per candidate type: the
-        extended grammar depends only on the type."""
-        ext = self.extended.get(abs_.type)
-        if ext is None:
-            ext = self.extended[abs_.type] = _Extension(self, abs_)
-        return ext
+    def _node(self, term: Term, ty: Ty, d: int, k: int) -> int:
+        """The id of `term` at `ty`, one of `k` occurrences in program `d`."""
+        head, args = spine(term)
+        if isinstance(head, Var):
+            key = (head.index, (), ty)
+        else:
+            arg_ts = arg_types_at(self.sig[head.name], ty) if args else ()
+            key = (head.name, tuple(self._node(a, t, d, k) for a, t in zip(args, arg_ts)), ty)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key[0])
+            self.kids.append(key[1])
+            self.types.append(ty)
+            self.uses.append(0)
+            self.progs.append(set())
+        self.uses[i] += k
+        self.progs[i].add(d)
+        return i
 
-    def bound(self, cand: _Candidate, abs_: Abstraction) -> float:
-        """An upper bound on the gain of accepting `cand` as `abs_`."""
-        if cand.repeats_slot:
-            return math.inf
-        ext = self.extension(abs_)
-        tables = ext.tables[self.request]
-        saved = _core_dl(tables, cand.core, cand.ret) - tables.by_head[(cand.ret, self.name)].cost
-        body_dl = term_dl(ext.tables[abs_.type], abs_.body)
-        return cand.hits * max(0.0, saved) - ext.growth - body_dl
+    def tables(self, ty: Ty, request: Ty) -> Tables:
+        """The tables for `request` of `g` extended with a production of type
+        `ty`, named as the step names its candidate; each extended grammar
+        and each of its tables is made once, the tables from `g`'s."""
+        if ty not in self.extended:
+            self.extended[ty] = (add_abstractions(self.g, [Production(self.name, ty, 0.0)]), {})
+        grammar, tables = self.extended[ty]
+        if request not in tables:
+            tables[request] = _tables_at(self.cache, self.g, request).extend(grammar)
+        return tables[request]
+
+    def prices(self, ret: Ty) -> _Prices:
+        """What bounds the gain of every candidate returning `ret` (see
+        `_Prices`). Only the choice set of `ret` changes with the candidate,
+        and it changes the same way whatever its argument types."""
+        found = self.by_ret.get(ret)
+        if found is None:
+            tables = self.tables(ret, self.request)
+            by_head = tables.by_head
+            dl: list = []
+            for key, ty, kids in zip(self.keys, self.types, self.kids):
+                dl.append(by_head[(ty, key)].cost + sum(dl[c] for c in kids))
+            growth = counts_dl(tables, self.corpus_counts) - self.corpus_dl
+            call = by_head[(ret, self.name)].cost
+            found = self.by_ret[ret] = _Prices(dl, call, growth, self.tables(ret, ret).by_head)
+        return found
+
+    def _pattern(self, ret, pre, holes, slots, fixed, locs) -> _Pattern:
+        prices = self.prices(ret)
+        call, uses = prices.call, self.uses
+        self.scored += 1
+        saved = sum(uses[f] * max(0.0, room - call) for f, _, _, room in locs)
+        return _Pattern(saved - prices.growth - fixed, ret, pre, holes, slots, fixed, locs)
+
+    def _two_copies(self, frags) -> bool:
+        """Whether the programs holding the fragments add up to two copies."""
+        first = None
+        for f in frags:
+            for d in self.progs[f]:
+                if self.copies[d] > 1 or first not in (None, d):
+                    return True
+                first = d
+        return False
+
+    def search(self, max_arity: int, keep):
+        """Yield every candidate whose core has at most `max_arity` slots and
+        two non-slot nodes and matches two program copies, unless `keep` is
+        false for a pattern it completes.
+
+        Patterns are taken best first, by bound, from a heap that starts with
+        one per (head, argument count, type) bucket of fragments. Taking one
+        fills its first open hole in each way that keeps two copies matched:
+        with a head that subtrees there share, with a new slot, or with an
+        earlier slot of its type at the locations where the two values are
+        equal."""
+        buckets: dict = {}
+        for f, kids in enumerate(self.kids):
+            if kids:
+                buckets.setdefault((self.keys[f], len(kids), self.types[f]), []).append(f)
+        heap: list = []  # (-bound, tiebreak, pattern)
+        tiebreak = itertools.count()
+        for (head, n, ret), frags in buckets.items():
+            if self._two_copies(frags):
+                prices = self.prices(ret)
+                locs = [(f, self.kids[f], (), prices.dl[f]) for f in frags]
+                holes = tuple(self.types[c] for c in self.kids[frags[0]])
+                fixed = prices.least[(ret, head)].cost
+                pat = self._pattern(ret, ((head, n),), holes, (), fixed, locs)
+                heapq.heappush(heap, (-pat.bound, next(tiebreak), pat))
+        while heap:
+            pat = heapq.heappop(heap)[2]
+            if not keep(pat):
+                continue
+            if pat.holes:
+                for child in self._children(pat, max_arity):
+                    heapq.heappush(heap, (-child.bound, next(tiebreak), child))
+            elif sum(isinstance(node, tuple) for node in pat.pre) >= 2:
+                core = _core(pat.pre)
+                programs = frozenset().union(*(self.progs[loc[0]] for loc in pat.locs))
+                yield _Candidate(core, pat.slots, pat.ret, print_program(core), programs)
+
+    def _children(self, pat: _Pattern, max_arity: int) -> list:
+        """The patterns that fill the first open hole of `pat`."""
+        ret, pre, slots, fixed = pat.ret, pat.pre, pat.slots, pat.fixed
+        ty, holes = pat.holes[0], pat.holes[1:]
+        prices = self.prices(ret)
+        out = []
+        heads: dict = {}
+        for loc in pat.locs:
+            v = loc[1][0]
+            if isinstance(self.keys[v], str):  # variables are always cut
+                heads.setdefault((self.keys[v], len(self.kids[v])), []).append(loc)
+        for head, group in heads.items():
+            if self._two_copies(loc[0] for loc in group):
+                kids = self.kids[group[0][1][0]]
+                locs = [(f, self.kids[at[0]] + at[1:], vals, room) for f, at, vals, room in group]
+                kid_tys = tuple(self.types[c] for c in kids)
+                more = fixed + prices.least[(ty, head[0])].cost
+                out.append(self._pattern(ret, pre + (head,), kid_tys + holes, slots, more, locs))
+        if len(slots) < max_arity:
+            dl = prices.dl
+            locs = [(f, at[1:], vals + (at[0],), room - dl[at[0]]) for f, at, vals, room in pat.locs]
+            out.append(self._pattern(ret, pre + (len(slots),), holes, slots + (ty,), fixed, locs))
+        for j, slot_ty in enumerate(slots):
+            if slot_ty == ty:
+                locs = [(f, at[1:], vals, room) for f, at, vals, room in pat.locs if at[0] == vals[j]]
+                if self._two_copies(loc[0] for loc in locs):
+                    out.append(self._pattern(ret, pre + (j,), holes, slots, fixed, locs))
+        return out
 
     def gain(self, cand: _Candidate, abs_: Abstraction) -> tuple[float, dict]:
         """The drop in total DL from accepting `cand` as `abs_`, and the
         matched distinct programs rewritten: {position: term}."""
-        ext = self.extension(abs_)
-        if ext.earlier_dl is None:
-            for a in self.earlier:
-                if a.type not in ext.tables:
-                    ext.tables[a.type] = _tables_at(self.cache, self.g, a.type).extend(ext.grammar)
-            ext.earlier_dl = sum(term_dl(ext.tables[a.type], a.body) for a in self.earlier)
-        tables = ext.tables[self.request]
+        ty = abs_.type
+        if ty not in self.earlier_dl:
+            self.earlier_dl[ty] = sum(term_dl(self.tables(ty, a.type), a.body) for a in self.earlier)
+        tables = self.tables(ty, self.request)
         # Programs without a match keep their derivation; only the choice
         # costs change, so they are priced from their counts. A matched
         # program is rewritten and priced once, and its price counts once
@@ -623,9 +570,31 @@ class _Step:
             term = rewrite(self.programs[d], cand, self.name, self.request, self.sig)
             rewritten[d] = term
             touched_dl += k * term_dl(tables, term)
-        bodies_dl = ext.earlier_dl + term_dl(ext.tables[abs_.type], abs_.body)
+        bodies_dl = self.earlier_dl[ty] + term_dl(self.tables(ty, ty), abs_.body)
         total = counts_dl(tables, untouched) + touched_dl + bodies_dl
         return self.now - total, rewritten
+
+
+def _winner(step: _Step, max_arity: int):
+    """The step's winner as (gain, abstraction, rewritten programs), or None,
+    and how many candidates the step priced exactly."""
+    slack = _SLACK * step.now
+    floor = _EPS  # no candidate with a gain at most `floor` can win
+
+    def keep(pat: _Pattern) -> bool:
+        return pat.bound > floor - slack
+
+    priced = []
+    for cand in step.search(max_arity, keep):
+        abs_ = _abstraction_from(cand, step.name)
+        gain, rewritten = step.gain(cand, abs_)
+        priced.append((cand.text, str(cand.ret), gain, abs_, rewritten))
+        floor = max(floor, gain - 2 * _EPS)
+    best = None
+    for _, _, gain, abs_, rewritten in sorted(priced, key=lambda p: p[:2]):
+        if gain > floor and gain > (_EPS if best is None else best[0] + _EPS):
+            best = (gain, abs_, rewritten)
+    return best, len(priced)
 
 
 def compress(
@@ -647,33 +616,21 @@ def compress(
         copies[d] += 1
     g = grammar
     dl_before = _total_dl(corpus, g, request, [])
-    memo = _Memo()
     cache: dict = {}
     tally = {"steps": 0, "scored": 0, "priced": 0}
     while True:
-        candidates = propose_candidates(programs, copies, max_arity, prims, lib, memo)
         sig = signature_map(prims, lib)
         step = _Step(programs, copies, g, lib[n0:], f"f{_next_index(lib)}", request, sig, cache)
-        slack = _SLACK * step.now
-        best = None
-        for cand in candidates:
-            abs_ = _abstraction_from(cand, step.name)
-            threshold = _EPS if best is None else best[0] + _EPS
-            if step.bound(cand, abs_) <= threshold - slack:
-                continue
-            tally["priced"] += 1
-            gain, rewritten = step.gain(cand, abs_)
-            if gain > threshold:
-                best = (gain, abs_, rewritten)
+        best, priced = _winner(step, max_arity)
         tally["steps"] += 1
-        tally["scored"] += len(candidates)
+        tally["scored"] += step.scored
+        tally["priced"] += priced
         if best is None:
             break
         _, abs_, rewritten = best
         # the next step starts from the tables the winner was priced under
-        ext = step.extended[abs_.type]
-        g = ext.grammar
-        cache.update(ext.tables)
+        g, tables = step.extended[abs_.type]
+        cache.update(tables)
         for d, term in rewritten.items():
             programs[d] = term
         lib.append(abs_)
@@ -738,20 +695,38 @@ def library_to_json(library) -> dict:
     }
 
 
-def library_from_json(doc: dict, prims: PrimTable):
+def library_from_json(doc, prims: PrimTable):
+    """The library a `library.json` document holds; GridSynthError with one
+    line if the document is malformed."""
+    if not isinstance(doc, dict):
+        raise GridSynthError("library document is not a JSON object")
     if doc.get("schema") != LIBRARY_SCHEMA:
         raise GridSynthError(f"unexpected library schema {doc.get('schema')!r}")
+    entries = doc.get("abstractions")
+    if not isinstance(entries, list):
+        raise GridSynthError("library document has no 'abstractions' list")
     out: list[Abstraction] = []
-    for n, entry in enumerate(doc["abstractions"]):
+    for n, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise GridSynthError(f"library entry {n} is not a JSON object")
         where = f"library entry {n} ({entry.get('name', 'unnamed')})"
-        missing = [k for k in ("name", "arity", "type", "body", "useCount") if k not in entry]
-        if missing:
-            raise GridSynthError(f"{where} has no {missing[0]!r} field")
+        for key, kind in _ENTRY_FIELDS:
+            if key not in entry:
+                raise GridSynthError(f"{where} has no {key!r} field")
+            value = entry[key]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                what = "a string" if kind is str else "an integer"
+                raise GridSynthError(f"{where} has a bad {key!r} field: {value!r} is not {what}")
         try:
             ty = parse_type(entry["type"])
         except ValueError as exc:
             raise GridSynthError(f"{where} has a bad 'type' field: {exc}") from exc
         arity = entry["arity"]
+        if arity != len(arg_types(ty)):
+            raise GridSynthError(
+                f"{where} has a bad 'arity' field: {arity}, but its type takes "
+                f"{len(arg_types(ty))} arguments"
+            )
         extra = [f"${i}" for i in range(arity)] + [a.name for a in out]
         core = parse_program(entry["body"], prims, extra=extra)
         out.append(Abstraction(entry["name"], core_to_lambda(core, arity), ty, entry["useCount"]))

@@ -1,10 +1,11 @@
 import pytest
 
-from gridsynth.grammar import refit, uniform_grammar
-from gridsynth.library import compress
+from gridsynth.grammar import add_abstractions, refit, uniform_grammar
+from gridsynth.library import _next_index, _Step, compress
 from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import parse_program
 from gridsynth.state import GridState
+from gridsynth.typecheck import signature_map
 
 # The wall-check example program, kept in its original loose layout to make
 # sure the parser accepts grouping parens and a bare top-level lambda.
@@ -60,8 +61,19 @@ def learned_grammar(prims):
 
 def grouped(terms) -> tuple[list, list]:
     """(programs, copies): the distinct terms in order of first occurrence
-    and how often each occurs, the corpus as `propose_candidates` takes it."""
+    and how often each occurs, the corpus as a compression step takes it."""
     copies: dict = {}
     for term in terms:
         copies[term] = copies.get(term, 0) + 1
     return list(copies), list(copies.values())
+
+
+def search_candidates(programs, copies, max_arity, prims, library=()):
+    """Every candidate that a compression step's search finds in `programs`
+    with their `copies`, none pruned, sorted by text."""
+    grammar = add_abstractions(uniform_grammar(prims), library)
+    name = f"f{_next_index(library)}"
+    sig = signature_map(prims, library)
+    step = _Step(programs, copies, grammar, [], name, prims.request, sig, {})
+    found = step.search(max_arity, lambda pattern: True)
+    return sorted(found, key=lambda c: (c.text, str(c.ret)))

@@ -92,8 +92,11 @@ class TestExitCodes:
         [
             ({"arity": None}, "library entry 0 (f0) has no 'arity' field"),
             ({"type": "map -> widget"}, "library entry 0 (f0) has a bad 'type' field"),
+            ({"arity": "1"}, "library entry 0 (f0) has a bad 'arity' field: '1' is not an integer"),
+            ({"useCount": 2.5}, "library entry 0 (f0) has a bad 'useCount' field: 2.5 is not"),
+            ({"arity": 5}, "library entry 0 (f0) has a bad 'arity' field: 5, but its type takes 1"),
         ],
-        ids=["no-arity", "bad-type"],
+        ids=["no-arity", "bad-type", "string-arity", "float-use-count", "arity-against-type"],
     )
     def test_malformed_library_is_runtime_error(
         self, run_dir, tmp_path, capsys, command, fault, message
@@ -111,6 +114,28 @@ class TestExitCodes:
         assert main([command, str(run)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "library"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "library document is not a JSON object"),
+            ({"schema": "gridsynth-library-v1"}, "library document has no 'abstractions' list"),
+            ({"schema": "gridsynth-library-v1", "abstractions": ["f0"]},
+             "library entry 0 is not a JSON object"),
+        ],
+        ids=["not-an-object", "no-abstractions", "entry-not-an-object"],
+    )
+    def test_malformed_library_document_is_runtime_error(
+        self, run_dir, tmp_path, capsys, command, doc, message
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        last = json.loads((run / "run.json").read_text())["history"][-1]["iteration"]
+        (run / f"iter-{last}" / "library.json").write_text(json.dumps(doc))
+        assert main([command, str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
 
     def test_malformed_rollouts_is_runtime_error(self, tmp_path, capsys):
         rolls = tmp_path / "r.json"

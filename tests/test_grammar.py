@@ -26,12 +26,12 @@ from gridsynth.grammar import (
     uniform_grammar,
 )
 from gridsynth.lang import ACTION, DIRECTION, MAP, Lambda, Prim, Var, apply_all, arrow, depth
-from gridsynth.library import _abstraction_from, _next_index, propose_candidates
+from gridsynth.library import _abstraction_from, _next_index
 from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import parse_program, print_program
 from gridsynth.typecheck import infer_type
 
-from conftest import LISTING_WALL_CHECK, grouped, learned_grammar
+from conftest import LISTING_WALL_CHECK, grouped, learned_grammar, search_candidates
 
 
 @pytest.fixture
@@ -302,7 +302,7 @@ def test_extended_tables_match_a_fresh_build(env_tag, learned):
     prims = primitive_table(env_tag)
     grammar, library = learned_grammar(prims) if learned else (uniform_grammar(prims), ())
     corpus = [sample_program(grammar, 6, s) for s in range(24)]
-    candidates = propose_candidates(*grouped(corpus), 3, prims, library)
+    candidates = search_candidates(*grouped(corpus), 3, prims, library)
     assert len(candidates) >= 10
     name = f"f{_next_index(library)}"
     for cand in candidates:

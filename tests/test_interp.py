@@ -158,13 +158,14 @@ def test_library_call_with_wrong_argument_count_is_rejected(maze_prims):
 
 
 def test_library_argument_on_an_untaken_branch_is_not_evaluated(maze_prims):
-    """With the learned maze library, `f1`'s third argument sits on the `if`
-    branch its body does not take on an empty maze, so the argument's
-    out-of-range `get` (`f0` reads cell (5, 1)) never runs: the interpreter
-    gives `forward`, as the kernel does on the inlined term."""
+    """With the learned maze library, `f2`'s third argument sits on the `if`
+    branch that its body (through `f1`) does not take on an empty maze, so
+    the argument's out-of-range `get` (`f0` reads cell (5, 1)) never runs:
+    the interpreter gives `forward`, as the kernel does on the inlined
+    term."""
     _, library = learned_grammar(maze_prims)
     term = parse_program(
-        "(λ(x) (λ(y) (f1 x 2 (if (f0 empty-obj x 5) left-action right-action))))",
+        "(λ(x) (λ(y) (f2 x 2 (if (f0 empty-obj x 5) left-action right-action))))",
         maze_prims,
         extra=definitions(library),
     )
@@ -173,7 +174,7 @@ def test_library_argument_on_an_untaken_branch_is_not_evaluated(maze_prims):
     assert exec_program(term, state, maze_prims, library, tracer=lambda *e: events.append(e)) == "forward"
     assert ProgramRunner(term, maze_prims, library).run(state) == "forward"
     # the call's event shows the argument it never used as None
-    assert events[-1][:2] == ("f1", (state, 2, None))
+    assert events[-1][:2] == ("f2", (state, 2, None))
 
 
 def test_library_argument_is_evaluated_once_where_first_used(maze_prims):

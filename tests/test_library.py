@@ -1,5 +1,5 @@
 """Library-learning contracts: proposals, MDL compression, expansion."""
-import dataclasses
+import itertools
 import json
 import random
 import re
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grouped, maze_state
+from conftest import grouped, maze_state, search_candidates
 from gridsynth.errors import (
     EvalError,
     GridSynthError,
@@ -26,7 +26,7 @@ from gridsynth.grammar import (
 from gridsynth import library as library_module
 from gridsynth.interp import exec_program
 from gridsynth.kernel import compile_term, execute
-from gridsynth.lang import ACTION, INT, MAP, MAP_OBJECT, arrow
+from gridsynth.lang import ACTION, INT, MAP, MAP_OBJECT, Prim, apply_all, arrow, peel, return_type, spine
 from gridsynth.library import (
     Abstraction,
     CompressionResult,
@@ -44,11 +44,10 @@ from gridsynth.library import (
     lambda_to_core,
     library_to_json,
     load_library,
-    propose_candidates,
     rewrite,
     save_library,
 )
-from gridsynth.primitives import primitive_table
+from gridsynth.primitives import arg_types_at, primitive_table
 from gridsynth.sexpr import parse_program, print_program
 from gridsynth.typecheck import signature_map
 
@@ -91,10 +90,94 @@ def fuzzed_corpora():
         yield sampled_corpus(grammar, PRIMS, [rng.randrange(1 << 30) for _ in range(14)], 5)
 
 
+_HOLE = Prim("?")
+
+
+def cuts(term, ty, sig, max_arity):
+    """Every way to cut subtrees out of `term` at `ty`, variables always:
+    (the term with a hole for each cut, the cut (subtree, type) pairs in
+    preorder), with at most `max_arity` distinct cuts."""
+    out = [(_HOLE, [(term, ty)])]
+    head, args = spine(term)
+    if isinstance(head, Prim):
+        options = [cuts(a, t, sig, max_arity) for a, t in zip(args, arg_types_at(sig[head.name], ty))]
+        for combo in itertools.product(*options):
+            cut = [c for _, part in combo for c in part]
+            if len(set(cut)) <= max_arity:
+                out.append((apply_all(head, [kept for kept, _ in combo]), cut))
+    return out
+
+
+def slot_numbers(cut, max_arity, opened=()):
+    """Each way to give the cuts slots, numbered by first use: a cut opens a
+    new slot or shares one opened by an equal cut."""
+    if not cut:
+        yield []
+        return
+    choices = [j for j, value in enumerate(opened) if value == cut[0]]
+    if len(opened) < max_arity:
+        choices.append(len(opened))
+    for j in choices:
+        grown = opened if j < len(opened) else (*opened, cut[0])
+        for rest in slot_numbers(cut[1:], max_arity, grown):
+            yield [j, *rest]
+
+
+def fill(core, slots):
+    """`core` with its holes, in preorder, replaced by the slots $j."""
+    if core == _HOLE:
+        return Prim(f"${next(slots)}")
+    head, args = spine(core)
+    return apply_all(head, [fill(a, slots) for a in args])
+
+
+def generalizations(programs, sig, ret, max_arity):
+    """{(text, type): candidate} for every generalization of every typed
+    fragment of `programs`, the fragment's head kept, with at least two
+    non-slot nodes; whether it matches two programs is left to the caller."""
+    fragments = []
+
+    def collect(term, ty):
+        head, args = spine(term)
+        if args:
+            fragments.append((term, ty))
+            for a, t in zip(args, arg_types_at(sig[head.name], ty)):
+                collect(a, t)
+
+    for program in programs:
+        collect(peel(program)[1], ret)
+    out = {}
+    for fragment, ty in set(fragments):
+        for core, cut in cuts(fragment, ty, sig, max_arity)[1:]:
+            for numbers in slot_numbers(cut, max_arity):
+                full = fill(core, iter(numbers))
+                text = print_program(full)
+                if sum(not word.startswith("$") for word in re.findall(r"[^\s()]+", text)) < 2:
+                    continue
+                arg_types = [None] * (max(numbers, default=-1) + 1)
+                for j, (_, t) in zip(numbers, cut):
+                    arg_types[j] = t
+                out[(text, ty)] = _Candidate(full, tuple(arg_types), ty, text, frozenset())
+    return out
+
+
+def choose(scored):
+    """The winner among (text, type, gain, ...) entries: the first in text
+    order that the _EPS rule keeps among those within 2 _EPS of the best
+    gain, or None."""
+    eps = library_module._EPS
+    top = max((entry[2] for entry in scored), default=0.0)
+    best = None
+    for entry in sorted(scored, key=lambda e: (e[0], str(e[1]))):
+        if entry[2] > top - 2 * eps and entry[2] > (eps if best is None else best[2] + eps):
+            best = entry
+    return best
+
+
 def reference_compress(corpus, grammar, library=(), max_arity=3):
-    """The greedy scorer without usage counts: every candidate rewrites every
-    program and rescores the whole corpus with `description_length`."""
-    eps = 1e-9
+    """The greedy scorer with no search, bound or usage counts: every
+    generalization of every fragment is a candidate, and each one rewrites
+    every program and rescores the whole corpus with `description_length`."""
     prims = primitive_table(grammar.env_tag)
     request = prims.request
 
@@ -109,12 +192,13 @@ def reference_compress(corpus, grammar, library=(), max_arity=3):
     g = grammar
     dl_before = total_dl(current, g, [])
     while True:
-        candidates = propose_candidates(*grouped(current.values()), max_arity, prims, lib)
         sig = signature_map(prims, lib)
+        ret = return_type(request)
+        candidates = generalizations(set(current.values()), sig, ret, max_arity)
         now = total_dl(current, g, lib[n0:])
-        best = None
-        for cand in candidates:
-            name = f"f{_next_index(lib)}"
+        name = f"f{_next_index(lib)}"
+        scored = []
+        for (text, ty), cand in candidates.items():
             abs_ = _abstraction_from(cand, name)
             g2 = add_abstractions(g, [abs_])
             rewritten = {
@@ -123,11 +207,11 @@ def reference_compress(corpus, grammar, library=(), max_arity=3):
             if sum(1 for t in rewritten.values() if count_calls(t, name)) < 2:
                 continue
             gain = now - total_dl(rewritten, g2, lib[n0:] + [abs_])
-            if gain > eps and (best is None or gain > best[0] + eps):
-                best = (gain, abs_, g2, rewritten)
+            scored.append((text, ty, gain, abs_, g2, rewritten))
+        best = choose(scored)
         if best is None:
             break
-        _, abs_, g, current = best
+        _, _, _, abs_, g, current = best
         lib.append(abs_)
     lib, current = _drop_underused(lib, n0, current)
     g = add_abstractions(grammar, lib)
@@ -170,19 +254,35 @@ def assert_matches_reference(corpus, grammar, library=()):
     assert got.dl_after == want.dl_after
 
 
+def preorder(core):
+    """The nodes of a candidate core in preorder, as the search lists them:
+    (head name, argument count) or a slot index."""
+    head, args = spine(core)
+    if head.name.startswith("$"):
+        return (int(head.name[1:]),)
+    return ((head.name, len(args)), *(node for a in args for node in preorder(a)))
+
+
 def compress_steps(corpus, grammar, library=()):
-    """`compress`'s result and, per greedy step, the distinct corpus
-    programs, their copies, the library and the candidates that the step
-    scored."""
+    """`compress`'s result and, per greedy step: the distinct corpus
+    programs and their copies as the step began, the step, every candidate
+    that its search finds with nothing pruned, and the bound of every
+    pattern it meets, by (type, preorder)."""
     steps = []
-    propose = library_module.propose_candidates
 
-    def recording(programs, copies, max_arity, prims, lib, memo):
-        candidates = propose(programs, copies, max_arity, prims, lib, memo)
-        steps.append((list(programs), list(copies), list(lib), candidates))
-        return candidates
+    class Recording(library_module._Step):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bounds = {}
 
-    with mock.patch.object(library_module, "propose_candidates", recording):
+            def keep(pat):
+                bounds[(pat.ret, pat.pre)] = pat.bound
+                return True
+
+            candidates = list(self.search(3, keep))
+            steps.append((list(self.programs), list(self.copies), self, candidates, bounds))
+
+    with mock.patch.object(library_module, "_Step", Recording):
         result = compress(corpus, grammar, library=library)
     return result, steps
 
@@ -194,14 +294,13 @@ def assert_match_sets(corpus, grammar, library=()):
     prims = primitive_table(grammar.env_tag)
     _, steps = compress_steps(corpus, grammar, library)
     assert sum(steps[0][1]) == len(corpus)
-    for programs, copies, lib, candidates in steps:
+    for programs, copies, step, candidates, _ in steps:
         assert len(set(programs)) == len(programs) == len(copies)
-        sig = signature_map(prims, lib)
         for cand in candidates:
             by_rewrite = {
                 d
                 for d, t in enumerate(programs)
-                if count_calls(rewrite(t, cand, "$match", prims.request, sig), "$match")
+                if count_calls(rewrite(t, cand, "$match", prims.request, step.sig), "$match")
             }
             assert cand.programs == by_rewrite, cand.text
     return steps
@@ -231,13 +330,13 @@ class TestProposals:
     def test_spec_anti_unification_example(self):
         p1 = wall_check(1, 0)
         p2 = wall_check(0, 1, then="right-action")
-        texts = {c.text for c in propose_candidates(*grouped([p1, p2]), 3, PRIMS)}
+        texts = {c.text for c in search_candidates(*grouped([p1, p2]), 3, PRIMS)}
         assert "(eq-obj? wall-obj (get $0 $1 $2))" in texts
 
     def test_disjoint_programs_give_nothing(self):
         p1 = parse("(λ(x) (λ(y) left-action))")
         p2 = parse("(λ(x) (λ(y) (if (eq-direction? y direction-0) right-action forward-action)))")
-        assert propose_candidates(*grouped([p1, p2]), 3, PRIMS) == []
+        assert search_candidates(*grouped([p1, p2]), 3, PRIMS) == []
 
     def test_identical_subtree_proposed_closed(self):
         shared = "(eq-obj? wall-obj (get x 1 0))"
@@ -246,7 +345,7 @@ class TestProposals:
             parse(f"(λ(x) (λ(y) (if {shared} right-action forward-action)))"),
             parse(f"(λ(x) (λ(y) (if {shared} forward-action left-action)))"),
         ]
-        cands = propose_candidates(*grouped(progs), 3, PRIMS)
+        cands = search_candidates(*grouped(progs), 3, PRIMS)
         by_text = {c.text: c for c in cands}
         key = "(eq-obj? wall-obj (get $0 1 0))"
         assert key in by_text and by_text[key].arity == 1
@@ -255,22 +354,48 @@ class TestProposals:
     def test_repeated_program_proposed_whole(self):
         """A program with two copies pairs with its own copy, so copies count
         toward the two-program rule; a program with one pairs with nothing."""
-        cands = propose_candidates([wall_check(1, 0)], [2], 3, PRIMS)
+        cands = search_candidates([wall_check(1, 0)], [2], 3, PRIMS)
         texts = {c.text for c in cands}
         assert "(if (eq-obj? wall-obj (get $0 1 0)) left-action forward-action)" in texts
         assert all(c.programs == {0} for c in cands)
-        assert propose_candidates([wall_check(1, 0)], [1], 3, PRIMS) == []
+        assert search_candidates([wall_check(1, 0)], [1], 3, PRIMS) == []
 
     def test_match_sets_are_positions_in_programs(self):
-        """A candidate's `programs` are positions in `programs`, and its
-        `hits` count every copy of the fragments it matches."""
+        """A candidate's `programs` are positions in `programs`."""
         programs = [wall_check(2, 2), wall_check(1, 0), wall_check(0, 1, then="right-action")]
-        cands = propose_candidates(programs, [1, 3, 2], 3, PRIMS)
+        cands = search_candidates(programs, [1, 3, 2], 3, PRIMS)
         by_text = {c.text: c for c in cands}
         whole = by_text["(if (eq-obj? wall-obj (get $0 1 0)) left-action forward-action)"]
-        assert whole.programs == {1} and whole.hits == 3
+        assert whole.programs == {1}
         cond = by_text["(eq-obj? wall-obj (get $0 $1 $2))"]
-        assert cond.programs == {0, 1, 2} and cond.hits == 6
+        assert cond.programs == {0, 1, 2}
+
+    def test_slot_shared_where_its_values_are_equal(self):
+        """A slot is shared at the locations where both values are equal:
+        the shared core matches two of the three programs, whose pairwise
+        anti-unifiers share no slot with all three."""
+        progs = [wall_check(1, 1), wall_check(2, 2), wall_check(1, 2)]
+        by_text = {c.text: c for c in search_candidates(*grouped(progs), 3, PRIMS)}
+        assert by_text["(eq-obj? wall-obj (get $0 $1 $1))"].programs == {0, 1}
+        assert by_text["(eq-obj? wall-obj (get $0 $1 $2))"].programs == {0, 1, 2}
+
+    @pytest.mark.parametrize("max_arity", [0, 1, 3])
+    def test_search_finds_every_generalization(self, max_arity):
+        """The search finds exactly the generalizations of the fragments
+        that match two program copies."""
+        sig = signature_map(PRIMS, ())
+        for corpus in [ten_program_corpus(), *fuzzed_corpora()]:
+            programs, copies = grouped(corpus.values())
+            found = search_candidates(programs, copies, max_arity, PRIMS)
+            want = set()
+            for key, cand in generalizations(programs, sig, return_type(PRIMS.request), max_arity).items():
+                matched = [
+                    k for t, k in zip(programs, copies)
+                    if count_calls(rewrite(t, cand, "$match", PRIMS.request, sig), "$match")
+                ]
+                if sum(matched) >= 2:
+                    want.add(key)
+            assert [(c.text, c.ret) for c in found] == sorted(want, key=lambda k: (k[0], str(k[1])))
 
     def test_if_core_rewrites_only_at_its_type(self):
         cond = "(eq-obj? wall-obj (get x 1 0))"
@@ -292,7 +417,7 @@ class TestProposals:
         p1 = wall_check(1, 0)
         p2 = wall_check(0, 1, then="right-action")
         for cap in (0, 1, 2, 3):
-            for cand in propose_candidates(*grouped([p1, p2]), cap, PRIMS):
+            for cand in search_candidates(*grouped([p1, p2]), cap, PRIMS):
                 assert cand.arity <= cap
 
 
@@ -447,10 +572,11 @@ class TestScoringMatchesReference:
 
 def bounds_and_gains(corpus, grammar, library=()):
     """For every candidate of every greedy step of `compress`: the candidate,
-    its bound, its exact gain, and the slack that `compress` allows the bound
-    at that step. The exact gain is priced as `reference_compress` prices
-    it: every program rewritten and the whole corpus, each copy of each
-    distinct program, and every body rescored with `description_length`."""
+    the bounds of the patterns it completes, itself last, its exact gain, and
+    the slack that `compress` allows a bound at that step. The exact gain is
+    priced as `reference_compress` prices it: every program rewritten and
+    the whole corpus, each copy of each distinct program, and every body
+    rescored with `description_length`."""
     request = primitive_table(grammar.env_tag).request
 
     def total_dl(programs, g, bodies):
@@ -458,18 +584,9 @@ def bounds_and_gains(corpus, grammar, library=()):
             description_length(g, a.body, a.type) for a in bodies
         )
 
-    made = []
-    step_class = library_module._Step
-
-    def recording_step(*args):
-        made.append(step_class(*args))
-        return made[-1]
-
-    with mock.patch.object(library_module, "_Step", recording_step):
-        _, steps = compress_steps(corpus, grammar, library)
-    assert len(made) == len(steps)
+    _, steps = compress_steps(corpus, grammar, library)
     out = []
-    for step, (programs, copies, _, candidates) in zip(made, steps):
+    for programs, copies, step, candidates, bounds in steps:
         terms = [t for t, k in zip(programs, copies) for _ in range(k)]
         now = total_dl(terms, step.g, step.earlier)
         for cand in candidates:
@@ -477,17 +594,19 @@ def bounds_and_gains(corpus, grammar, library=()):
             rewritten = [rewrite(t, cand, step.name, request, step.sig) for t in terms]
             g2 = add_abstractions(step.g, [abs_])
             gain = now - total_dl(rewritten, g2, [*step.earlier, abs_])
-            out.append((cand, step.bound(cand, abs_), gain, library_module._SLACK * step.now))
+            pre = preorder(cand.core)
+            path = [bounds[(cand.ret, pre[:k])] for k in range(1, len(pre) + 1)]
+            out.append((cand, path, gain, library_module._SLACK * step.now))
     return out
 
 
 def bound_violations(corpus, grammar, library=()):
-    """The candidates whose exact gain exceeds their bound by more than the
-    slack, as (text, bound, gain)."""
+    """The candidates whose exact gain exceeds the bound of a pattern they
+    complete by more than the slack, as (text, bounds, gain)."""
     return [
-        (cand.text, bound, gain)
-        for cand, bound, gain, slack in bounds_and_gains(corpus, grammar, library)
-        if gain > bound + slack
+        (cand.text, path, gain)
+        for cand, path, gain, slack in bounds_and_gains(corpus, grammar, library)
+        if gain > min(path) + slack
     ]
 
 
@@ -518,9 +637,11 @@ class TestGainBound:
         if with_library:
             grammar, library = learned_start(env_tag)
         found = bounds_and_gains(duplicated_corpus(grammar, seed=4), grammar, library)
-        assert [c.text for c, bound, gain, slack in found if gain > bound + slack] == []
+        assert [c.text for c, path, gain, slack in found if gain > min(path) + slack] == []
         # the bound is finite and below the threshold for some candidates
-        assert any(bound < 0 for _, bound, _, _ in found)
+        assert any(path[-1] < 0 for _, path, _, _ in found)
+        # partial patterns are bounded too, and their bounds tighten
+        assert any(len(path) > 2 and path[0] > path[-1] for _, path, _, _ in found)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
@@ -538,14 +659,15 @@ class TestGainBound:
         assert bound_violations(corpus, grammar, library) == []
 
     def test_halved_occurrence_counts_trip_the_check(self):
-        """A seeded mutation: with each candidate's occurrence count halved
+        """A seeded mutation: with each fragment's occurrence count halved
         the bound falls below the gain of a candidate that pays."""
-        propose = library_module.propose_candidates
 
-        def halved(*args):
-            return [dataclasses.replace(c, hits=c.hits // 2) for c in propose(*args)]
+        class Halved(library_module._Step):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.uses = [n // 2 for n in self.uses]
 
-        with mock.patch.object(library_module, "propose_candidates", halved):
+        with mock.patch.object(library_module, "_Step", Halved):
             assert bound_violations(ten_program_corpus(), uniform_grammar(PRIMS))
             assert bound_violations(next(fuzzed_corpora()), uniform_grammar(PRIMS))
 

@@ -342,9 +342,9 @@ class _Prices(NamedTuple):
     dl: list  # each node's DL, at the program request
     call: float  # the cost of a call, at the program request
     growth: float  # how much the DL of the step's corpus counts grows
-    # (type, head) -> the choice at the request of the candidate's type: it
-    # costs at most what it costs in the body, which adds variables to its
-    # choice set
+    # (type, head) -> the choice at the request of the return type: it costs
+    # at most what it costs in the body, which adds variables to its choice
+    # set
     least: dict
 
 

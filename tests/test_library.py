@@ -619,8 +619,9 @@ def learned_start(env_tag):
 
 
 class TestGainBound:
-    """`compress` prices a candidate exactly only when a bound on its gain
-    can beat the step's best; the bound must never be below the gain."""
+    """The search drops a pattern unless its bound can beat the step's best,
+    so a pattern's bound must never be below the gain of a core completing
+    it."""
 
     def test_fuzzed_corpora(self):
         grammar = uniform_grammar(PRIMS)

@@ -330,7 +330,7 @@ class _Pattern(NamedTuple):
     pre: tuple  # its nodes so far in preorder (see `_core`)
     holes: tuple  # the types of its open holes, leftmost first
     slots: tuple  # the type of each slot
-    fixed: float  # its non-slot nodes' cost at the request of its type
+    fixed: float  # its non-slot nodes' cost at the request of its return type
     # per match location: (fragment id, the node ids at the open holes and
     # at the slots, the fragment's DL less its slot values')
     locs: list

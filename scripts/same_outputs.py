@@ -56,8 +56,8 @@ CONFIGS = {
          "--corpus-size", "0", "--max-iterations", "2"],
     ],
     # the same run split over two forked workers: the windows a stage groups
-    # and the candidate list each worker checks over its own windows' states
-    # must not change a result
+    # and the scan each worker runs over its own windows' states must not
+    # change a result
     "minatar-search-jobs2": [
         ["--env", "spaceinvaders", "--profile", "desk", "--seed", "7",
          "--corpus-size", "0", "--max-iterations", "2", "--jobs", "2"],
@@ -77,6 +77,12 @@ CONFIGS = {
     # that grows to dozens of entries
     "minatar-paper": [
         ["--env", "spaceinvaders", "--profile", "paper", "--seed", "7", "--corpus-size", "0"],
+    ],
+    # asterix at paper scale: ten iterations that reach L=11, so the scan's
+    # window check and eval run at every L from 3 to 11, on stages of up to
+    # 1,762 windows
+    "asterix-paper": [
+        ["--env", "asterix", "--profile", "paper", "--seed", "7", "--corpus-size", "0"],
     ],
 }
 SKIPPED = {"run.json"}

@@ -16,8 +16,8 @@ byte-identical regardless of --jobs.  run.json names the package version
 that ran.  Each history entry in run.json records the seconds spent in the
 dream, refit, solve and compress stages (stageSec), how many searches stopped
 for each reason (stopReasons) and on their timeout (timeoutStops), and how
-many candidates the solve stage enumerated and checked for its shared
-candidate lists (candidatesCompiled).  compressCandidates counts the greedy
+many candidates the solve stage's scans enumerated and checked
+(candidatesCompiled).  compressCandidates counts the greedy
 steps of the compress stage, the patterns its candidate search bounded and
 the candidates it priced exactly.  A timeout stop depends on machine speed, so a nonzero count means
 the artifacts may differ on another machine.
@@ -36,8 +36,8 @@ from gridsynth.data import (
     Task,
     TaskSet,
     collect_oracle_rollouts,
+    checked_program,
     collect_program_rollouts,
-    compile_program,
     default_params,
     imitated,
     save_task_set,
@@ -402,8 +402,9 @@ def eval_run(run_dir, seed: int | None = None, episodes: int | None = None) -> P
     """Score the run's solved programs on freshly seeded oracle data.
 
     One row per curriculum L: the fraction of fresh length-L windows imitated
-    by at least one program from the final rewritten corpus.  Writes eval.csv
-    into the run directory and returns its path.
+    by at least one program from the final rewritten corpus; each program is
+    checked once per L over all of that L's windows.  Writes eval.csv into
+    the run directory and returns its path.
     """
     run_dir = Path(run_dir)
     doc = load_run(run_dir)
@@ -417,13 +418,13 @@ def eval_run(run_dir, seed: int | None = None, episodes: int | None = None) -> P
     library = load_library(last / "library.json", prims)
     report = json.loads((last / "report.json").read_text())
     texts = sorted({entry["program"] for entry in report["rewritten"]})
-    codes = [compile_program(text, prims, library) for text in texts]
+    terms = [checked_program(text, prims, library) for text in texts]
     fresh = collect_oracle_rollouts(config["env_tag"], episodes, seed=seed)
     lengths = sorted({entry["L"] for entry in doc["history"]})
     lines = [EVAL_HEADER]
     for L in lengths:
         tasks = slice_tasks(fresh, L)
-        hits = sum(imitated(codes, task, prims) for task in tasks.tasks)
+        hits = sum(imitated(terms, tasks.tasks, prims))
         acc = hits / tasks.n if tasks.n else 0.0
         lines.append(f"{L},{acc:.6f},{tasks.n}")
     path = run_dir / "eval.csv"

@@ -4,8 +4,11 @@ Trajectories come either from the scripted oracle or from sampled programs
 run inside a seeded environment. A trajectory is sliced into non-overlapping
 length-L windows, each of which becomes one imitation task: find a program
 whose action matches the recorded action on every state of the window.
-Rollouts of sampled programs, `imitates` and `accuracy` run programs on the
-closure kernel, which reads a task as flat inputs (`task_inputs`).
+Rollouts of sampled programs run programs on the closure kernel. Every
+imitation check (search, `imitated`, `imitates`, `accuracy`) lays its
+windows' states end to end in one `kernel.StateBatch` (`window_batch`),
+checks each program once over all of them and reads the windows it
+imitates off the states it gets wrong (`kernel.covered`).
 """
 from __future__ import annotations
 
@@ -14,12 +17,11 @@ import random
 from dataclasses import dataclass
 from itertools import cycle, islice
 from pathlib import Path
-from typing import Callable
 
 from gridsynth.envs import env_spec, make_env
 from gridsynth.errors import GridSynthError, IllegalActionError, TypeMismatchError, UnknownTaskIdError
 from gridsynth.grammar import Grammar, sample_program
-from gridsynth.kernel import check_trajectory, compile_term, execute
+from gridsynth.kernel import StateBatch, compile_term, covered, execute
 from gridsynth.lang import ACTION, MAP, Term, arrow, inline
 from gridsynth.library import definitions
 from gridsynth.primitives import PrimTable, primitive_table
@@ -212,9 +214,9 @@ def slice_tasks(trajs, L: int) -> TaskSet:
     return TaskSet(env_tag, L, tuple(tasks))
 
 
-def compile_program(program, prims: PrimTable, library=None) -> Callable:
-    """The compiled closure of a program, given as text or as a term,
-    expanded with its library.
+def checked_program(program, prims: PrimTable, library=None) -> Term:
+    """A program, given as text or as a term, type-checked and expanded with
+    its library, as the kernel runs it.
 
     The kernel runs whatever it is given, so the program is type-checked
     first: it must take the map (on the maze, the direction too) and return
@@ -225,13 +227,12 @@ def compile_program(program, prims: PrimTable, library=None) -> Callable:
     if ty not in (prims.request, arrow(MAP, ACTION)):
         raise TypeMismatchError(expected=str(prims.request), found=str(ty), location="program")
     defs = definitions(library)
-    return compile_term(inline(term, defs) if defs else term, prims).code
+    return inline(term, defs) if defs else term
 
 
 def task_inputs(task: Task, prims: PrimTable):
-    """A task as `check_trajectory` and `StateBatch` read it: flat grids,
-    directions (0 where a state has none), action ids, and the grids' width
-    and height."""
+    """A task as the kernel reads it: flat grids, directions (0 where a state
+    has none), action ids, and the grids' width and height."""
     ids = {w: i for i, w in enumerate(prims.action_words)}
     illegal = [a for _, a in task.steps if a not in ids]
     if illegal:
@@ -244,11 +245,36 @@ def task_inputs(task: Task, prims: PrimTable):
     return grids, dirs, acts, width, height
 
 
-def imitated(codes, task: Task, prims: PrimTable) -> bool:
-    """True iff one of the compiled programs reproduces every recorded action
-    of the task; a program that fails to evaluate on a step does not."""
-    grids, dirs, acts, width, height = task_inputs(task, prims)
-    return any(check_trajectory(code, grids, dirs, acts, width, height) == len(acts) for code in codes)
+def window_batch(tasks, prims: PrimTable):
+    """The tasks' states laid end to end in one `StateBatch`, and the bit of
+    each task's first state."""
+    grids, dirs, acts, starts = [], [], [], []
+    for task in tasks:
+        g, d, a, _, _ = task_inputs(task, prims)
+        starts.append(len(acts))
+        grids += g
+        dirs += d
+        acts += a
+    height, width = env_spec(prims.env_tag).obs_shape
+    return StateBatch(grids, dirs, acts, width, height), starts
+
+
+def imitated(terms, tasks, prims: PrimTable) -> list[bool]:
+    """For each task, whether one of the checked programs (`checked_program`)
+    reproduces every recorded action of it; a program that fails to
+    evaluate on a step does not. Each program is checked once over every
+    task's states."""
+    batch, starts = window_batch(tasks, prims)
+    lengths = [len(t.steps) for t in tasks]
+    windows = {}  # length -> the first bits of the windows of that length
+    for n, s in zip(lengths, starts):
+        windows[n] = windows.get(n, 0) | 1 << s
+    hit = dict.fromkeys(windows, 0)
+    for term in terms:
+        wrong = batch.all ^ batch.check(term, prims)
+        for n, bits in windows.items():
+            hit[n] |= covered(wrong, bits & ~hit[n], n)
+    return [bool(hit[n] >> s & 1) for n, s in zip(lengths, starts)]
 
 
 def imitates(program, task: Task, prims: PrimTable | None = None, library=None) -> bool:
@@ -256,7 +282,7 @@ def imitates(program, task: Task, prims: PrimTable | None = None, library=None) 
     to evaluate is a mismatch. An empty task is imitated by every program, and
     an ill-typed program raises TypeMismatchError."""
     prims = prims or primitive_table(task.env_tag)
-    return imitated([compile_program(program, prims, library)], task, prims)
+    return imitated([checked_program(program, prims, library)], [task], prims)[0]
 
 
 def accuracy(solutions: dict, tasks: TaskSet, library=None) -> float:

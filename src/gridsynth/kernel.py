@@ -4,14 +4,16 @@ time as closures or many states at once as bitsets.
 `compile_term` turns a term into a tree of Python closures, one per node,
 each called as `node(grid, width, height, direction)` on a flat row-major
 grid; `execute` runs the root on one grid, and `check_trajectory` counts how
-many leading steps of a task it reproduces. Dream rollouts, `data.imitates`
-and evaluation run on closures. `StateBatch.check` evaluates a program once
-over every state of a batch, each node's value a partition of the states by
-value, and returns the bitset of the states on which it gives the recorded
-action; search checks each candidate so, over all of a solve stage's states.
-Both forms are built by one walk over the term, each from its own table of
-builders. The tree interpreter in `gridsynth.interp` stays the semantics of
-record: it drives `explain`, and the tests hold both forms to it.
+many leading steps of a task it reproduces. Dream rollouts run on closures.
+`StateBatch.check` evaluates a program once over every state of a batch,
+each node's value a partition of the states by value, and returns the
+bitset of the states on which it gives the recorded action. Every imitation
+check runs so: search, evaluation and `data.imitates` lay their windows end
+to end in one batch, and `covered` turns the bitset of the states a program
+gets wrong into the bitset of the windows it imitates. Both forms are built
+by one walk over the term, each from its own table of builders. The tree
+interpreter in `gridsynth.interp` stays the semantics of record: it drives
+`explain`, and the tests hold both forms to it.
 
 Values are ints: booleans as Python bools, object codes raw, mapObject
 packed as (code << 16) | (x << 8) | y, actions as indices into the table's
@@ -272,6 +274,16 @@ _BATCH_BUILDERS = {  # `get` reads the states, so each StateBatch adds its own
 }
 
 
+def covered(wrong: int, starts: int, length: int) -> int:
+    """The bits of `starts` whose windows, `length` states each from there,
+    hold no bit of `wrong`: with `wrong` the states a program gets wrong,
+    the windows it imitates. A window of no states is always covered."""
+    fold = wrong
+    for shift in range(1, length):
+        fold |= wrong >> shift
+    return starts if length == 0 else starts & ~fold
+
+
 class StateBatch:
     """Many states laid end to end, for checking a program on all of them at
     once: bit i of every bitset stands for state i.
@@ -285,10 +297,10 @@ class StateBatch:
 
     def __init__(self, grids, dirs, acts, width: int, height: int):
         self.width, self.height = width, height
-        self._all = (1 << len(acts)) - 1
+        self.all = (1 << len(acts)) - 1  # the bitset of every state
         self._acts = _bitsets(bytes(reversed(acts)))
         self._direction = _bitsets(bytes(reversed(dirs)))
-        self._map = {0: self._all}  # the map is never a value; 0 stands for it
+        self._map = {0: self.all}  # the map is never a value; 0 stands for it
         self._columns = [bytes(c) for c in zip(*reversed(grids))] or [b""] * (width * height)
         self._cells: dict = {}
         self._builders = {**_BATCH_BUILDERS, "get": self._get}
@@ -303,7 +315,7 @@ class StateBatch:
         return correct
 
     def _constant(self, value) -> dict:
-        return {value: self._all}
+        return {value: self.all}
 
     def _cell(self, x: int, y: int) -> dict:
         """{packed mapObject: bitset} for the cell at (x, y)."""

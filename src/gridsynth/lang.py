@@ -198,17 +198,6 @@ def depth(term: Term) -> int:
     return 1 + max(depth(c) for c in children)
 
 
-def free_vars(term: Term, cutoff: int = 0) -> set[int]:
-    """Indices of variables free at the given binder depth."""
-    if isinstance(term, Var):
-        return {term.index - cutoff} if term.index >= cutoff else set()
-    if isinstance(term, Lambda):
-        return free_vars(term.body, cutoff + 1)
-    if isinstance(term, Apply):
-        return free_vars(term.fn, cutoff) | free_vars(term.arg, cutoff)
-    return set()
-
-
 def inline(term: Term, defs) -> Term:
     """Expand every call of a defined name into the name's body.
 

@@ -52,20 +52,22 @@ Exact pricing touches only the match set: the programs outside it keep
 their derivations and are priced as their (type, production) counts, taken
 once per step, times the extended grammar's costs; only the matched
 programs are rewritten and walked, with the abstraction bodies. The
-reported dl_before and dl_after are full passes over the corpus.
+reported dl_before and dl_after price every distinct program once and add
+the prices in corpus key order, one per key.
 
 A corpus of solved windows holds many copies of a few programs, so
 `compress` groups it once, at entry, into its distinct programs and their
 copies. A step counts, numbers, rewrites and prices each distinct program
 once and multiplies by its copies. Rewriting keeps distinct programs
 distinct (inlining the new abstraction undoes it), so a winner's rewritten
-programs replace their own positions, and the corpus is rebuilt in key
-order once, after the last step. An extended grammar's tables are derived
-from the current grammar's (`Tables.extend`), once per production type and
-request, and kept out of `tables_for`'s cache. A step starts from the
-tables the previous winner was priced under and brings other requests' up
-to date the same way, so a call builds tables only for requests it has not
-met.
+programs replace their own positions. Dropping an underused abstraction
+inlines it into each distinct program once, use counts multiply by copies,
+and the corpus is rebuilt in key order once, at the end. An extended
+grammar's tables are derived from the current grammar's (`Tables.extend`),
+once per production type and request, and kept out of `tables_for`'s cache.
+A step starts from the tables the previous winner was priced under and
+brings other requests' up to date the same way, so a call builds tables
+only for requests it has not met.
 
 The library is one list, earlier entries first. An abstraction keeps its
 name, body, type and use count; its arity (the body's leading lambdas) and
@@ -361,9 +363,13 @@ def _abstraction_from(cand: _Candidate, name: str) -> Abstraction:
     return Abstraction(name, core_to_lambda(cand.core, cand.arity), cand.type, 0)
 
 
-def _total_dl(corpus: dict, grammar: Grammar, request: Ty, bodies) -> float:
+def _total_dl(programs, owner, grammar: Grammar, request: Ty, bodies) -> float:
+    """The DL of a grouped corpus, `programs[owner[k]]` standing for its k-th
+    entry, plus that of `bodies`. Each distinct program is priced once, and
+    the prices are added in corpus order."""
     tables = tables_for(grammar, request)
-    return sum(term_dl(tables, term) for term in corpus.values()) + sum(
+    dls = [term_dl(tables, term) for term in programs]
+    return sum(dls[d] for d in owner) + sum(
         description_length(grammar, a.body, a.type) for a in bodies
     )
 
@@ -615,7 +621,7 @@ def compress(
     for d in owner:
         copies[d] += 1
     g = grammar
-    dl_before = _total_dl(corpus, g, request, [])
+    dl_before = _total_dl(programs, owner, g, request, [])
     cache: dict = {}
     tally = {"steps": 0, "scored": 0, "priced": 0}
     while True:
@@ -634,45 +640,46 @@ def compress(
         for d, term in rewritten.items():
             programs[d] = term
         lib.append(abs_)
-    current = {key: programs[d] for key, d in zip(corpus, owner)}
-    lib, current = _drop_underused(lib, n0, current)
+    lib, programs = _drop_underused(lib, n0, programs, copies)
     g = add_abstractions(grammar, lib)
-    uses = _use_counts(current, lib)
+    uses = _use_counts(programs, copies, lib)
     counted = [dataclasses.replace(a, use_count=uses[a.name]) for a in lib]
     return CompressionResult(
         grammar=g,
         library=tuple(counted),
         new_abstractions=tuple(counted[n0:]),
-        rewritten=current,
+        rewritten={key: programs[d] for key, d in zip(corpus, owner)},
         dl_before=dl_before,
-        dl_after=_total_dl(current, g, request, counted[n0:]),
+        dl_after=_total_dl(programs, owner, g, request, counted[n0:]),
         candidate_counts=tally,
     )
 
 
-def _use_counts(corpus: dict, lib) -> dict:
-    """Calls of each abstraction of `lib` in the corpus programs and in the
-    bodies of the library's other abstractions, counted in one walk."""
+def _use_counts(programs, copies, lib) -> dict:
+    """Calls of each abstraction of `lib` in the corpus, each distinct
+    program counted times its copies, and in the bodies of the library's
+    other abstractions, counted in one walk."""
     uses = dict.fromkeys((a.name for a in lib), 0)
-    walks = [(t, None) for t in corpus.values()] + [(a.body, a.name) for a in lib]
-    for term, own in walks:
+    walks = [*zip(programs, copies, [None] * len(programs)), *((a.body, 1, a.name) for a in lib)]
+    for term, k, own in walks:
         for p in _prims_in(term):
             if p.name in uses and p.name != own:
-                uses[p.name] += 1
+                uses[p.name] += k
     return uses
 
 
-def _drop_underused(lib, n0, corpus):
+def _drop_underused(lib, n0, programs, copies):
     """Inline and remove the abstractions from index `n0` on (the freshly
-    added ones) that are used fewer than twice."""
+    added ones) that are used fewer than twice; `programs` are the corpus's
+    distinct programs and `copies` their copies."""
     lib = list(lib)
     while True:
-        uses = _use_counts(corpus, lib)
+        uses = _use_counts(programs, copies, lib)
         victim = next((a for a in lib[n0:] if uses[a.name] < 2), None)
         if victim is None:
-            return lib, corpus
+            return lib, programs
         defs = {victim.name: victim.body}
-        corpus = {tid: inline(t, defs) for tid, t in corpus.items()}
+        programs = [inline(t, defs) for t in programs]
         lib = [
             dataclasses.replace(a, body=inline(a.body, defs)) for a in lib if a is not victim
         ]

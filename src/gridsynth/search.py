@@ -1,4 +1,4 @@
-"""Best-first enumeration of programs and per-task solving.
+"""Best-first enumeration of programs and solving a stage's windows in one scan.
 
 The enumerator runs uniform-cost search over partial derivations. A state is
 a stack of typed holes plus the path of choices taken so far; the priority is
@@ -7,16 +7,16 @@ description length), so terms stream out in exactly non-decreasing DL order.
 Terms are only materialized when a derivation completes.
 
 The stream depends only on the grammar, the library and the depth bound, which
-a solve stage fixes for all of its tasks. So `solve_many` keeps the stream as
-one `CandidateList` per stage, built for the stage's windows: each candidate
-is enumerated and expanded the first time any task's scan reaches it, and
-evaluated once over every state of every window at once, as bitsets
-(`kernel.StateBatch`). Each task then scans the list from its start with its
-own top-k, candidate cap and deadline, and a candidate imitates the task when
-the bitset of states it gets right covers the task's window. Tasks with
-equal steps are searched once. With `jobs` > 1 the searched tasks are split
-into contiguous chunks, one forked worker and one shared list per chunk, and
-the results are joined in task order.
+a solve stage fixes for all of its windows. So `solve_many` reads it once per
+stage, in one `_scan` of every searched window: the windows' states lie end to
+end in one `kernel.StateBatch` (`data.window_batch`), each candidate is
+enumerated, expanded and checked once over all of them, and `kernel.covered`
+reads off every window it imitates. Each window stops on its own top-k; the
+rest stop together at the candidate cap, at the stream's end or at the scan's
+one deadline, so each window gets what a lone search of it would, a timeout
+aside. Windows with equal steps are searched once. With `jobs` > 1 the
+searched windows are split into contiguous chunks, one forked worker and one
+scan per chunk, and the results are joined in task order.
 """
 from __future__ import annotations
 
@@ -26,10 +26,9 @@ import time
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
-from gridsynth.data import task_inputs
-from gridsynth.envs import env_spec
+from gridsynth.data import window_batch
 from gridsynth.grammar import Grammar, Tables, tables_for
-from gridsynth.kernel import StateBatch
+from gridsynth.kernel import covered
 from gridsynth.lang import Lambda, Prim, Term, Ty, Var, apply_all, inline
 from gridsynth.library import definitions
 from gridsynth.primitives import primitive_table
@@ -116,101 +115,71 @@ def _reconstruct(tables: Tables, path) -> Term:
     return term
 
 
-class CandidateList:
-    """A solve stage's candidate stream, extended lazily and shared by its tasks.
-
-    The list is built for the stage's windows, `tasks`, whose states it lays
-    end to end in one `StateBatch`. Entry i is (dl, term, correct) for the
-    i-th program of depth at most `max_depth` in `_stream`: its DL, the term
-    itself, and the bitset of the stage's states on which its library
-    expansion gives the recorded action. An entry is enumerated, expanded
-    and checked over every state the first time a scan reaches it.
-    Iterating yields the entries from the first; a scan that passes the end
-    of the list extends it, and the scan's caller pays for that.
-    """
-
-    def __init__(self, grammar: Grammar, library, max_depth: int, tasks):
-        self.prims = primitive_table(grammar.env_tag)
-        self.entries: list[tuple[float, Term, int]] = []
-        self._stream = _stream(tables_for(grammar, grammar.request), max_depth)
-        self._defs = definitions(library)
-        grids, dirs, acts = [], [], []
-        self.masks = {}  # steps -> the bitset of a window's states
-        for task in tasks:
-            g, d, a, _, _ = task_inputs(task, self.prims)
-            self.masks[task.steps] = ((1 << len(a)) - 1) << len(acts)
-            grids += g
-            dirs += d
-            acts += a
-        height, width = env_spec(grammar.env_tag).obs_shape
-        self.states = StateBatch(grids, dirs, acts, width, height)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        entries = self.entries
-        yield from entries  # a list iterator also yields entries appended meanwhile
-        i = len(entries)
-        while True:
-            if i == len(entries):
-                nxt = next(self._stream, None)
-                if nxt is None:
-                    return
-                dl, term = nxt
-                flat = inline(term, self._defs) if self._defs else term
-                entries.append((dl, term, self.states.check(flat, self.prims)))
-            yield entries[i]
-            i += 1
-
-
-def solve_task(candidates: CandidateList, task, budget: SearchBudget) -> SolvedTask:
-    """Scan `candidates` from the start for programs that imitate every step
-    of `task`, one of the windows the list was built for, until the budget's
-    top-k hits, candidate cap or timeout, or the list's end."""
+def _scan(grammar: Grammar, windows, budget: SearchBudget, library, max_depth: int):
+    """Search the distinct `windows` at once for programs that imitate every
+    step of them. Returns a `SolvedTask` per window, in window order, and the
+    number of candidates checked."""
     if budget.timeout_sec is None and budget.max_candidates is None:
         raise ValueError("search budget needs a timeout or a candidate cap")
-    mask = candidates.masks[task.steps]
-    hits: list[tuple[float, str, Term]] = []
-    tried = 0
+    prims = primitive_table(grammar.env_tag)
+    defs = definitions(library)
+    stream = _stream(tables_for(grammar, grammar.request), max_depth)
+    batch, starts = window_batch(windows, prims)
+    owner: dict[int, dict[int, int]] = {}  # length -> {first state's bit: window}
+    for i, (w, s) in enumerate(zip(windows, starts)):
+        owner.setdefault(len(w.steps), {})[s] = i
+    active = {n: sum(1 << s for s in group) for n, group in owner.items()}
+    hits: list[list] = [[] for _ in windows]
+    stops: list = [None] * len(windows)  # (candidates tried, seconds, stop reason)
     start = time.monotonic()
     deadline = None if budget.timeout_sec is None else start + budget.timeout_sec
-    stop_reason = "exhausted"
-    for tried, (dl, term, correct) in enumerate(candidates, 1):
-        if correct & mask == mask:
-            hits.append((dl, print_program(term), term))
-            if len(hits) >= budget.top_k:
-                stop_reason = "top-k"
-                break
+    tried, left, reason = 0, len(windows), "exhausted"
+    while left:
+        nxt = next(stream, None)
+        if nxt is None:
+            break
+        tried += 1
+        dl, term = nxt
+        wrong = batch.all ^ batch.check(inline(term, defs) if defs else term, prims)
+        text = None
+        for n, bits in active.items():
+            new = covered(wrong, bits, n)
+            while new:
+                low = new & -new
+                new ^= low
+                i = owner[n][low.bit_length() - 1]
+                text = text or print_program(term)
+                hits[i].append((dl, text, term))
+                if len(hits[i]) >= budget.top_k:
+                    active[n] ^= low
+                    left -= 1
+                    stops[i] = (tried, time.monotonic() - start, "top-k")
         if budget.max_candidates is not None and tried >= budget.max_candidates:
-            stop_reason = "candidates"
+            reason = "candidates"
             break
         if deadline is not None and tried % 128 == 0 and time.monotonic() > deadline:
-            stop_reason = "timeout"
+            reason = "timeout"
             break
-    hits.sort(key=lambda h: (h[0], h[1]))
-    return SolvedTask(
-        task_id=task.task_id,
-        programs=tuple(h[2] for h in hits),
-        dl_nats=tuple(h[0] for h in hits),
-        candidates_tried=tried,
-        wall_time_sec=time.monotonic() - start,
-        stop_reason=stop_reason,
-    )
+    rest = (tried, time.monotonic() - start, reason)
+    results = []
+    for w, found, stop in zip(windows, hits, stops):
+        found.sort(key=lambda h: h[:2])
+        programs, dls = tuple(h[2] for h in found), tuple(h[0] for h in found)
+        results.append(SolvedTask(w.task_id, programs, dls, *(stop or rest)))
+    return results, tried
+
+
+def solve_task(grammar: Grammar, task, budget: SearchBudget, library, max_depth: int) -> SolvedTask:
+    """A lone search: `_scan` of one window, until the budget's top-k hits,
+    candidate cap or timeout, or the stream's end."""
+    return _scan(grammar, [task], budget, library, max_depth)[0][0]
 
 
 class StageResults(dict):
     """Solved tasks keyed by task id, in task order, plus `candidates_compiled`:
-    the total length of the candidate lists the stage built."""
+    the number of candidates the stage's scans checked."""
 
     candidates_compiled: int = 0
-
-
-def _solve_chunk(grammar, tasks, budget, library, max_depth):
-    """Solve tasks in order against one shared candidate list."""
-    shared = CandidateList(grammar, library, max_depth, tasks)
-    results = [solve_task(shared, t, budget) for t in tasks]
-    return results, len(shared)
 
 
 def solve_many(
@@ -222,28 +191,22 @@ def solve_many(
     equal steps get its result under their own ids. With a candidate cap that
     is what their own searches would return; without one, a duplicate shares
     its group's result instead of racing the clock again. The searched tasks
-    share one `CandidateList`, so each candidate is enumerated, expanded and
-    checked at most once, while each scan, stop reason and hit list is that
-    of a `solve_task` call on a list of its own; only a timeout can come
-    later, since reading entries another task checked is faster than
-    checking them. The list grows to the longest scan: at most
-    `budget.max_candidates`, or without a cap as far as the timeout allows.
-    `jobs` > 1 splits the searched tasks into contiguous chunks, each solved
-    in a forked worker with its own list, so no result depends on `jobs`.
+    share one `_scan`, so each candidate is enumerated, expanded and checked
+    once, while each task gets what its own `solve_task` gives, a timeout
+    aside. `jobs` > 1 splits the searched tasks into contiguous chunks, each
+    scanned in a forked worker, so no result depends on `jobs`.
     """
     first = {}  # steps -> the first task with them, the one searched
     for t in tasks:
         first.setdefault(t.steps, t)
     firsts = list(first.values())
     if jobs <= 1 or len(firsts) <= 1:
-        parts = [_solve_chunk(grammar, firsts, budget, library, max_depth)]
+        parts = [_scan(grammar, firsts, budget, library, max_depth)]
     else:
         jobs = min(jobs, len(firsts))
         chunks = [firsts[i * len(firsts) // jobs:(i + 1) * len(firsts) // jobs] for i in range(jobs)]
         with get_context("fork").Pool(processes=jobs) as pool:
-            parts = pool.starmap(
-                _solve_chunk, [(grammar, c, budget, library, max_depth) for c in chunks]
-            )
+            parts = pool.starmap(_scan, [(grammar, c, budget, library, max_depth) for c in chunks])
     solved = {r.task_id: r for results, _ in parts for r in results}
     out = StageResults()
     for t in tasks:

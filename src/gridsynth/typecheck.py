@@ -14,7 +14,7 @@ unification:
 
 With no request, the term is a program: its n <= 2 binders are the map and
 then the direction, and it returns an action. Only maze programs may take
-the direction: `data.compile_program` runs `map -> action` programs and
+the direction: `data.checked_program` accepts `map -> action` programs and
 those of the environment's request.
 """
 from __future__ import annotations

@@ -37,7 +37,7 @@ from gridsynth.interp import exec_program
 from gridsynth.lang import BOOL, Apply, Lambda, Prim, Var
 from gridsynth.library import compress, expand, load_library
 from gridsynth.primitives import primitive_table
-from gridsynth.search import CandidateList, SearchBudget, _stream, solve_task
+from gridsynth.search import SearchBudget, _stream, solve_many
 from gridsynth.sexpr import parse_program, print_program
 from gridsynth.state import GridState
 from gridsynth.typecheck import infer_type
@@ -164,10 +164,10 @@ def test_criterion_04_resolve_rate():
     assert tasks.n >= 200
     full = {t.traj_id: Task(t.traj_id, "maze", t.steps) for t in trajs}
     budget = SearchBudget(timeout_sec=5.0, top_k=1, max_candidates=None)
-    candidates = CandidateList(grammar, (), 6, tasks.tasks[:200])
+    results = solve_many(grammar, tasks.tasks[:200], budget, (), 6)
     good = 0
     for task in tasks.tasks[:200]:
-        res = solve_task(candidates, task, budget)
+        res = results[task.task_id]
         if not res.programs:
             continue
         holdout = full[task.task_id.rsplit(":", 1)[0]]

@@ -23,8 +23,14 @@ from gridsynth.curriculum import (
     final_iteration_dir,
     run_curriculum,
 )
+from gridsynth.data import checked_program, collect_oracle_rollouts, imitated, slice_tasks, task_inputs
 from gridsynth.errors import GridSynthError
+from gridsynth.kernel import check_trajectory, compile_term
+from gridsynth.lang import inline
+from gridsynth.library import definitions, load_library
+from gridsynth.primitives import primitive_table
 from gridsynth.search import STOP_REASONS
+from gridsynth.sexpr import parse_program
 
 
 def walk_rates(rates):
@@ -305,8 +311,8 @@ class TestRunRecord:
         assert h["nTasks"] > 0
         assert h["timeoutStops"] == h["nTasks"]
         assert h["stopReasons"] == {"top-k": 0, "candidates": 0, "timeout": h["nTasks"], "exhausted": 0}
-        # Every search stops at its first deadline check, after 128 candidates
-        # of the list the first task built.
+        # The stage's one scan stops every search at its first deadline
+        # check, after 128 candidates.
         assert h["candidatesCompiled"] == 128
 
 
@@ -331,6 +337,50 @@ class TestEdgeCases:
     def test_missing_run_dir_raises(self, tmp_path):
         with pytest.raises(GridSynthError):
             eval_run(tmp_path / "nope")
+
+
+def _closure_hits(texts, library, windows, prims) -> list[bool]:
+    """The eval reference: each program compiled to closures by
+    `compile_term`, and each window checked by `check_trajectory`."""
+    defs = definitions(library)
+    codes = [compile_term(inline(parse_program(t, prims, extra=defs), defs), prims).code for t in texts]
+    hits = []
+    for task in windows:
+        grids, dirs, acts, width, height = task_inputs(task, prims)
+        hits.append(any(check_trajectory(c, grids, dirs, acts, width, height) == len(acts) for c in codes))
+    return hits
+
+
+@pytest.mark.parametrize(
+    "env_tag, overrides",
+    [
+        ("maze", dict(corpus_size=10, oracle_episodes=4, max_iterations=3)),
+        ("asterix", dict(corpus_size=0, oracle_episodes=3, max_iterations=3)),
+        ("spaceinvaders", dict(corpus_size=0, oracle_episodes=3, max_iterations=2)),
+    ],
+    ids=["maze", "asterix", "spaceinvaders"],
+)
+def test_eval_hits_match_closure_reference(tmp_path, env_tag, overrides):
+    """Each eval.csv row counts the fresh windows that the closure kernel
+    finds imitated, window by window, by one of the final programs."""
+    out = tmp_path / env_tag
+    cfg = default_config(env_tag, out_dir=str(out), seed=7, eval_episodes=2, **overrides)
+    doc = run_curriculum(cfg)
+    prims = primitive_table(env_tag)
+    last = final_iteration_dir(out, doc)
+    library = load_library(last / "library.json", prims)
+    texts = sorted({e["program"] for e in json.loads((last / "report.json").read_text())["rewritten"]})
+    assert texts and library  # every run learns a library
+    rows = (out / "eval.csv").read_text().splitlines()[1:]
+    lengths = sorted({h["L"] for h in doc["history"]})
+    assert len(rows) == len(lengths)
+    fresh = collect_oracle_rollouts(env_tag, cfg.eval_episodes, seed=cfg.seed + 777)
+    terms = [checked_program(t, prims, library) for t in texts]
+    for row, L in zip(rows, lengths):
+        windows = slice_tasks(fresh, L).tasks
+        want = _closure_hits(texts, library, windows, prims)
+        assert imitated(terms, windows, prims) == want
+        assert row == f"{L},{sum(want) / len(want):.6f},{len(want)}"
 
 
 def _digest(root: Path) -> str:

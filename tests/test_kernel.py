@@ -30,6 +30,7 @@ from gridsynth.kernel import (
     StateBatch,
     check_trajectory,
     compile_term,
+    covered,
     execute,
 )
 from gridsynth.library import compress, expand
@@ -335,6 +336,20 @@ class TestBatch:
         empty = StateBatch([], [], [], 5, 5)
         for k in range(30):
             assert empty.check(_sample(uniform_grammar(prims), 7000 + k), prims) == 0
+
+
+@pytest.mark.parametrize("length", range(9))
+def test_covered_matches_per_window_check(length):
+    """`covered` against a window-by-window scan of the wrong states, on
+    seeded random bitsets; every batch has a window that ends on its top
+    bit, and windows of no states are always covered."""
+    rng = random.Random(length)
+    for _ in range(300):
+        n = rng.randint(length, 48)
+        wrong = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+        starts = {rng.randrange(n - length + 1) for _ in range(rng.randint(0, 8))} | {n - length}
+        want = {s for s in starts if not any(wrong >> i & 1 for i in range(s, s + length))}
+        assert covered(wrong, sum(1 << s for s in starts), length) == sum(1 << s for s in want)
 
 
 class TestOutOfRangeGet:

@@ -17,7 +17,6 @@ from gridsynth.lang import (
     arg_types,
     arrow,
     depth,
-    free_vars,
     inline,
     parse_type,
     peel,
@@ -77,12 +76,6 @@ def test_depth_counts_sexpr_levels(maze_prims):
 def test_depth_nested_lambda():
     term = Lambda(Lambda(Prim("left-action")))
     assert depth(term) == 3
-
-
-def test_free_vars_and_closedness():
-    term = Lambda(Apply(Var(0), Var(1)))
-    assert free_vars(term) == {0}
-    assert free_vars(Lambda(term)) == set()
 
 
 # Library bodies as `library.json` stores them: λ^n. core, with $0 the

@@ -213,7 +213,8 @@ def reference_compress(corpus, grammar, library=(), max_arity=3):
             break
         _, _, _, abs_, g, current = best
         lib.append(abs_)
-    lib, current = _drop_underused(lib, n0, current)
+    lib, programs = _drop_underused(lib, n0, list(current.values()), [1] * len(current))
+    current = dict(zip(current, programs))
     g = add_abstractions(grammar, lib)
     counted = []
     for a in lib:
@@ -737,7 +738,8 @@ class TestDropUnderused:
             f"p{i}": parse_program(f"(λ(x) (λ(y) {p}))", PRIMS, extra=["f0", "f1", "f2"])
             for i, p in enumerate(programs)
         }
-        new_lib, new_corpus = _drop_underused(lib, 0, corpus)
+        new_lib, programs = _drop_underused(lib, 0, list(corpus.values()), [1] * len(corpus))
+        new_corpus = dict(zip(corpus, programs))
         assert [a.name for a in new_lib] == kept
         for term in [*new_corpus.values(), *(a.body for a in new_lib)]:
             assert set(calls(term)) <= set(kept)

@@ -1,6 +1,6 @@
 """Enumeration order, completeness against a brute-force oracle, solving, and
-the shared, batch-checked candidate list against per-task searches on the
-closure kernel."""
+the stage scan, batch-checked over every window at once, against per-task
+searches on the closure kernel."""
 import itertools
 import math
 from functools import lru_cache
@@ -14,7 +14,7 @@ from gridsynth.kernel import StateBatch, check_trajectory, compile_term
 from gridsynth.lang import Lambda, Prim, Term, TyVar, Var, apply_all, arg_types, depth, inline, return_type
 from gridsynth.library import compress, definitions
 from gridsynth.primitives import arg_types_at, primitive_table
-from gridsynth.search import CandidateList, SearchBudget, SolvedTask, solve_many, solve_task
+from gridsynth.search import SearchBudget, SolvedTask, solve_many, solve_task
 from gridsynth.sexpr import print_program
 from gridsynth.state import GridState
 from gridsynth.typecheck import infer_type
@@ -37,8 +37,8 @@ def programs(grammar, max_depth):
 
 
 def solve(grammar, task, budget, library=(), max_depth=6):
-    """A lone search: `solve_task` on a candidate list of its own."""
-    return solve_task(CandidateList(grammar, library, max_depth, [task]), task, budget)
+    """A lone search: `solve_task`, a scan of one window."""
+    return solve_task(grammar, task, budget, library, max_depth)
 
 
 def reference(grammar, task, budget, library=(), max_depth=6):
@@ -277,7 +277,7 @@ def test_solve_many_matches_sequential(maze_grammar):
         assert seq[key].candidates_tried == par[key].candidates_tried
 
 
-# --- the shared candidate list against per-task reference searches ---------
+# --- the stage scan against per-task reference searches --------------------
 
 _STAGE_CAP = 500
 
@@ -328,8 +328,8 @@ def test_shared_list_matches_per_task_search(env_tag, learned):
 
 def test_scans_stopping_for_each_reason_share_one_list(maze_grammar):
     # At depth 5 the maze stream holds 228 terms. The first two tasks stop on
-    # top-k, the last on the cap or the stream's end, and each task scans
-    # past the prefix that the tasks before it built.
+    # top-k, at different candidates, and the last goes on alone to the cap
+    # or the stream's end.
     state = maze_state(direction=0)
     easy = FakeTask("easy", "maze", [(state, "left")])
     turn = FakeTask("turn", "maze", [(maze_state(direction=2), "forward"),
@@ -364,8 +364,8 @@ def test_each_distinct_window_is_searched_once(monkeypatch):
     """Tasks with equal steps get exactly what their own searches would give,
     under their own ids, at every `jobs`; copies sit before, between and after
     the tasks they copy, so at jobs 2 and 3 a copy and its original fall into
-    different chunks of the task list. At jobs 1 only the first task of each
-    window is searched."""
+    different chunks of the task list. At jobs 1 one scan gets the first task
+    of each window, and no other."""
     grammar, library, tasks, d_max = _stage("spaceinvaders", True)
     base = list(tasks[:9])
 
@@ -381,15 +381,16 @@ def test_each_distinct_window_is_searched_once(monkeypatch):
         assert list(got) == [t.task_id for t in mixed]
         for ref in want:
             assert (got[ref.task_id].task_id, *_outcome(got[ref.task_id])) == (ref.task_id, *_outcome(ref))
-    searched = []
-    lone = search.solve_task
+    scans = []
+    scan = search._scan
 
-    def counting(candidates, task, budget):
-        searched.append(task.task_id)
-        return lone(candidates, task, budget)
+    def counting(grammar, windows, *rest):
+        scans.append([w.task_id for w in windows])
+        return scan(grammar, windows, *rest)
 
-    monkeypatch.setattr(search, "solve_task", counting)
+    monkeypatch.setattr(search, "_scan", counting)
     solve_many(grammar, mixed, budget, library, d_max)
+    [searched] = scans
     assert len(searched) == len({t.steps for t in mixed}) == len({t.steps for t in base})
     assert searched[0] == "front-" + base[8].task_id and base[8].task_id not in searched
 

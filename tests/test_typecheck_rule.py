@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gridsynth.data import compile_program
+from gridsynth.data import checked_program
 from gridsynth.errors import GridSynthError, TypeMismatchError, UnboundVariableError
 from gridsynth.grammar import description_length, uniform_grammar
 from gridsynth.lang import (
@@ -121,7 +121,7 @@ def test_two_binder_asterix_program_is_not_runnable(asterix_prims):
     term = parse_program("(λ(m) (λ(d) no-op-action))", asterix_prims)
     assert infer_type(term, asterix_prims) == arrow(MAP, DIRECTION, ACTION)
     with pytest.raises(TypeMismatchError):
-        compile_program(term, asterix_prims)
+        checked_program(term, asterix_prims)
 
 
 def test_polymorphic_abstraction_body_checks_at_declared_type(maze_prims):

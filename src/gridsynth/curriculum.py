@@ -5,22 +5,24 @@ before the next begins:
 
   1. sample a fresh random-program corpus from the current grammar
   2. refit the grammar on the accumulated solved programs
-  3. solve the oracle task set at the current window length L
+  3. solve the oracle's windows at the current window length L
   4. compress the accumulated solved programs into the library
   5. emit the iteration report
 
-The run directory holds one subdirectory per iteration plus a top-level
-run.json (config echo and history) and eval.csv.  solved.json, library.json
-and eval.csv contain no wall-clock times, so reruns with identical seeds are
-byte-identical regardless of --jobs.  run.json names the package version
-that ran.  Each history entry in run.json records the seconds spent in the
-dream, refit, solve and compress stages (stageSec), how many searches stopped
-for each reason (stopReasons) and on their timeout (timeoutStops), and how
-many candidates the solve stage's scans enumerated and checked
-(candidatesCompiled).  compressCandidates counts the greedy
-steps of the compress stage, the patterns its candidate search bounded and
-the candidates it priced exactly.  A timeout stop depends on machine speed, so a nonzero count means
-the artifacts may differ on another machine.
+The run directory holds run.json (config echo and history), eval.csv,
+oracle.json (the oracle rollouts, written once) and one subdirectory per
+iteration, whose taskset.json names its windows by L and oracle.json
+(`data.task_set_ref`). solved.json, library.json and eval.csv contain no
+wall-clock times, so reruns with identical seeds are byte-identical
+regardless of --jobs. run.json names the package version that ran. Each
+history entry in run.json records the seconds spent in the dream, refit,
+solve and compress stages (stageSec), how many searches stopped for each
+reason (stopReasons) and on their timeout (timeoutStops), and how many
+candidates the solve stage's scans enumerated and checked
+(candidatesCompiled). compressCandidates counts the greedy steps of the
+compress stage, the patterns its candidate search bounded and the candidates
+it priced exactly. A timeout stop depends on machine speed, so a nonzero
+count means the artifacts may differ on another machine.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from gridsynth.data import (
     collect_program_rollouts,
     default_params,
     imitated,
-    save_task_set,
+    save_rollouts,
     slice_tasks,
+    task_set_ref,
 )
 from gridsynth.errors import GridSynthError
 from gridsynth.grammar import refit, save_grammar, tables_for, uniform_grammar
@@ -54,7 +57,7 @@ from gridsynth.sexpr import print_program
 SOLVED_SCHEMA = "gridsynth-solved-v1"
 CORPUS_SCHEMA = "gridsynth-corpus-v1"
 REPORT_SCHEMA = "gridsynth-report-v1"
-RUN_SCHEMA = "gridsynth-run-v1"
+RUN_SCHEMA = "gridsynth-run-v2"
 EVAL_HEADER = "L,accuracy,n_tasks"
 
 ADVANCE_RATE = 0.10
@@ -234,6 +237,7 @@ def run_curriculum(config: RunConfig) -> dict:
     oracle = collect_oracle_rollouts(
         config.env_tag, config.oracle_episodes, seed=config.seed + _ORACLE_SEED
     )
+    save_rollouts(oracle, out / "oracle.json")
     state = CurriculumState(L=config.l_start)
     accumulated: dict[str, tuple[Task, Term]] = {}
     history: list[dict] = []
@@ -281,7 +285,7 @@ def run_curriculum(config: RunConfig) -> dict:
         t2 = time.monotonic()
         stage_sec["refit"] = t2 - t1
 
-        # Stage 3: solve the oracle task set at the current L.
+        # Stage 3: solve the oracle's windows at the current L.
         tasks = slice_tasks(oracle, state.L)
         results = solve_many(
             grammar,
@@ -292,7 +296,7 @@ def run_curriculum(config: RunConfig) -> dict:
             jobs=config.jobs,
         )
         _write_json(iter_dir / "solved.json", _solved_doc(config.env_tag, state.L, tasks, results))
-        save_task_set(tasks, iter_dir / "taskset.json")
+        _write_json(iter_dir / "taskset.json", task_set_ref(config.env_tag, state.L, "../oracle.json"))
         n_solved = sum(1 for r in results.values() if r.programs)
         rate = n_solved / tasks.n if tasks.n else 0.0
         for task in tasks.tasks:

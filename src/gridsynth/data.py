@@ -9,6 +9,9 @@ imitation check (search, `imitated`, `imitates`, `accuracy`) lays its
 windows' states end to end in one `kernel.StateBatch` (`window_batch`),
 checks each program once over all of them and reads the windows it
 imitates off the states it gets wrong (`kernel.covered`).
+
+Trajectories are stored as rollouts JSON (`save_rollouts`); a task-set file
+names a rollouts file and L (`task_set_ref`) instead of holding steps.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from gridsynth.sexpr import parse_program, print_program
 from gridsynth.state import GridState
 from gridsynth.typecheck import infer_type
 
-TASKSET_SCHEMA = "gridsynth-taskset-v1"
+TASKSET_SCHEMA = "gridsynth-taskset-v2"
 ROLLOUTS_SCHEMA = "gridsynth-rollouts-v1"
 _SEED_RANGE = 1 << 62
 _UNSEEN = object()
@@ -200,8 +203,8 @@ def collect_program_rollouts(
 
 def slice_tasks(trajs, L: int) -> TaskSet:
     """Non-overlapping length-L windows; a tail shorter than L is dropped."""
-    if L < 1:
-        raise GridSynthError(f"slice length must be at least 1, got {L}")
+    if not isinstance(L, int) or L < 1:
+        raise GridSynthError(f"slice length must be an integer of at least 1, got {L!r}")
     if not trajs:
         raise GridSynthError("cannot slice an empty trajectory list")
     env_tag = trajs[0].env_tag
@@ -326,69 +329,35 @@ def _step_json(state: GridState, action: str) -> dict:
     return step
 
 
-def _step_from_json(step: dict, width: int):
-    state = GridState.from_flat(step["grid"], width, step.get("direction"))
-    return state, step["action"]
+def _check_schema(doc, schema: str, what: str) -> None:
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != schema:
+        raise GridSynthError(f"unexpected {what} schema {found!r}")
 
 
-def task_set_to_json(tasks: TaskSet) -> dict:
-    return {
-        "schema": TASKSET_SCHEMA,
-        "envTag": tasks.env_tag,
-        "L": tasks.L,
-        "tasks": [
-            {"id": t.task_id, "steps": [_step_json(s, a) for s, a in t.steps]} for t in tasks.tasks
-        ],
-    }
-
-
-def task_set_from_json(doc: dict) -> TaskSet:
-    if doc.get("schema") != TASKSET_SCHEMA:
-        raise GridSynthError(f"unexpected task-set schema {doc.get('schema')!r}")
-    env_tag = doc["envTag"]
-    _, width = env_spec(env_tag).obs_shape
-    tasks = tuple(
-        Task(t["id"], env_tag, tuple(_step_from_json(s, width) for s in t["steps"]))
-        for t in doc["tasks"]
-    )
-    return TaskSet(env_tag, doc["L"], tasks)
-
-
-_EMPTY_GRID = '"grid": []'
-
-
-def _write_steps_json(doc: dict, items: str, path) -> None:
-    """Write `json.dumps(doc, indent=2)` and a newline, where `doc[items]`
-    is a list of dicts each with a list of `steps`.
-
-    With an indent, `json` encodes in pure Python, one call per grid cell, so
-    the grids are left empty for the dump and then joined in as text. Inside
-    a JSON string every quote is escaped, so `"grid": []` in the dump is
-    always a step's grid, in document order."""
-    grids = []
-    for item in doc[items]:
-        for step in item["steps"]:
-            grids.append(step["grid"])
-            step["grid"] = []
-    pieces = json.dumps(doc, indent=2).split(_EMPTY_GRID)
-    out = [pieces[0]]
-    for grid, piece in zip(grids, pieces[1:]):
-        if grid:
-            line = out[-1][out[-1].rindex("\n") :]  # a newline and the key's indent
-            cell = line + "  "
-            out.append('"grid": [' + cell + ("," + cell).join(map(str, grid)) + line + "]")
-        else:
-            out.append(_EMPTY_GRID)
-        out.append(piece)
-    Path(path).write_text("".join(out) + "\n", encoding="utf-8")
-
-
-def save_task_set(tasks: TaskSet, path) -> None:
-    _write_steps_json(task_set_to_json(tasks), "tasks", path)
+def task_set_ref(env_tag: str, L: int, oracle: str) -> dict:
+    """The task set of the length-L windows of the rollouts file `oracle`, a
+    path relative to the task set's own file."""
+    return {"schema": TASKSET_SCHEMA, "envTag": env_tag, "L": L, "oracle": oracle}
 
 
 def load_task_set(path) -> TaskSet:
-    return task_set_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The windows a task-set file (`task_set_ref`) names: its rollouts file,
+    sliced at its L. GridSynthError with one line if either document is
+    malformed or the two name different environments."""
+    path = Path(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    _check_schema(doc, TASKSET_SCHEMA, "task-set")
+    try:
+        env_tag, L, oracle = doc["envTag"], doc["L"], doc["oracle"]
+    except KeyError as exc:
+        raise GridSynthError(f"task-set document has no {exc} field") from exc
+    if not isinstance(oracle, str):
+        raise GridSynthError(f"task-set oracle {oracle!r} is not a path")
+    trajs = load_rollouts(path.parent / oracle)
+    if trajs and trajs[0].env_tag != env_tag:
+        raise GridSynthError(f"task set is for {env_tag!r}, but its oracle is for {trajs[0].env_tag!r}")
+    return slice_tasks(trajs, L)
 
 
 def rollouts_to_json(trajs) -> dict:
@@ -407,25 +376,57 @@ def rollouts_to_json(trajs) -> dict:
     }
 
 
-def rollouts_from_json(doc: dict):
-    if doc.get("schema") != ROLLOUTS_SCHEMA:
-        raise GridSynthError(f"unexpected rollouts schema {doc.get('schema')!r}")
-    env_tag = doc["envTag"]
-    _, width = env_spec(env_tag).obs_shape
-    return [
-        Trajectory(
-            r["id"],
-            env_tag,
-            tuple(_step_from_json(s, width) for s in r["steps"]),
-            r["provenance"],
-            tuple(r["seeds"]),
-        )
-        for r in doc["rollouts"]
-    ]
+def rollouts_from_json(doc):
+    """The trajectories of a rollouts document; GridSynthError with one line
+    if it is malformed, such as a missing field or a grid that is not the
+    env's height by width."""
+    _check_schema(doc, ROLLOUTS_SCHEMA, "rollouts")
+    out = []
+    try:
+        env_tag, rollouts = doc["envTag"], doc["rollouts"]
+        height, width = env_spec(env_tag).obs_shape if rollouts else (0, 0)
+        for r in rollouts:
+            steps = []
+            for step in r["steps"]:
+                if len(step["grid"]) != height * width:
+                    raise ValueError(f"a grid of {len(step['grid'])} cells is not {height}x{width}")
+                state = GridState.from_flat(step["grid"], width, step.get("direction"))
+                steps.append((state, step["action"]))
+            out.append(Trajectory(r["id"], env_tag, tuple(steps), r["provenance"], tuple(r["seeds"])))
+    except KeyError as exc:
+        raise GridSynthError(f"rollouts document has no {exc} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise GridSynthError(f"malformed rollouts document: {exc}") from exc
+    return out
+
+
+_EMPTY_GRID = '"grid": []'
 
 
 def save_rollouts(trajs, path) -> None:
-    _write_steps_json(rollouts_to_json(trajs), "rollouts", path)
+    """Write `json.dumps(rollouts_to_json(trajs), indent=2)` and a newline.
+
+    With an indent, `json` encodes in pure Python, one call per grid cell, so
+    the grids are left empty for the dump and then joined in as text. Inside
+    a JSON string every quote is escaped, so `"grid": []` in the dump is
+    always a step's grid, in document order."""
+    doc = rollouts_to_json(trajs)
+    grids = []
+    for rollout in doc["rollouts"]:
+        for step in rollout["steps"]:
+            grids.append(step["grid"])
+            step["grid"] = []
+    pieces = json.dumps(doc, indent=2).split(_EMPTY_GRID)
+    out = [pieces[0]]
+    for grid, piece in zip(grids, pieces[1:]):
+        if grid:
+            line = out[-1][out[-1].rindex("\n") :]  # a newline and the key's indent
+            cell = line + "  "
+            out.append('"grid": [' + cell + ("," + cell).join(map(str, grid)) + line + "]")
+        else:
+            out.append(_EMPTY_GRID)
+        out.append(piece)
+    Path(path).write_text("".join(out) + "\n", encoding="utf-8")
 
 
 def load_rollouts(path):

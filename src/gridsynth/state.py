@@ -12,7 +12,7 @@ class GridState:
 
     `cells` holds the grid row-major: cell (x, y), with y increasing
     downward, is cells[y * width + x]. This one tuple is what the kernel, the
-    search and the task-set JSON read. Cell values are small integer object
+    search and the rollouts JSON read. Cell values are small integer object
     codes. `direction` is set for environments whose programs take a
     direction argument (maze) and None otherwise.
     """

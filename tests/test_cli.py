@@ -146,6 +146,57 @@ class TestExitCodes:
         assert err.startswith("error: malformed JSON") and len(err.splitlines()) == 1
         assert not (tmp_path / "p.txt").exists()
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda doc: [doc.pop("envTag"), doc.pop("rollouts")],
+             "rollouts document has no 'envTag' field"),
+            (lambda doc: doc.pop("rollouts"), "rollouts document has no 'rollouts' field"),
+            (lambda doc: doc["rollouts"][0]["steps"][1].pop("action"),
+             "rollouts document has no 'action' field"),
+            (lambda doc: doc["rollouts"][0]["steps"][1].update(grid=[1, 2]),
+             "malformed rollouts document: a grid of 2 cells is not 5x5"),
+            (lambda doc: doc["rollouts"][0]["steps"][1].update(grid=[1] * 10),
+             "malformed rollouts document: a grid of 10 cells is not 5x5"),
+        ],
+        ids=["only-schema", "no-rollouts", "no-action", "two-cell-grid", "ten-cell-grid"],
+    )
+    def test_malformed_oracle_is_runtime_error(self, run_dir, tmp_path, capsys, fault, message):
+        """A run's oracle.json is a rollouts file that export-prompts reads;
+        a malformed one is one line on stderr and no prompts. Each fault
+        edits the document in place."""
+        doc = json.loads((run_dir / "oracle.json").read_text())
+        fault(doc)
+        rolls = tmp_path / "oracle.json"
+        rolls.write_text(json.dumps(doc))
+        assert main(["export-prompts", "--rollouts", str(rolls), "--L", "3",
+                     "--out", str(tmp_path / "p.txt")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "p.txt").exists()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda doc: {"schema": "gridsynth-taskset-v1", "envTag": "maze", "L": doc["L"], "tasks": []},
+             "unexpected task-set schema 'gridsynth-taskset-v1'"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "L"},
+             "task-set document has no 'L' field"),
+            (lambda doc: {**doc, "L": "3"}, "slice length must be an integer of at least 1, got '3'"),
+            (lambda doc: {**doc, "oracle": 5}, "task-set oracle 5 is not a path"),
+            (lambda doc: {**doc, "envTag": "asterix"},
+             "task set is for 'asterix', but its oracle is for 'maze'"),
+        ],
+        ids=["v1-schema", "no-L", "string-L", "oracle-not-a-path", "env-mismatch"],
+    )
+    def test_malformed_task_set_is_runtime_error(self, run_dir, tmp_path, capsys, fault, message):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        for path in run.glob("iter-*/taskset.json"):
+            path.write_text(json.dumps(fault(json.loads(path.read_text()))))
+        task_id = json.loads((run / "iter-0" / "solved.json").read_text())["solved"][0]["taskId"]
+        assert main(["explain", str(run), "--task", task_id]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestEnvs:
     def test_lists_all_environments(self, capsys):
@@ -228,7 +279,7 @@ class TestCollectAndPrompts:
 class TestRunAndDownstream:
     def test_run_artifacts(self, run_dir):
         doc = json.loads((run_dir / "run.json").read_text())
-        assert doc["schema"] == "gridsynth-run-v1"
+        assert doc["schema"] == "gridsynth-run-v2"
         assert doc["config"]["seed"] == 11 and doc["config"]["corpus_size"] == 8
         assert (run_dir / "eval.csv").exists()
         assert (run_dir / "iter-0" / "library.json").exists()

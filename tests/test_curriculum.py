@@ -23,7 +23,15 @@ from gridsynth.curriculum import (
     final_iteration_dir,
     run_curriculum,
 )
-from gridsynth.data import checked_program, collect_oracle_rollouts, imitated, slice_tasks, task_inputs
+from gridsynth.data import (
+    checked_program,
+    collect_oracle_rollouts,
+    imitated,
+    load_rollouts,
+    load_task_set,
+    slice_tasks,
+    task_inputs,
+)
 from gridsynth.errors import GridSynthError
 from gridsynth.kernel import check_trajectory, compile_term
 from gridsynth.lang import inline
@@ -173,7 +181,8 @@ def micro_run(tmp_path_factory):
 class TestRunArtifacts:
     def test_directory_layout(self, micro_run):
         _, doc, out = micro_run
-        assert (out / "run.json").exists() and (out / "eval.csv").exists()
+        for name in ("run.json", "eval.csv", "oracle.json"):
+            assert (out / name).exists(), name
         for h in doc["history"]:
             it = out / f"iter-{h['iteration']}"
             for name in (
@@ -185,6 +194,22 @@ class TestRunArtifacts:
                 "report.json",
             ):
                 assert (it / name).exists(), name
+
+    def test_oracle_is_written_once(self, micro_run):
+        cfg, _, out = micro_run
+        oracle = collect_oracle_rollouts(cfg.env_tag, cfg.oracle_episodes, cfg.seed + 11)
+        assert load_rollouts(out / "oracle.json") == oracle
+
+    def test_task_sets_slice_the_oracle(self, micro_run):
+        """Each iteration's taskset.json names the oracle's windows at the L
+        its solved.json records, and holds no grids."""
+        _, doc, out = micro_run
+        oracle = load_rollouts(out / "oracle.json")
+        for h in doc["history"]:
+            it = out / f"iter-{h['iteration']}"
+            L = json.loads((it / "solved.json").read_text())["L"]
+            assert load_task_set(it / "taskset.json") == slice_tasks(oracle, L)
+            assert (it / "taskset.json").stat().st_size < 1024
 
     def test_schemas_and_config_echo(self, micro_run):
         cfg, doc, out = micro_run

@@ -22,12 +22,10 @@ from gridsynth.data import (
     imitates,
     load_rollouts,
     load_task_set,
+    rollouts_from_json,
     rollouts_to_json,
     save_rollouts,
-    save_task_set,
     slice_tasks,
-    task_set_from_json,
-    task_set_to_json,
 )
 from gridsynth.envs import MazeEnv, make_env
 from gridsynth.errors import (
@@ -388,47 +386,40 @@ class TestCollect:
 
 
 class TestSerialization:
-    def test_task_set_round_trip(self, tmp_path):
-        ts = slice_tasks(collect_oracle_rollouts("maze", 2, seed=4), 3)
-        doc = task_set_to_json(ts)
-        assert doc["schema"] == "gridsynth-taskset-v1"
-        assert task_set_from_json(doc) == ts
-        path = tmp_path / "tasks.json"
-        save_task_set(ts, path)
-        assert load_task_set(path) == ts
-
     def test_rollouts_round_trip(self, tmp_path):
-        trajs = collect_oracle_rollouts("asterix", 2, seed=9, max_steps=30)
-        doc = rollouts_to_json(trajs)
-        assert doc["schema"] == "gridsynth-rollouts-v1"
-        path = tmp_path / "rollouts.json"
-        save_rollouts(trajs, path)
-        assert load_rollouts(path) == trajs
+        for env_tag in ("maze", "asterix", "spaceinvaders"):
+            trajs = collect_oracle_rollouts(env_tag, 2, seed=9, max_steps=30)
+            doc = rollouts_to_json(trajs)
+            assert doc["schema"] == "gridsynth-rollouts-v1"
+            path = tmp_path / f"{env_tag}.json"
+            save_rollouts(trajs, path)
+            loaded = load_rollouts(path)
+            assert loaded == trajs
+            assert all(type(state.cells) is tuple for t in loaded for state, _ in t.steps)
 
     @pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
     def test_files_are_indented_json(self, env_tag, tmp_path):
-        """Task-set and rollout files hold `json.dumps(doc, indent=2)` and a
-        newline, byte for byte: with the maze's direction, with no tasks or
-        rollouts, with a provenance that quotes a step's grid key, and with a
-        code of two digits."""
+        """Rollout files hold `json.dumps(doc, indent=2)` and a newline, byte
+        for byte: with the maze's direction, with no rollouts, with a
+        provenance that quotes a step's grid key, and with a code of two
+        digits."""
         trajs = collect_oracle_rollouts(env_tag, 3, seed=17, max_steps=40)
         trajs[1] = replace(trajs[1], provenance='(λ(x) "grid": [] left-action)')
         (state, action), *rest = trajs[2].steps
         wide = replace(state, cells=(12,) + state.cells[1:])
         trajs[2] = replace(trajs[2], steps=((wide, action), *rest))
         path = tmp_path / "out.json"
-        empty = slice_tasks(trajs, 500)
-        assert empty.n == 0
-        for tasks in (slice_tasks(trajs, 3), empty):
-            save_task_set(tasks, path)
-            assert path.read_text(encoding="utf-8") == json.dumps(task_set_to_json(tasks), indent=2) + "\n"
         for rollouts in (trajs, []):
             save_rollouts(rollouts, path)
             assert path.read_text(encoding="utf-8") == json.dumps(rollouts_to_json(rollouts), indent=2) + "\n"
 
-    def test_bad_schema_rejected(self):
-        with pytest.raises(GridSynthError):
-            task_set_from_json({"schema": "nope", "envTag": "maze", "L": 1, "tasks": []})
+    def test_bad_schema_rejected(self, tmp_path):
+        with pytest.raises(GridSynthError, match="unexpected rollouts schema 'nope'"):
+            rollouts_from_json({"schema": "nope", "envTag": "maze", "rollouts": []})
+        path = tmp_path / "taskset.json"
+        path.write_text(json.dumps({"schema": "gridsynth-taskset-v1", "envTag": "maze", "L": 1, "tasks": []}))
+        with pytest.raises(GridSynthError, match="unexpected task-set schema 'gridsynth-taskset-v1'"):
+            load_task_set(path)
 
     def test_export_prompts(self, tmp_path):
         ts = slice_tasks(collect_oracle_rollouts("maze", 2, seed=4), 3)

@@ -1,15 +1,7 @@
 """GridState: one row-major tuple of cells, read by index and stored as-is."""
-import json
-
 import numpy as np
 import pytest
 
-from gridsynth.data import (
-    collect_oracle_rollouts,
-    load_task_set,
-    save_task_set,
-    slice_tasks,
-)
 from gridsynth.state import GridState
 
 
@@ -39,21 +31,3 @@ def test_from_flat_coerces_to_int():
 def test_from_flat_rejects_bad_width(flat, width):
     with pytest.raises(ValueError):
         GridState.from_flat(flat, width)
-
-
-def test_task_set_json_round_trip_unchanged(tmp_path):
-    for env_tag in ("maze", "asterix", "spaceinvaders"):
-        tasks = slice_tasks(collect_oracle_rollouts(env_tag, 2, seed=8, max_steps=40), 3)
-        path = tmp_path / f"{env_tag}.json"
-        save_task_set(tasks, path)
-        loaded = load_task_set(path)
-        assert loaded == tasks
-        for task in loaded.tasks:
-            for state, _ in task.steps:
-                assert type(state.cells) is tuple
-        again = tmp_path / f"{env_tag}-again.json"
-        save_task_set(loaded, again)
-        assert again.read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        first = doc["tasks"][0]["steps"][0]["grid"]
-        assert first == list(tasks.tasks[0].steps[0][0].cells)

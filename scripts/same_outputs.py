@@ -25,8 +25,7 @@ programs, the `repr` of `dl_before` and `dl_after`, and `candidate_counts`
 exactly), so that a change to pruning shows even when the winners stay the
 same.
 
-Each configuration runs with `--jobs 1` unless its flags name another
-`--jobs`. The whole set takes a few minutes.
+The whole set takes a few minutes.
 """
 from __future__ import annotations
 
@@ -54,13 +53,6 @@ CONFIGS = {
     "minatar-search": [
         ["--env", "spaceinvaders", "--profile", "desk", "--seed", "7",
          "--corpus-size", "0", "--max-iterations", "2"],
-    ],
-    # the same run split over two forked workers: the windows a stage groups
-    # and the scan each worker runs over its own windows' states must not
-    # change a result
-    "minatar-search-jobs2": [
-        ["--env", "spaceinvaders", "--profile", "desk", "--seed", "7",
-         "--corpus-size", "0", "--max-iterations", "2", "--jobs", "2"],
     ],
     "asterix-dreams": [
         ["--env", "asterix", "--profile", "desk", "--seed", "7",
@@ -150,9 +142,8 @@ def explained_task(out: Path) -> str | None:
 
 def run(flags: list[str], src: Path, out: Path) -> None:
     """One pinned run, then its library report and one explanation bundle."""
-    jobs = [] if "--jobs" in flags else ["--jobs", "1"]
     out.parent.mkdir(parents=True, exist_ok=True)
-    stdout = gridsynth(src, ["run", *flags, *jobs, "--out", str(out)], out)
+    stdout = gridsynth(src, ["run", *flags, "--out", str(out)], out)
     (out / "stdout.txt").write_text(stdout)
     (out / "library-stdout.txt").write_text(gridsynth(src, ["library", str(out)], out))
     task = explained_task(out)

@@ -56,7 +56,6 @@ _RUN_KEYS = {
     "env": str,
     "profile": str,
     "seed": int,
-    "jobs": int,
     "out": str,
     "t_min": int,
     "t_max": int,
@@ -153,10 +152,7 @@ def _cmd_run(args, parser) -> int:
     if out is None:
         return _usage(parser, "run requires --out (flag or config file)")
     seed = settings.pop("seed", 0)
-    jobs = settings.pop("jobs", 1)
-    config = default_config(
-        env, profile=profile, out_dir=out, seed=seed, jobs=jobs, **settings
-    )
+    config = default_config(env, profile=profile, out_dir=out, seed=seed, **settings)
     doc = run_curriculum(config)
     for h in doc["history"]:
         print(

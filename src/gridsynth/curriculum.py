@@ -13,16 +13,15 @@ The run directory holds run.json (config echo and history), eval.csv,
 oracle.json (the oracle rollouts, written once) and one subdirectory per
 iteration, whose taskset.json names its windows by L and oracle.json
 (`data.task_set_ref`). solved.json, library.json and eval.csv contain no
-wall-clock times, so reruns with identical seeds are byte-identical
-regardless of --jobs. run.json names the package version that ran. Each
-history entry in run.json records the seconds spent in the dream, refit,
-solve and compress stages (stageSec), how many searches stopped for each
-reason (stopReasons) and on their timeout (timeoutStops), and how many
-candidates the solve stage's scans enumerated and checked
-(candidatesCompiled). compressCandidates counts the greedy steps of the
-compress stage, the patterns its candidate search bounded and the candidates
-it priced exactly. A timeout stop depends on machine speed, so a nonzero
-count means the artifacts may differ on another machine.
+wall-clock times, so reruns with identical seeds are byte-identical.
+run.json names the package version that ran. Each history entry in run.json
+records the seconds spent in the dream, refit, solve and compress stages
+(stageSec), how many searches stopped for each reason (stopReasons) and on
+their timeout (timeoutStops), and how many candidates the solve stage's scan
+enumerated and checked (candidatesCompiled). compressCandidates counts the
+greedy steps of the compress stage, the patterns its candidate search bounded
+and the candidates it priced exactly. A timeout stop depends on machine
+speed, so a nonzero count means the artifacts may differ on another machine.
 """
 
 from __future__ import annotations
@@ -110,7 +109,6 @@ class RunConfig:
     max_iterations: int
     l_start: int
     seed: int
-    jobs: int
     out_dir: str
 
     def __post_init__(self):
@@ -124,8 +122,6 @@ class RunConfig:
             )
         if self.t_min > self.t_max:
             raise GridSynthError(f"t_min {self.t_min} exceeds t_max {self.t_max}")
-        if self.jobs < 1:
-            raise GridSynthError(f"jobs must be at least 1, got {self.jobs}")
         if self.corpus_size < 0:
             raise GridSynthError(f"corpus_size must be at least 0, got {self.corpus_size}")
         if not self.search_timeout_sec > 0:
@@ -179,6 +175,8 @@ def default_config(
         raise GridSynthError(f"unknown env tag {env_tag!r}")
     if profile not in _PROFILES:
         raise GridSynthError(f"unknown profile {profile!r} (desk, paper)")
+    if jobs != 1:  # a run is one process; the keyword stays for callers that pass 1
+        raise GridSynthError(f"jobs must be 1, got {jobs}")
     params = default_params(env_tag)
     fields = dict(
         env_tag=env_tag,
@@ -187,7 +185,6 @@ def default_config(
         top_k=5,
         l_start=3,
         seed=seed,
-        jobs=jobs,
         out_dir=out_dir,
     )
     fields.update(_ENV_DEFAULTS[env_tag])
@@ -293,7 +290,6 @@ def run_curriculum(config: RunConfig) -> dict:
             budget,
             library=library,
             max_depth=config.d_max,
-            jobs=config.jobs,
         )
         _write_json(iter_dir / "solved.json", _solved_doc(config.env_tag, state.L, tasks, results))
         _write_json(iter_dir / "taskset.json", task_set_ref(config.env_tag, state.L, "../oracle.json"))

@@ -63,16 +63,12 @@ class Grammar:
     def __hash__(self) -> int:
         # `tables_for` is keyed by the grammar and looked up once per sampled
         # dream, and hashing walks every production's type; so the hash is
-        # computed once. It stays out of pickles, since string hashes differ
-        # between processes.
+        # computed once.
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.env_tag, self.productions, self.var_logp))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 def uniform_grammar(prims: PrimTable) -> Grammar:

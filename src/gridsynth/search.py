@@ -14,9 +14,7 @@ enumerated, expanded and checked once over all of them, and `kernel.covered`
 reads off every window it imitates. Each window stops on its own top-k; the
 rest stop together at the candidate cap, at the stream's end or at the scan's
 one deadline, so each window gets what a lone search of it would, a timeout
-aside. Windows with equal steps are searched once. With `jobs` > 1 the
-searched windows are split into contiguous chunks, one forked worker and one
-scan per chunk, and the results are joined in task order.
+aside. Windows with equal steps are searched once.
 """
 from __future__ import annotations
 
@@ -24,7 +22,6 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 
 from gridsynth.data import window_batch
 from gridsynth.grammar import Grammar, Tables, tables_for
@@ -177,14 +174,12 @@ def solve_task(grammar: Grammar, task, budget: SearchBudget, library, max_depth:
 
 class StageResults(dict):
     """Solved tasks keyed by task id, in task order, plus `candidates_compiled`:
-    the number of candidates the stage's scans checked."""
+    the number of candidates the stage's scan checked."""
 
     candidates_compiled: int = 0
 
 
-def solve_many(
-    grammar: Grammar, tasks, budget: SearchBudget, library, max_depth: int, jobs: int = 1
-) -> StageResults:
+def solve_many(grammar: Grammar, tasks, budget: SearchBudget, library, max_depth: int) -> StageResults:
     """Solve tasks independently; results keyed by task id in task order.
 
     Only the first task of each distinct window is searched, and tasks with
@@ -193,24 +188,16 @@ def solve_many(
     its group's result instead of racing the clock again. The searched tasks
     share one `_scan`, so each candidate is enumerated, expanded and checked
     once, while each task gets what its own `solve_task` gives, a timeout
-    aside. `jobs` > 1 splits the searched tasks into contiguous chunks, each
-    scanned in a forked worker, so no result depends on `jobs`.
+    aside.
     """
     first = {}  # steps -> the first task with them, the one searched
     for t in tasks:
         first.setdefault(t.steps, t)
-    firsts = list(first.values())
-    if jobs <= 1 or len(firsts) <= 1:
-        parts = [_scan(grammar, firsts, budget, library, max_depth)]
-    else:
-        jobs = min(jobs, len(firsts))
-        chunks = [firsts[i * len(firsts) // jobs:(i + 1) * len(firsts) // jobs] for i in range(jobs)]
-        with get_context("fork").Pool(processes=jobs) as pool:
-            parts = pool.starmap(_scan, [(grammar, c, budget, library, max_depth) for c in chunks])
-    solved = {r.task_id: r for results, _ in parts for r in results}
+    results, tried = _scan(grammar, list(first.values()), budget, library, max_depth)
+    solved = dict(zip(first, results))  # steps -> the searched task's result
     out = StageResults()
     for t in tasks:
-        r = solved[first[t.steps].task_id]
+        r = solved[t.steps]
         out[t.task_id] = r if r.task_id == t.task_id else replace(r, task_id=t.task_id)
-    out.candidates_compiled = sum(n for _, n in parts)
+    out.candidates_compiled = tried
     return out

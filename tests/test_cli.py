@@ -53,7 +53,12 @@ class TestExitCodes:
         assert "top_k must be at least 1" in capsys.readouterr().err
         assert main(["run", "--env", "maze", "--out", str(out), "--d-max", "1"]) == 2
         assert "d_max 1 is below 3" in capsys.readouterr().err
-        assert main(["run", "--env", "maze", "--out", str(out), "--jobs", "0"]) == 2
+        assert not out.exists()
+
+    def test_jobs_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["run", "--env", "maze", "--out", str(out), "--jobs", "2"]) == 1
+        assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("episodes", ["0", "-1"])
@@ -364,7 +369,7 @@ class TestConfigFile:
             flag for action in subs["run"]._actions for flag in action.option_strings
         }
         assert flags == {
-            "-h", "--help", "--config", "--env", "--profile", "--seed", "--jobs",
+            "-h", "--help", "--config", "--env", "--profile", "--seed",
             "--out", "--t-min", "--t-max", "--d-max", "--programs-per-task",
             "--search-timeout-sec", "--top-k", "--corpus-size", "--oracle-episodes",
             "--eval-episodes", "--max-iterations", "--l-start",
@@ -378,6 +383,7 @@ class TestConfigFile:
             ("env=maze\nseed=abc", "config key seed: invalid literal for int()"),
             ("env=maze\nbogus=1", "unknown config key 'bogus'"),
             ("env=maze\nseed 3", "expected key=value, got 'seed 3'"),
+            ("env=maze\njobs=2", "unknown config key 'jobs'"),
         ],
     )
     def test_config_choices_are_usage_errors(self, tmp_path, capsys, monkeypatch, line, message):

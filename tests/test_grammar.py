@@ -1,15 +1,9 @@
 """Grammar sampling, description length, and refit."""
 import math
-import os
-import pickle
 import random
-import subprocess
-import sys
-import textwrap
 
 import pytest
 
-import gridsynth
 from gridsynth.errors import DepthUnsatisfiableError, NotDerivableError
 from gridsynth.grammar import (
     Production,
@@ -342,40 +336,3 @@ def test_equal_grammars_hash_equal_and_share_tables(maze_grammar, maze_prims):
     assert vars(grammar)["_hash"] == hash(grammar)  # kept after the first call
     assert tables_for(grammar, maze_prims.request) is tables_for(twin, maze_prims.request)
     assert hash(grammar) != hash(maze_grammar)
-
-
-def test_pickled_grammar_carries_no_hash(maze_grammar):
-    hash(maze_grammar)
-    data = pickle.dumps(maze_grammar)
-    assert b"_hash" not in data
-    copy = pickle.loads(data)
-    assert copy == maze_grammar and "_hash" not in vars(copy)
-    assert hash(copy) == hash(maze_grammar)
-
-
-def test_unpickled_grammar_hashes_like_one_built_in_its_process(maze_grammar):
-    # String hashes differ between processes with different hash seeds, so a
-    # hash carried over in the pickle would not match a grammar built there.
-    hash(maze_grammar)
-    child = textwrap.dedent(
-        """
-        import pickle, sys
-        from gridsynth.grammar import uniform_grammar
-        from gridsynth.primitives import primitive_table
-        got = pickle.loads(sys.stdin.buffer.read())
-        built = uniform_grammar(primitive_table("maze"))
-        print(hash("maze"), hash(got) == hash(built), got == built)
-        """
-    )
-    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    src = os.path.dirname(os.path.dirname(gridsynth.__file__))
-    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", child],
-        input=pickle.dumps(maze_grammar),
-        env=env,
-        capture_output=True,
-        check=True,
-    ).stdout.decode().split()
-    assert int(out[0]) != hash("maze")  # the child really hashes differently
-    assert out[1:] == ["True", "True"]

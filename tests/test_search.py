@@ -261,22 +261,6 @@ def test_refit_speeds_up_target(maze_grammar, maze_prims):
     assert refit_rank < uniform_rank
 
 
-def test_solve_many_matches_sequential(maze_grammar):
-    tasks = [
-        FakeTask("a", "maze", [(maze_state(direction=0), "left")]),
-        FakeTask("b", "maze", [(maze_state(direction=1), "right")]),
-        FakeTask("c", "maze", [(maze_state(wall_at=[(2, 2)], direction=2), "forward")]),
-    ]
-    budget = SearchBudget(timeout_sec=None, max_candidates=500, top_k=2)
-    seq = solve_many(maze_grammar, tasks, budget, (), 6, jobs=1)
-    par = solve_many(maze_grammar, tasks, budget, (), 6, jobs=3)
-    assert seq.keys() == par.keys()
-    for key in seq:
-        assert seq[key].programs == par[key].programs
-        assert seq[key].dl_nats == par[key].dl_nats
-        assert seq[key].candidates_tried == par[key].candidates_tried
-
-
 # --- the stage scan against per-task reference searches --------------------
 
 _STAGE_CAP = 500
@@ -306,14 +290,13 @@ def _outcome(result):
 
 
 def assert_shared_matches_reference(grammar, tasks, budget, library, max_depth):
-    """solve_many at jobs 1, 2 and 3 gives every task exactly what a lone
-    search on the closure kernel gives it. Returns the reference."""
+    """solve_many gives every task exactly what a lone search on the closure
+    kernel gives it. Returns the reference."""
     want = {t.task_id: reference(grammar, t, budget, library, max_depth) for t in tasks}
-    for jobs in (1, 2, 3):
-        got = solve_many(grammar, tasks, budget, library, max_depth, jobs=jobs)
-        assert list(got) == list(want)
-        for tid, ref in want.items():
-            assert _outcome(got[tid]) == _outcome(ref), (jobs, tid)
+    got = solve_many(grammar, tasks, budget, library, max_depth)
+    assert list(got) == list(want)
+    for tid, ref in want.items():
+        assert _outcome(got[tid]) == _outcome(ref), tid
     return want
 
 
@@ -362,10 +345,8 @@ def test_empty_window_is_imitated_by_every_candidate(maze_grammar):
 
 def test_each_distinct_window_is_searched_once(monkeypatch):
     """Tasks with equal steps get exactly what their own searches would give,
-    under their own ids, at every `jobs`; copies sit before, between and after
-    the tasks they copy, so at jobs 2 and 3 a copy and its original fall into
-    different chunks of the task list. At jobs 1 one scan gets the first task
-    of each window, and no other."""
+    under their own ids; copies sit before, between and after the tasks they
+    copy. One scan gets the first task of each window, and no other."""
     grammar, library, tasks, d_max = _stage("spaceinvaders", True)
     base = list(tasks[:9])
 
@@ -376,11 +357,6 @@ def test_each_distinct_window_is_searched_once(monkeypatch):
     mixed += [copy(t, "back") for t in base[::4]] + [copy(base[0], "back2")]
     budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=2)
     want = [reference(grammar, t, budget, library, d_max) for t in mixed]
-    for jobs in (1, 2, 3):
-        got = solve_many(grammar, mixed, budget, library, d_max, jobs=jobs)
-        assert list(got) == [t.task_id for t in mixed]
-        for ref in want:
-            assert (got[ref.task_id].task_id, *_outcome(got[ref.task_id])) == (ref.task_id, *_outcome(ref))
     scans = []
     scan = search._scan
 
@@ -389,7 +365,10 @@ def test_each_distinct_window_is_searched_once(monkeypatch):
         return scan(grammar, windows, *rest)
 
     monkeypatch.setattr(search, "_scan", counting)
-    solve_many(grammar, mixed, budget, library, d_max)
+    got = solve_many(grammar, mixed, budget, library, d_max)
+    assert list(got) == [t.task_id for t in mixed]
+    for ref in want:
+        assert (got[ref.task_id].task_id, *_outcome(got[ref.task_id])) == (ref.task_id, *_outcome(ref))
     [searched] = scans
     assert len(searched) == len({t.steps for t in mixed}) == len({t.steps for t in base})
     assert searched[0] == "front-" + base[8].task_id and base[8].task_id not in searched
@@ -415,8 +394,7 @@ def test_each_candidate_compiled_once_per_stage(monkeypatch, learned):
     assert sum(r.candidates_tried for r in got.values()) > 10 * len(compiled)
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_solve_many_of_no_tasks_is_empty(maze_grammar, jobs):
+def test_solve_many_of_no_tasks_is_empty(maze_grammar):
     budget = SearchBudget(timeout_sec=None, max_candidates=10)
-    got = solve_many(maze_grammar, [], budget, (), 6, jobs=jobs)
+    got = solve_many(maze_grammar, [], budget, (), 6)
     assert got == {} and got.candidates_compiled == 0

@@ -9,6 +9,12 @@ before the next begins:
   4. compress the accumulated solved programs into the library
   5. emit the iteration report
 
+The solved programs accumulate in one table, key "L<L>:<taskId>" ->
+program, in sorted key order ("L10:" before "L3:"), which compress's
+tie-breaks follow. Each iteration hands compress a new table of the last
+one and the solve stage's first programs, and compress's rewritten table
+replaces it; no table is changed once compress has got or returned it.
+
 The run directory holds run.json (config echo and history), eval.csv,
 oracle.json (the oracle rollouts, written once) and one subdirectory per
 iteration, whose taskset.json names its windows by L and oracle.json
@@ -34,7 +40,6 @@ from pathlib import Path
 from gridsynth import __version__
 from gridsynth.data import (
     RolloutParams,
-    Task,
     TaskSet,
     collect_oracle_rollouts,
     checked_program,
@@ -206,7 +211,7 @@ def _solved_doc(env_tag: str, L: int, tasks: TaskSet, results) -> dict:
         entries.append(
             {
                 "taskId": task.task_id,
-                "programs": [print_program(p) for p in res.programs],
+                "programs": list(res.texts),
                 "dlNats": list(res.dl_nats),
                 "candidatesTried": res.candidates_tried,
                 "wallTimeSec": None,
@@ -236,7 +241,7 @@ def run_curriculum(config: RunConfig) -> dict:
     )
     save_rollouts(oracle, out / "oracle.json")
     state = CurriculumState(L=config.l_start)
-    accumulated: dict[str, tuple[Task, Term]] = {}
+    accumulated: dict[str, Term] = {}  # key -> solved program, in key order
     history: list[dict] = []
     stop_reason = "max-iterations"
     budget = SearchBudget(
@@ -276,8 +281,7 @@ def run_curriculum(config: RunConfig) -> dict:
         stage_sec["dream"] = t1 - t0
 
         # Stage 2: refit on everything solved so far (uniform when empty).
-        solved_terms = [term for _, term in _ordered(accumulated).values()]
-        grammar = refit(grammar, solved_terms)
+        grammar = refit(grammar, accumulated.values())
         save_grammar(grammar, iter_dir / "grammar.json")
         t2 = time.monotonic()
         stage_sec["refit"] = t2 - t1
@@ -293,12 +297,9 @@ def run_curriculum(config: RunConfig) -> dict:
         )
         _write_json(iter_dir / "solved.json", _solved_doc(config.env_tag, state.L, tasks, results))
         _write_json(iter_dir / "taskset.json", task_set_ref(config.env_tag, state.L, "../oracle.json"))
-        n_solved = sum(1 for r in results.values() if r.programs)
+        new = {_acc_key(state.L, tid): r.programs[0] for tid, r in results.items() if r.programs}
+        n_solved = len(new)
         rate = n_solved / tasks.n if tasks.n else 0.0
-        for task in tasks.tasks:
-            res = results[task.task_id]
-            if res.programs:
-                accumulated[_acc_key(state.L, task.task_id)] = (task, res.programs[0])
         stop_reasons = {reason: 0 for reason in STOP_REASONS}
         for r in results.values():
             stop_reasons[r.stop_reason] += 1
@@ -306,20 +307,18 @@ def run_curriculum(config: RunConfig) -> dict:
         stage_sec["solve"] = t3 - t2
 
         # Stage 4: compress the accumulated corpus into the library.
-        ordered = _ordered(accumulated)
         res = compress(
-            {key: term for key, (_, term) in ordered.items()},
+            dict(sorted({**accumulated, **new}.items())),
             grammar,
             library=library,
             max_arity=3,
         )
-        grammar, library = res.grammar, res.library
-        for key, new_term in res.rewritten.items():
-            accumulated[key] = (accumulated[key][0], new_term)
+        grammar, library, accumulated = res.grammar, res.library, res.rewritten
         save_library(library, iter_dir / "library.json")
         stage_sec["compress"] = time.monotonic() - t3
 
-        # Stage 5: report.
+        # Stage 5: report, printing each distinct program once.
+        texts = {term: print_program(term) for term in set(accumulated.values())}
         report = {
             "schema": REPORT_SCHEMA,
             "iteration": k,
@@ -333,8 +332,8 @@ def run_curriculum(config: RunConfig) -> dict:
             "newAbstractions": [a.name for a in res.new_abstractions],
             "librarySize": len(library),
             "rewritten": [
-                {"key": key, "taskId": task.task_id, "program": print_program(term)}
-                for key, (task, term) in _ordered(accumulated).items()
+                {"key": key, "taskId": key.partition(":")[2], "program": texts[term]}
+                for key, term in accumulated.items()
             ],
         }
         _write_json(iter_dir / "report.json", report)
@@ -361,10 +360,6 @@ def run_curriculum(config: RunConfig) -> dict:
     doc = _write_run_json(out, config, history, state, stop_reason)
     eval_run(out, seed=config.seed + _EVAL_SEED, episodes=config.eval_episodes)
     return doc
-
-
-def _ordered(accumulated: dict) -> dict:
-    return dict(sorted(accumulated.items()))
 
 
 def _write_run_json(out: Path, config, history, state, stop_reason) -> dict:

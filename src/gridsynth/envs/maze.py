@@ -2,9 +2,9 @@
 
 The world is a 13x13 grid of wall and floor cells carved with a seeded
 recursive backtracker, so every pair of floor cells is joined by exactly
-one path (verified with union-find after carving). The agent observes a
-5x5 window rotated into its own frame: it sits at view cell (0, 2) facing
-+x, which shows four cells ahead and two to each side. The world is carved
+one path. The agent observes a 5x5 window rotated into its own frame: it
+sits at view cell (0, 2) facing +x, which shows four cells ahead and two to
+each side. The world is carved
 straight into one flat row-major tuple inside a border of VIEW - 1 walls,
 so cells outside the world read as walls and the view is 25 fixed offsets
 per direction. The world does not change within an episode, so each view is
@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from gridsynth.errors import GridSynthError, IllegalActionError
+from gridsynth.errors import IllegalActionError
 from gridsynth.state import GridState
 
 EMPTY, WALL, GOAL = 1, 2, 3
@@ -61,7 +61,6 @@ class _Cells(NamedTuple):
     free: tuple[dict, ...]  # per cell, each subset of `near` -> its members in DIRS order
     spots: tuple[tuple[int, int], ...]  # per cell, its grid (x, y)
     at: tuple[int, ...]  # per cell, its padded world index
-    edges: tuple[tuple[int, int, int], ...]  # each east or south pair (a, b) and the world index of its wall
 
 
 @lru_cache(maxsize=None)
@@ -80,21 +79,13 @@ def _cell_tables(cells: int) -> _Cells:
             free.append({sum(1 << n for n in pick): pick for pick in picks})
     spots = tuple((2 * cx + 1, 2 * cy + 1) for cy in range(cells) for cx in range(cells))
     at = tuple((y + PAD) * stride + x + PAD for x, y in spots)
-    pairs = (
-        (cy * cells + cx, (cy + dy) * cells + cx + dx)
-        for cy in range(cells)
-        for cx in range(cells)
-        for dx, dy in ((1, 0), (0, 1))
-        if cx + dx < cells and cy + dy < cells
-    )
-    edges = tuple((a, b, (at[a] + at[b]) >> 1) for a, b in pairs)
-    return _Cells(stride, tuple(near), tuple(free), spots, at, edges)
+    return _Cells(stride, tuple(near), tuple(free), spots, at)
 
 
 def carve_world(cells: int, rng: random.Random) -> list[int]:
     """Recursive-backtracker carving of a (2*cells+1)^2 wall grid, straight
     into its padded row-major world."""
-    stride, near, free, _, at, _ = _cell_tables(cells)
+    stride, near, free, _, at = _cell_tables(cells)
     world = [WALL] * (stride * stride)
     sx = rng.randrange(cells)
     start = rng.randrange(cells) * cells + sx
@@ -124,30 +115,6 @@ def carve_maze(cells: int, rng: random.Random) -> list[list[int]]:
     return [world[i : i + size] for i in starts]
 
 
-def verify_perfect(world: list[int], cells: int) -> None:
-    """Union-find check: the passages carved into a padded world form a
-    spanning tree of the cells."""
-    parent = list(range(cells * cells))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    edges = 0
-    for a, b, wall in _cell_tables(cells).edges:
-        if world[wall] != EMPTY:
-            continue
-        edges += 1
-        a, b = find(a), find(b)
-        if a == b:
-            raise GridSynthError("maze carving produced a cycle")
-        parent[a] = b
-    if edges != cells * cells - 1:
-        raise GridSynthError("maze carving left disconnected cells")
-
-
 @dataclass
 class MazeEnv:
     """Single-agent perfect-maze world with rotation and forward movement."""
@@ -167,7 +134,6 @@ class MazeEnv:
         del dynamics_seed  # the maze has no stochastic dynamics
         rng = random.Random(layout_seed)
         world = carve_world(self.cells, rng)
-        verify_perfect(world, self.cells)
         tables = _cell_tables(self.cells)
         start, goal = rng.sample(tables.spots, 2)
         world[(goal[1] + PAD) * tables.stride + goal[0] + PAD] = GOAL

@@ -12,6 +12,7 @@ import json
 import math
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -416,21 +417,24 @@ def _count_choices(tables: Tables, term: Term, ty: Ty, counts: dict) -> None:
         _count_choices(tables, a, aty, counts)
 
 
-def refit(grammar: Grammar, solved: list[Term]) -> Grammar:
-    """Laplace-smoothed (alpha=1) usage frequencies from the solved corpus.
+def refit(grammar: Grammar, solved) -> Grammar:
+    """Laplace-smoothed (alpha=1) usage frequencies from the solved corpus,
+    an iterable of terms that may repeat.
 
     Raw weight log(1 + count) per production normalizes per choice set to
     (1 + count) / sum(1 + count); an empty corpus yields the uniform grammar.
+    Each distinct program is counted once and its counts are multiplied by
+    its copies; they are ints, so the sums are exact.
     """
     counts: dict[str, int] = {}
     var_count = 0
     tables = tables_for(grammar, grammar.request)
-    for term in solved:
+    for term, copies in Counter(solved).items():
         for (_, head), n in choice_counts(tables, term).items():
             if isinstance(head, int):
-                var_count += n
+                var_count += n * copies
             else:
-                counts[head] = counts.get(head, 0) + n
+                counts[head] = counts.get(head, 0) + n * copies
     prods = tuple(
         Production(p.name, p.type, math.log1p(counts.get(p.name, 0)))
         for p in grammar.productions

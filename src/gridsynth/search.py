@@ -55,6 +55,7 @@ class SolvedTask:
     candidates_tried: int
     wall_time_sec: float
     stop_reason: str = "exhausted"  # one of STOP_REASONS
+    texts: tuple[str, ...] = ()  # `print_program` of each of `programs`
 
     @property
     def solved(self) -> bool:
@@ -161,8 +162,8 @@ def _scan(grammar: Grammar, windows, budget: SearchBudget, library, max_depth: i
     results = []
     for w, found, stop in zip(windows, hits, stops):
         found.sort(key=lambda h: h[:2])
-        programs, dls = tuple(h[2] for h in found), tuple(h[0] for h in found)
-        results.append(SolvedTask(w.task_id, programs, dls, *(stop or rest)))
+        dls, texts, programs = (tuple(h[i] for h in found) for i in range(3))
+        results.append(SolvedTask(w.task_id, programs, dls, *(stop or rest), texts))
     return results, tried
 
 

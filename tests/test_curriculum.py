@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gridsynth import __version__
+from gridsynth import __version__, curriculum
 from gridsynth.curriculum import (
     ADVANCE_RATE,
     CORPUS_SCHEMA,
@@ -35,7 +35,7 @@ from gridsynth.data import (
 from gridsynth.errors import GridSynthError
 from gridsynth.kernel import check_trajectory, compile_term
 from gridsynth.lang import inline
-from gridsynth.library import definitions, load_library
+from gridsynth.library import compress, definitions, load_library
 from gridsynth.primitives import primitive_table
 from gridsynth.search import STOP_REASONS
 from gridsynth.sexpr import parse_program
@@ -247,6 +247,32 @@ class TestRunArtifacts:
         report = json.loads((last / "report.json").read_text())
         keys = [e["key"] for e in report["rewritten"]]
         assert keys == sorted(keys) and len(keys) == len(set(keys))
+
+    def test_compress_tables_are_left_as_given(self, tmp_path, monkeypatch):
+        """Every corpus compress got and every rewritten table it returned
+        still has its own keys, in sorted order, after the run: the run
+        builds a new table for each iteration instead of changing one that
+        a caller of compress may hold."""
+        calls = []
+
+        def recording(corpus, *args, **kwargs):
+            res = compress(corpus, *args, **kwargs)
+            calls.append((corpus, list(corpus), res))
+            return res
+
+        monkeypatch.setattr(curriculum, "compress", recording)
+        cfg = default_config(
+            "maze", out_dir=str(tmp_path / "run"), seed=7, corpus_size=0,
+            oracle_episodes=4, max_iterations=4, eval_episodes=2,
+        )
+        doc = run_curriculum(cfg)
+        assert len(calls) == len(doc["history"]) >= 3
+        for k, (corpus, keys, res) in enumerate(calls):
+            assert keys == sorted(keys)
+            assert list(corpus) == keys and list(res.rewritten) == keys, k
+        for (_, _, prev), (_, after, _) in zip(calls, calls[1:]):
+            assert set(prev.rewritten) <= set(after)
+        assert len(calls[-1][1]) > len(calls[0][1])  # later iterations added keys
 
     def test_eval_csv(self, micro_run):
         _, doc, out = micro_run

@@ -136,18 +136,27 @@ class TestMaze:
         assert len(layouts) > 1
 
     def test_perfect_maze_independent_check(self):
-        # BFS oracle: every cell reachable and open-wall count equals cells-1.
-        for seed in range(20):
-            rng = random.Random(seed)
-            grid = carve_maze(6, rng)
+        # BFS oracle: the cells are floor, every cell is reachable, 35 walls
+        # between cells are open and no other spot is floor, on carved mazes
+        # and on the padded worlds, goal marked, that reset builds
+        grids = [carve_maze(6, random.Random(seed)) for seed in range(20)]
+        env, size = MazeEnv(), 2 * MAZE_CELLS + 1
+        for seed in range(200):
+            env.reset(seed)
+            grid = [list(env.world[(y + PAD) * env.stride + PAD :][:size]) for y in range(size)]
+            assert padded(grid) == list(env.world), seed  # walls all round
+            grids.append(grid)
+        for grid in grids:
             open_walls = 0
             for cy in range(6):
                 for cx in range(6):
+                    assert grid[2 * cy + 1][2 * cx + 1] != WALL
                     if cx + 1 < 6 and grid[2 * cy + 1][2 * cx + 2] != WALL:
                         open_walls += 1
                     if cy + 1 < 6 and grid[2 * cy + 2][2 * cx + 1] != WALL:
                         open_walls += 1
             assert open_walls == 35
+            assert sum(code != WALL for row in grid for code in row) == 36 + 35
             seen = {(0, 0)}
             queue = deque([(0, 0)])
             while queue:

@@ -172,6 +172,30 @@ def test_refit_normalizes(maze_prims):
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def test_refit_counts_repeats_like_each_copy(maze_grammar, maze_prims):
+    """Repeated programs, some equal without being the same object, refit
+    to the weights of counts summed over every copy."""
+    samples = [sample_program(maze_grammar, 6, s) for s in range(6)]
+    solved = [samples[i] for i in (0, 3, 0, 0, 5, 1, 3, 0, 2, 2, 0, 4, 1, 0)]
+    solved += [parse_program(print_program(samples[3]), maze_prims)] * 7
+    tables = tables_for(maze_grammar, maze_prims.request)
+    counts: dict = {}
+    var_count = 0
+    for term in solved:
+        for (_, head), n in choice_counts(tables, term).items():
+            if isinstance(head, int):
+                var_count += n
+            else:
+                counts[head] = counts.get(head, 0) + n
+    assert var_count and len(set(solved)) < len(solved)
+    got = refit(maze_grammar, solved)
+    assert got.var_logp == math.log1p(var_count)
+    assert [(p.name, p.logp) for p in got.productions] == [
+        (p.name, math.log1p(counts.get(p.name, 0))) for p in maze_grammar.productions
+    ]
+    assert refit(maze_grammar, iter(solved)) == got  # any iterable, such as dict values
+
+
 def test_usage_counts_price_like_the_derivation(maze_grammar, maze_prims):
     samples = [sample_program(maze_grammar, 6, s) for s in range(40)]
     wall_check = parse_program(LISTING_WALL_CHECK, maze_prims)

@@ -394,6 +394,19 @@ def test_each_candidate_compiled_once_per_stage(monkeypatch, learned):
     assert sum(r.candidates_tried for r in got.values()) > 10 * len(compiled)
 
 
+def test_texts_are_the_printed_programs():
+    """Each result carries the texts of its programs, as the scan printed
+    them, and no texts when it has no programs."""
+    grammar, library, tasks, d_max = _stage("spaceinvaders", True)
+    budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=2)
+    got = solve_many(grammar, tasks, budget, library, d_max)
+    assert {r.solved for r in got.values()} == {True, False}
+    for r in got.values():
+        assert r.texts == tuple(print_program(p) for p in r.programs)
+        assert (r.texts == ()) == (r.programs == ())
+    assert any(a.name in text for r in got.values() for text in r.texts for a in library)
+
+
 def test_solve_many_of_no_tasks_is_empty(maze_grammar):
     budget = SearchBudget(timeout_sec=None, max_candidates=10)
     got = solve_many(maze_grammar, [], budget, (), 6)

@@ -13,8 +13,16 @@ import json
 import sys
 from pathlib import Path
 
-from gridsynth.curriculum import default_config, eval_run, final_iteration_dir, load_run, run_curriculum
+from gridsynth.curriculum import (
+    SOLVED_SCHEMA,
+    default_config,
+    eval_run,
+    final_iteration_dir,
+    load_run,
+    run_curriculum,
+)
 from gridsynth.data import (
+    check_schema,
     collect_oracle_rollouts,
     export_prompts,
     load_rollouts,
@@ -192,23 +200,29 @@ def _cmd_library(args, parser) -> int:
 
 
 def _find_solved(run_dir: Path, task_id: str):
+    """The last iteration directory that solved the task, and the task's
+    first program there."""
     iters = sorted(run_dir.glob("iter-*"), key=lambda p: int(p.name.split("-")[1]))
     for it in reversed(iters):
         doc = json.loads((it / "solved.json").read_text())
-        for entry in doc["solved"]:
-            if entry["taskId"] == task_id:
-                return it, entry
+        check_schema(doc, SOLVED_SCHEMA, "solved")
+        try:
+            for entry in doc["solved"]:
+                if entry["taskId"] == task_id:
+                    return it, entry["programs"][0]
+        except KeyError as exc:
+            raise GridSynthError(f"solved document has no {exc} field") from exc
     raise GridSynthError(f"task {task_id!r} was not solved in {run_dir}")
 
 
 def _cmd_explain(args, parser) -> int:
     run_dir = Path(args.run_dir)
-    it, entry = _find_solved(run_dir, args.task)
+    it, text = _find_solved(run_dir, args.task)
     tasks = load_task_set(it / "taskset.json")
     task = tasks.by_id(args.task)
     prims = primitive_table(task.env_tag)
     library = load_library(it / "library.json", prims)
-    program = parse_program(entry["programs"][0], prims, extra=definitions(library))
+    program = parse_program(text, prims, extra=definitions(library))
     formats = ("ascii", "svg") if args.format == "both" else (args.format,)
     out = args.out or run_dir / "explain" / args.task.replace(":", "-")
     bundle_dir = write_bundle(out, program, task, library=library, formats=formats)

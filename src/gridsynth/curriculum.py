@@ -41,6 +41,7 @@ from gridsynth import __version__
 from gridsynth.data import (
     RolloutParams,
     TaskSet,
+    check_schema,
     collect_oracle_rollouts,
     checked_program,
     collect_program_rollouts,
@@ -412,7 +413,11 @@ def eval_run(run_dir, seed: int | None = None, episodes: int | None = None) -> P
     prims = primitive_table(config["env_tag"])
     library = load_library(last / "library.json", prims)
     report = json.loads((last / "report.json").read_text())
-    texts = sorted({entry["program"] for entry in report["rewritten"]})
+    check_schema(report, REPORT_SCHEMA, "report")
+    try:
+        texts = sorted({entry["program"] for entry in report["rewritten"]})
+    except KeyError as exc:
+        raise GridSynthError(f"report document has no {exc} field") from exc
     terms = [checked_program(text, prims, library) for text in texts]
     fresh = collect_oracle_rollouts(config["env_tag"], episodes, seed=seed)
     lengths = sorted({entry["L"] for entry in doc["history"]})

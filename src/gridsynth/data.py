@@ -329,7 +329,8 @@ def _step_json(state: GridState, action: str) -> dict:
     return step
 
 
-def _check_schema(doc, schema: str, what: str) -> None:
+def check_schema(doc, schema: str, what: str) -> None:
+    """GridSynthError unless `doc` is a JSON object of schema `schema`."""
     found = doc.get("schema") if isinstance(doc, dict) else None
     if found != schema:
         raise GridSynthError(f"unexpected {what} schema {found!r}")
@@ -347,7 +348,7 @@ def load_task_set(path) -> TaskSet:
     malformed or the two name different environments."""
     path = Path(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    _check_schema(doc, TASKSET_SCHEMA, "task-set")
+    check_schema(doc, TASKSET_SCHEMA, "task-set")
     try:
         env_tag, L, oracle = doc["envTag"], doc["L"], doc["oracle"]
     except KeyError as exc:
@@ -380,7 +381,7 @@ def rollouts_from_json(doc):
     """The trajectories of a rollouts document; GridSynthError with one line
     if it is malformed, such as a missing field or a grid that is not the
     env's height by width."""
-    _check_schema(doc, ROLLOUTS_SCHEMA, "rollouts")
+    check_schema(doc, ROLLOUTS_SCHEMA, "rollouts")
     out = []
     try:
         env_tag, rollouts = doc["envTag"], doc["rollouts"]

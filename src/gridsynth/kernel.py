@@ -11,19 +11,21 @@ bitset of the states on which it gives the recorded action. Every imitation
 check runs so: search, evaluation and `data.imitates` lay their windows end
 to end in one batch, and `covered` turns the bitset of the states a program
 gets wrong into the bitset of the windows it imitates. Both forms are built
-by one walk over the term, each from its own table of builders. The tree
-interpreter in `gridsynth.interp` stays the semantics of record: it drives
-`explain`, and the tests hold both forms to it.
+by one walk over the term, one node per subterm. One table, `_OPS`, says
+what each primitive but `if` and `get` computes from its operands' values,
+and each form lifts it to nodes with one generic builder; each form has its
+own `if` and `get`. The tree interpreter in `gridsynth.interp` stays the
+semantics of record: it drives `explain`, and the tests hold both forms to
+it.
 
 Values are ints: booleans as Python bools, object codes raw, mapObject
 packed as (code << 16) | (x << 8) | y, actions as indices into the table's
-action list. In the closure form, constant operands are captured as values,
-not nodes. `get` reads the grid directly, so the map is never a value. `if`
-evaluates only the taken branch; every other primitive evaluates all of its
-operands. An out-of-bounds `get` fails the imitation: `execute` returns -1,
-`check_trajectory` stops counting, and the batch leaves the state out of
-its bitset. Grids may be lists, tuples or numpy arrays of ints; lists and
-tuples are the fast form.
+action list. `get` reads the grid directly, so the map is never a value;
+0 stands for it. `if` evaluates only the taken branch; every other
+primitive evaluates all of its operands. An out-of-bounds `get` fails the
+imitation: `execute` returns -1, `check_trajectory` stops counting, and the
+batch leaves the state out of its bitset. Grids may be lists, tuples or
+numpy arrays of ints; lists and tuples are the fast form.
 
 Every closed, well-typed, first-order, library-expanded program compiles;
 anything else (an unexpanded library call, an open term, an inner lambda, a
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from gridsynth.errors import GridSynthError
@@ -57,84 +60,62 @@ class CompiledProgram:
     code: Callable  # code(grid, width, height, direction) -> action id
 
 
-# The map binder: `get` reads the grid itself, so the map needs no closure.
-_MAP = object()
+# What each primitive but `if` and `get` computes, as a function of its
+# operands' values; both forms build their nodes from it.
+_OPS = {
+    "eq-obj?": lambda o, m: o == m >> 16,
+    "eq-direction?": operator.eq,
+    "eq-x?": operator.eq,
+    "eq-y?": operator.eq,
+    "gt-x?": operator.gt,
+    "gt-y?": operator.gt,
+    "get-game-obj": lambda m: m >> 16,
+    "get-x": lambda m: (m >> 8) & 0xFF,
+    "get-y": lambda m: m & 0xFF,
+    "not": operator.not_,
+    "and": operator.and_,
+    "or": operator.or_,
+}
+
+
+@lru_cache(maxsize=None)
+def _constant(value: int):
+    """The closure of a constant, one per value."""
+    return lambda g, w, h, d: value
+
+
+_map = _constant(0)  # `get` reads the grid itself, so the map is never a value
 
 
 def _direction(g, w, h, d):
     return d
 
 
-def _fn(node):
-    """A closure for any operand, constants and the map included."""
-    if callable(node):
-        return node
-    value = 0 if node is _MAP else node
-    return lambda g, w, h, d: value
+def _closure(f):
+    """Builds closure nodes that apply f to their one or two operands' values."""
+    def build(a, b=None):
+        if b is None:
+            return lambda g, w, h, d: f(a(g, w, h, d))
+        return lambda g, w, h, d: f(a(g, w, h, d), b(g, w, h, d))
+    return build
 
 
 def _if(c, t, e):
-    if not (callable(t) or callable(e)):
-        return lambda g, w, h, d: t if c(g, w, h, d) else e
-    t, e = _fn(t), _fn(e)
     return lambda g, w, h, d: t(g, w, h, d) if c(g, w, h, d) else e(g, w, h, d)
 
 
 def _get(m, x, y):
-    if callable(x) or callable(y) or x < 0 or y < 0:
-        x, y = _fn(x), _fn(y)
-
-        def node(g, w, h, d):
-            xv = x(g, w, h, d)
-            yv = y(g, w, h, d)
-            if 0 <= xv < w and 0 <= yv < h:
-                return (g[yv * w + xv] << 16) | (xv << 8) | yv
-            raise _OutOfRange
-    else:
-        xy = (x << 8) | y
-
-        def node(g, w, h, d):
-            if x < w and y < h:
-                return (g[y * w + x] << 16) | xy
-            raise _OutOfRange
-    if m is _MAP:
-        return node
-
-    def with_map(g, w, h, d):  # a map chosen by `if`, whose condition may fail
-        m(g, w, h, d)
-        return node(g, w, h, d)
-    return with_map
+    def node(g, w, h, d):
+        m(g, w, h, d)  # a map chosen by `if`, whose condition may fail
+        xv = x(g, w, h, d)
+        yv = y(g, w, h, d)
+        if 0 <= xv < w and 0 <= yv < h:
+            return (g[yv * w + xv] << 16) | (xv << 8) | yv
+        raise _OutOfRange
+    return node
 
 
-def _eq_obj(o, m):
-    if not callable(o):
-        return lambda g, w, h, d: m(g, w, h, d) >> 16 == o
-    return lambda g, w, h, d: o(g, w, h, d) == m(g, w, h, d) >> 16
-
-
-def _eq(a, b):
-    a = _fn(a)
-    if not callable(b):
-        return lambda g, w, h, d: a(g, w, h, d) == b
-    return lambda g, w, h, d: a(g, w, h, d) == b(g, w, h, d)
-
-
-_BUILDERS = {
-    "if": _if,
-    "get": _get,
-    "eq-obj?": _eq_obj,
-    "eq-direction?": _eq,
-    "eq-x?": _eq,
-    "eq-y?": _eq,
-    "gt-x?": lambda a, b: lambda g, w, h, d: a(g, w, h, d) > b(g, w, h, d),
-    "gt-y?": lambda a, b: lambda g, w, h, d: a(g, w, h, d) > b(g, w, h, d),
-    "get-game-obj": lambda m: lambda g, w, h, d: m(g, w, h, d) >> 16,
-    "get-x": lambda m: lambda g, w, h, d: (m(g, w, h, d) >> 8) & 0xFF,
-    "get-y": lambda m: lambda g, w, h, d: m(g, w, h, d) & 0xFF,
-    "not": lambda a: lambda g, w, h, d: not a(g, w, h, d),
-    "and": lambda a, b: lambda g, w, h, d: a(g, w, h, d) & b(g, w, h, d),
-    "or": lambda a, b: lambda g, w, h, d: a(g, w, h, d) | b(g, w, h, d),
-}
+_BUILDERS = {"if": _if, "get": _get, **{name: _closure(f) for name, f in _OPS.items()}}
 
 
 def _build(term: Term, prims: PrimTable, builders, constant, map_value, direction):
@@ -176,9 +157,9 @@ def _build(term: Term, prims: PrimTable, builders, constant, map_value, directio
 
 
 def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
-    """Compile a closed, library-expanded program term to closures; constants
-    and the map stay operands, not nodes."""
-    return CompiledProgram(code=_fn(_build(term, prims, _BUILDERS, lambda v: v, _MAP, _direction)))
+    """Compile a closed, library-expanded program term to closures, one per
+    node; constants, the map and the direction are nodes too."""
+    return CompiledProgram(code=_build(term, prims, _BUILDERS, _constant, _map, _direction))
 
 
 def execute(code, grid, width, height, direction):
@@ -232,46 +213,28 @@ def _batch_if(c, t, e):
     return parts
 
 
-def _relation(rel):
-    """A two-operand test; a state on which either operand fails fails."""
-    def node(a, b):
-        true = false = 0
+def _batch(f):
+    """A batch node applying f to its one or two operands' values, merging
+    equal results; a state on which an operand fails fails."""
+    def node(a, b=None):
+        parts = {}
+        if b is None:
+            for v, bits in a.items():
+                v = f(v)
+                parts[v] = parts.get(v, 0) | bits
+            return parts
         for av, ab in a.items():
             for bv, bb in b.items():
-                if rel(av, bv):
-                    true |= ab & bb
-                else:
-                    false |= ab & bb
-        return {True: true, False: false}
-    return node
-
-
-def _project(f):
-    """A one-operand primitive: f of the value, merging equal results."""
-    def node(a):
-        parts = {}
-        for v, bits in a.items():
-            v = f(v)
-            parts[v] = parts.get(v, 0) | bits
+                bits = ab & bb
+                if bits:
+                    v = f(av, bv)
+                    parts[v] = parts.get(v, 0) | bits
         return parts
     return node
 
 
-_BATCH_BUILDERS = {  # `get` reads the states, so each StateBatch adds its own
-    "if": _batch_if,
-    "eq-obj?": _relation(lambda o, m: o == m >> 16),
-    "eq-direction?": _relation(operator.eq),
-    "eq-x?": _relation(operator.eq),
-    "eq-y?": _relation(operator.eq),
-    "gt-x?": _relation(operator.gt),
-    "gt-y?": _relation(operator.gt),
-    "get-game-obj": _project(lambda m: m >> 16),
-    "get-x": _project(lambda m: (m >> 8) & 0xFF),
-    "get-y": _project(lambda m: m & 0xFF),
-    "not": _project(operator.not_),
-    "and": _relation(operator.and_),
-    "or": _relation(operator.or_),
-}
+# `get` reads the states, so each StateBatch adds its own
+_BATCH_BUILDERS = {"if": _batch_if, **{name: _batch(f) for name, f in _OPS.items()}}
 
 
 def covered(wrong: int, starts: int, length: int) -> int:

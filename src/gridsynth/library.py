@@ -121,7 +121,7 @@ from gridsynth.lang import (
 )
 from gridsynth.primitives import PrimTable, arg_types_at, primitive_table
 from gridsynth.sexpr import parse_program, print_program
-from gridsynth.typecheck import signature_map
+from gridsynth.typecheck import infer_type, signature_map
 
 LIBRARY_SCHEMA = "gridsynth-library-v1"
 # argument slot name -> slot index: a dict lookup, not a regex match, since
@@ -735,8 +735,12 @@ def library_from_json(doc, prims: PrimTable):
                 f"{len(arg_types(ty))} arguments"
             )
         extra = [f"${i}" for i in range(arity)] + [a.name for a in out]
-        core = parse_program(entry["body"], prims, extra=extra)
-        out.append(Abstraction(entry["name"], core_to_lambda(core, arity), ty, entry["useCount"]))
+        body = core_to_lambda(parse_program(entry["body"], prims, extra=extra), arity)
+        try:
+            infer_type(body, prims, library=out, request=ty)
+        except GridSynthError as exc:
+            raise GridSynthError(f"{where} has a bad 'body' field: {exc}") from exc
+        out.append(Abstraction(entry["name"], body, ty, entry["useCount"]))
     return out
 
 

@@ -100,8 +100,11 @@ class TestExitCodes:
             ({"arity": "1"}, "library entry 0 (f0) has a bad 'arity' field: '1' is not an integer"),
             ({"useCount": 2.5}, "library entry 0 (f0) has a bad 'useCount' field: 2.5 is not"),
             ({"arity": 5}, "library entry 0 (f0) has a bad 'arity' field: 5, but its type takes 1"),
+            ({"type": "map -> action", "body": "(get $0 1 left-action)"},
+             "library entry 0 (f0) has a bad 'body' field: expected "),
         ],
-        ids=["no-arity", "bad-type", "string-arity", "float-use-count", "arity-against-type"],
+        ids=["no-arity", "bad-type", "string-arity", "float-use-count", "arity-against-type",
+             "ill-typed-body"],
     )
     def test_malformed_library_is_runtime_error(
         self, run_dir, tmp_path, capsys, command, fault, message
@@ -200,6 +203,37 @@ class TestExitCodes:
             path.write_text(json.dumps(fault(json.loads(path.read_text()))))
         task_id = json.loads((run / "iter-0" / "solved.json").read_text())["solved"][0]["taskId"]
         assert main(["explain", str(run), "--task", task_id]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "name, fault, message",
+        [
+            ("report", lambda doc: {**doc, "schema": "gridsynth-report-v0"},
+             "unexpected report schema 'gridsynth-report-v0'"),
+            ("report", lambda doc: {k: v for k, v in doc.items() if k != "rewritten"},
+             "report document has no 'rewritten' field"),
+            ("report", lambda doc: {**doc, "rewritten": [{"key": "k"}]}, "report document has no 'program' field"),
+            ("solved", lambda doc: [], "unexpected solved schema None"),
+            ("solved", lambda doc: {k: v for k, v in doc.items() if k != "solved"},
+             "solved document has no 'solved' field"),
+            ("solved", lambda doc: {**doc, "solved": [{"programs": e["programs"]} for e in doc["solved"]]},
+             "solved document has no 'taskId' field"),
+            ("solved", lambda doc: {**doc, "solved": [{"taskId": e["taskId"]} for e in doc["solved"]]},
+             "solved document has no 'programs' field"),
+        ],
+        ids=["report-v0-schema", "report-no-rewritten", "report-no-program",
+             "solved-not-an-object", "solved-no-solved", "solved-no-task-id", "solved-no-programs"],
+    )
+    def test_malformed_report_or_solved_is_runtime_error(self, run_dir, tmp_path, capsys, name, fault, message):
+        """`eval` reads the last iteration's report.json and `explain` each
+        iteration's solved.json; the fault edits every one of them."""
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        task_id = json.loads((run / "iter-0" / "solved.json").read_text())["solved"][0]["taskId"]
+        for path in run.glob(f"iter-*/{name}.json"):
+            path.write_text(json.dumps(fault(json.loads(path.read_text()))))
+        argv = ["eval", str(run)] if name == "report" else ["explain", str(run), "--task", task_id]
+        assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
 

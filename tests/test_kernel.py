@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import learned_grammar, maze_state
 from gridsynth.data import collect_oracle_rollouts
+from gridsynth import kernel
 from gridsynth.envs import env_spec, make_env
 from gridsynth.errors import EvalError, OutOfBoundsGetError, TypeMismatchError
 from gridsynth.grammar import sample_program, uniform_grammar
@@ -199,6 +200,14 @@ def _fails_alone(arg, binders, state, prims, library):
 
 def test_backend_is_python():
     assert BACKEND == "python"
+
+
+def test_every_function_primitive_has_kernel_semantics():
+    """`_OPS` with each form's own `if` and `get` covers every function
+    primitive of the three environments, and nothing else, so a primitive
+    added without kernel support fails here, not in the middle of a run."""
+    names = {e.name for env in ENVS for e in primitive_table(env).entries if e.kind == "function"}
+    assert set(kernel._OPS) | {"if", "get"} == names
 
 
 class TestEquivalenceFuzz:

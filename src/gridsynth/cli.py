@@ -212,6 +212,8 @@ def _find_solved(run_dir: Path, task_id: str):
                     return it, entry["programs"][0]
         except KeyError as exc:
             raise GridSynthError(f"solved document has no {exc} field") from exc
+        except (IndexError, TypeError) as exc:
+            raise GridSynthError(f"malformed solved document: {exc}") from exc
     raise GridSynthError(f"task {task_id!r} was not solved in {run_dir}")
 
 

@@ -418,6 +418,8 @@ def eval_run(run_dir, seed: int | None = None, episodes: int | None = None) -> P
         texts = sorted({entry["program"] for entry in report["rewritten"]})
     except KeyError as exc:
         raise GridSynthError(f"report document has no {exc} field") from exc
+    except TypeError as exc:
+        raise GridSynthError(f"malformed report document: {exc}") from exc
     terms = [checked_program(text, prims, library) for text in texts]
     fresh = collect_oracle_rollouts(config["env_tag"], episodes, seed=seed)
     lengths = sorted({entry["L"] for entry in doc["history"]})

@@ -213,6 +213,8 @@ class TestExitCodes:
             ("report", lambda doc: {k: v for k, v in doc.items() if k != "rewritten"},
              "report document has no 'rewritten' field"),
             ("report", lambda doc: {**doc, "rewritten": [{"key": "k"}]}, "report document has no 'program' field"),
+            ("report", lambda doc: {**doc, "rewritten": [[]]},
+             "malformed report document: list indices must be integers or slices, not str"),
             ("solved", lambda doc: [], "unexpected solved schema None"),
             ("solved", lambda doc: {k: v for k, v in doc.items() if k != "solved"},
              "solved document has no 'solved' field"),
@@ -220,9 +222,14 @@ class TestExitCodes:
              "solved document has no 'taskId' field"),
             ("solved", lambda doc: {**doc, "solved": [{"taskId": e["taskId"]} for e in doc["solved"]]},
              "solved document has no 'programs' field"),
+            ("solved", lambda doc: {**doc, "solved": [{**e, "programs": []} for e in doc["solved"]]},
+             "malformed solved document: list index out of range"),
+            ("solved", lambda doc: {**doc, "solved": [[]]},
+             "malformed solved document: list indices must be integers or slices, not str"),
         ],
-        ids=["report-v0-schema", "report-no-rewritten", "report-no-program",
-             "solved-not-an-object", "solved-no-solved", "solved-no-task-id", "solved-no-programs"],
+        ids=["report-v0-schema", "report-no-rewritten", "report-no-program", "report-entry-not-an-object",
+             "solved-not-an-object", "solved-no-solved", "solved-no-task-id", "solved-no-programs",
+             "solved-empty-programs", "solved-entry-not-an-object"],
     )
     def test_malformed_report_or_solved_is_runtime_error(self, run_dir, tmp_path, capsys, name, fault, message):
         """`eval` reads the last iteration's report.json and `explain` each

@@ -64,6 +64,12 @@ CONFIGS = {
         ["--env", "spaceinvaders", "--profile", "desk", "--seed", "7",
          "--corpus-size", "50", "--d-max", "8", "--max-iterations", "2"],
     ],
+    # Space Invaders at paper scale with dreams on: 100 dreams an iteration,
+    # whose windows join each solve stage's scan (dream recovery)
+    "spaceinvaders-paper-dreams": [
+        ["--env", "spaceinvaders", "--profile", "paper", "--seed", "7",
+         "--corpus-size", "100", "--d-max", "8"],
+    ],
     # the run perfbench/make_corpus.py replays: four compressions with a
     # growing library
     "asterix-compress": [

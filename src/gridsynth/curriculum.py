@@ -3,11 +3,16 @@
 Each iteration runs five stages in order, persisting every stage's artifact
 before the next begins:
 
-  1. sample a fresh random-program corpus from the current grammar
+  1. dream: sample programs from the current grammar and roll them out
   2. refit the grammar on the accumulated solved programs
-  3. solve the oracle's windows at the current window length L
+  3. solve the oracle's and the dreams' windows at the current window length L
   4. compress the accumulated solved programs into the library
   5. emit the iteration report
+
+Only the oracle's windows feed solved.json and the rest of the loop. The
+dreams' windows check the search: a dream's own program imitates each of
+them, so the scan must find it there once it has checked that far
+(`dream_recovery`).
 
 The solved programs accumulate in one table, key "L<L>:<taskId>" ->
 program, in sorted key order ("L10:" before "L3:"), which compress's
@@ -20,14 +25,17 @@ oracle.json (the oracle rollouts, written once) and one subdirectory per
 iteration, whose taskset.json names its windows by L and oracle.json
 (`data.task_set_ref`). solved.json, library.json and eval.csv contain no
 wall-clock times, so reruns with identical seeds are byte-identical.
-run.json names the package version that ran. Each history entry in run.json
-records the seconds spent in the dream, refit, solve and compress stages
-(stageSec), how many searches stopped for each reason (stopReasons) and on
-their timeout (timeoutStops), and how many candidates the solve stage's scan
-enumerated and checked (candidatesCompiled). compressCandidates counts the
-greedy steps of the compress stage, the patterns its candidate search bounded
-and the candidates it priced exactly. A timeout stop depends on machine
-speed, so a nonzero count means the artifacts may differ on another machine.
+run.json names the package version that ran and the seconds spent
+collecting and writing the oracle (oracleSec) and in eval (evalSec, null until
+eval has run). Each history entry in run.json records the seconds spent in
+the dream, refit, solve and compress stages (stageSec), how many oracle
+searches stopped for each reason (stopReasons) and on their timeout
+(timeoutStops), how many candidates the solve stage's scan enumerated and
+checked (candidatesCompiled) and the dream recovery counts (dreamRecovery).
+compressCandidates counts the greedy steps of the compress stage, the
+patterns its candidate search bounded and the candidates it priced exactly.
+A timeout stop depends on machine speed, so a nonzero count means the
+artifacts may differ on another machine.
 """
 
 from __future__ import annotations
@@ -52,12 +60,12 @@ from gridsynth.data import (
     task_set_ref,
 )
 from gridsynth.errors import GridSynthError
-from gridsynth.grammar import refit, save_grammar, tables_for, uniform_grammar
+from gridsynth.grammar import refit, save_grammar, tables_for, term_dl, uniform_grammar
 from gridsynth.lang import Term
-from gridsynth.library import compress, load_library, save_library
+from gridsynth.library import compress, definitions, load_library, save_library
 from gridsynth.primitives import primitive_table
 from gridsynth.search import STOP_REASONS, SearchBudget, solve_many
-from gridsynth.sexpr import print_program
+from gridsynth.sexpr import parse_program, print_program
 
 SOLVED_SCHEMA = "gridsynth-solved-v1"
 CORPUS_SCHEMA = "gridsynth-corpus-v1"
@@ -67,6 +75,7 @@ EVAL_HEADER = "L,accuracy,n_tasks"
 
 ADVANCE_RATE = 0.10
 MAX_FAILS = 2
+DL_TOL = 1e-9  # DLs summed in another order differ by less
 
 # report.json fields that run.json's history entries leave out
 _NOT_IN_HISTORY = ("schema", "corpusSampled", "rewritten")
@@ -154,14 +163,12 @@ _ENV_DEFAULTS = {
 _PROFILES = {
     "desk": dict(
         search_timeout_sec=30.0,
-        corpus_size=2000,
         oracle_episodes=12,
         eval_episodes=6,
         max_iterations=12,
     ),
     "paper": dict(
         search_timeout_sec=720.0,
-        corpus_size=50000,
         oracle_episodes=100,
         eval_episodes=25,
         max_iterations=40,
@@ -189,6 +196,7 @@ def default_config(
         t_min=params.t_min,
         t_max=params.t_max,
         top_k=5,
+        corpus_size=100,  # dream recovery reads every dream
         l_start=3,
         seed=seed,
         out_dir=out_dir,
@@ -225,6 +233,44 @@ def _acc_key(L: int, task_id: str) -> str:
     return f"L{L}:{task_id}"
 
 
+def dream_windows(dreams, L: int) -> list:
+    """(window, program text) for each length-L window of the dreams."""
+    return [(w, t.provenance) for t in dreams if len(t.steps) >= L for w in slice_tasks([t], L).tasks]
+
+
+def dream_recovery(grammar, library, windows, results) -> dict:
+    """Count the dream windows (`dream_windows`) that a solve stage's
+    `results` recovered.
+
+    A dream's program p imitates each of its windows. The stream yields
+    candidates in non-decreasing DL, so if p's DL d under the search grammar
+    is below D, the DL of the last candidate checked against the window (its
+    last hit on a top-k stop, else the scan's last, inf when the stream ran
+    out), the scan checked p there: the window is within the cap, and must
+    be recovered, solved with a best DL of at most d. A window within the
+    cap that is not recovered is a violation of the enumerator, the DL or
+    the batch check.
+    """
+    prims = primitive_table(grammar.env_tag)
+    defs = definitions(library)
+    tables = tables_for(grammar, grammar.request)
+    price: dict[str, float] = {}  # program text -> d, each priced once
+    counts = dict.fromkeys(("windows", "withinCap", "recovered", "violations"), 0)
+    for window, text in windows:
+        if text not in price:
+            price[text] = term_dl(tables, parse_program(text, prims, extra=defs))
+        d = price[text]
+        r = results[window.task_id]
+        cap = r.dl_nats[-1] if r.stop_reason == "top-k" else results.last_dl
+        within = d < cap - DL_TOL
+        recovered = r.solved and r.dl_nats[0] <= d + DL_TOL
+        counts["windows"] += 1
+        counts["withinCap"] += within
+        counts["recovered"] += recovered
+        counts["violations"] += within and not recovered
+    return counts
+
+
 def run_curriculum(config: RunConfig) -> dict:
     """Execute the curriculum; returns the run.json document."""
     out = Path(config.out_dir)
@@ -237,10 +283,12 @@ def run_curriculum(config: RunConfig) -> dict:
     )
     grammar = uniform_grammar(prims)
     library: tuple = ()
+    t0 = time.monotonic()
     oracle = collect_oracle_rollouts(
         config.env_tag, config.oracle_episodes, seed=config.seed + _ORACLE_SEED
     )
     save_rollouts(oracle, out / "oracle.json")
+    timing = {"oracleSec": time.monotonic() - t0, "evalSec": None}
     state = CurriculumState(L=config.l_start)
     accumulated: dict[str, Term] = {}  # key -> solved program, in key order
     history: list[dict] = []
@@ -258,7 +306,7 @@ def run_curriculum(config: RunConfig) -> dict:
         iter_dir = out / f"iter-{k}"
         iter_dir.mkdir(exist_ok=True)
 
-        # Stage 1: fresh random-program corpus from the current grammar.
+        # Stage 1: dreams from the current grammar, which stage 3 reads.
         corpus = collect_program_rollouts(
             grammar,
             config.env_tag,
@@ -287,22 +335,26 @@ def run_curriculum(config: RunConfig) -> dict:
         t2 = time.monotonic()
         stage_sec["refit"] = t2 - t1
 
-        # Stage 3: solve the oracle's windows at the current L.
+        # Stage 3: solve the oracle's windows at the current L, and in the
+        # same scan the dreams', which check the search.
         tasks = slice_tasks(oracle, state.L)
+        dreams = dream_windows(corpus, state.L)
         results = solve_many(
             grammar,
-            tasks.tasks,
+            tasks.tasks + tuple(w for w, _ in dreams),
             budget,
             library=library,
             max_depth=config.d_max,
         )
+        recovery = dream_recovery(grammar, library, dreams, results)
         _write_json(iter_dir / "solved.json", _solved_doc(config.env_tag, state.L, tasks, results))
         _write_json(iter_dir / "taskset.json", task_set_ref(config.env_tag, state.L, "../oracle.json"))
-        new = {_acc_key(state.L, tid): r.programs[0] for tid, r in results.items() if r.programs}
+        found = [results[t.task_id] for t in tasks.tasks]
+        new = {_acc_key(state.L, r.task_id): r.programs[0] for r in found if r.programs}
         n_solved = len(new)
         rate = n_solved / tasks.n if tasks.n else 0.0
         stop_reasons = {reason: 0 for reason in STOP_REASONS}
-        for r in results.values():
+        for r in found:
             stop_reasons[r.stop_reason] += 1
         t3 = time.monotonic()
         stage_sec["solve"] = t3 - t2
@@ -348,22 +400,25 @@ def run_curriculum(config: RunConfig) -> dict:
                 "stopReasons": stop_reasons,
                 "candidatesCompiled": results.candidates_compiled,
                 "compressCandidates": res.candidate_counts,
+                "dreamRecovery": recovery,
                 "stageSec": stage_sec,
                 "wallTimeSec": time.monotonic() - t0,
             }
         )
         state = nxt
-        _write_run_json(out, config, history, state, "running")
+        _write_run_json(out, config, history, state, "running", timing)
         if state.stopped:
             stop_reason = "two-fails"
             break
 
-    doc = _write_run_json(out, config, history, state, stop_reason)
+    _write_run_json(out, config, history, state, stop_reason, timing)
+    t0 = time.monotonic()
     eval_run(out, seed=config.seed + _EVAL_SEED, episodes=config.eval_episodes)
-    return doc
+    timing["evalSec"] = time.monotonic() - t0
+    return _write_run_json(out, config, history, state, stop_reason, timing)
 
 
-def _write_run_json(out: Path, config, history, state, stop_reason) -> dict:
+def _write_run_json(out: Path, config, history, state, stop_reason, timing) -> dict:
     doc = {
         "schema": RUN_SCHEMA,
         "version": __version__,
@@ -372,6 +427,7 @@ def _write_run_json(out: Path, config, history, state, stop_reason) -> dict:
         "finalL": state.L,
         "stopped": state.stopped,
         "stopReason": stop_reason,
+        **timing,
     }
     _write_json(out / "run.json", doc)
     return doc

@@ -115,8 +115,9 @@ def _reconstruct(tables: Tables, path) -> Term:
 
 def _scan(grammar: Grammar, windows, budget: SearchBudget, library, max_depth: int):
     """Search the distinct `windows` at once for programs that imitate every
-    step of them. Returns a `SolvedTask` per window, in window order, and the
-    number of candidates checked."""
+    step of them. Returns a `SolvedTask` per window, in window order, the
+    number of candidates checked and the DL of the last one (inf when the
+    stream ran out)."""
     if budget.timeout_sec is None and budget.max_candidates is None:
         raise ValueError("search budget needs a timeout or a candidate cap")
     prims = primitive_table(grammar.env_tag)
@@ -131,13 +132,12 @@ def _scan(grammar: Grammar, windows, budget: SearchBudget, library, max_depth: i
     stops: list = [None] * len(windows)  # (candidates tried, seconds, stop reason)
     start = time.monotonic()
     deadline = None if budget.timeout_sec is None else start + budget.timeout_sec
-    tried, left, reason = 0, len(windows), "exhausted"
+    tried, left, reason, dl = 0, len(windows), "exhausted", math.inf
     while left:
-        nxt = next(stream, None)
-        if nxt is None:
+        dl, term = next(stream, (math.inf, None))
+        if term is None:
             break
         tried += 1
-        dl, term = nxt
         wrong = batch.all ^ batch.check(inline(term, defs) if defs else term, prims)
         text = None
         for n, bits in active.items():
@@ -164,7 +164,7 @@ def _scan(grammar: Grammar, windows, budget: SearchBudget, library, max_depth: i
         found.sort(key=lambda h: h[:2])
         dls, texts, programs = (tuple(h[i] for h in found) for i in range(3))
         results.append(SolvedTask(w.task_id, programs, dls, *(stop or rest), texts))
-    return results, tried
+    return results, tried, dl
 
 
 def solve_task(grammar: Grammar, task, budget: SearchBudget, library, max_depth: int) -> SolvedTask:
@@ -175,9 +175,11 @@ def solve_task(grammar: Grammar, task, budget: SearchBudget, library, max_depth:
 
 class StageResults(dict):
     """Solved tasks keyed by task id, in task order, plus `candidates_compiled`:
-    the number of candidates the stage's scan checked."""
+    the number of candidates the stage's scan checked, and `last_dl`: the DL
+    of the last of them, or inf when the stream ran out."""
 
     candidates_compiled: int = 0
+    last_dl: float = math.inf
 
 
 def solve_many(grammar: Grammar, tasks, budget: SearchBudget, library, max_depth: int) -> StageResults:
@@ -194,11 +196,12 @@ def solve_many(grammar: Grammar, tasks, budget: SearchBudget, library, max_depth
     first = {}  # steps -> the first task with them, the one searched
     for t in tasks:
         first.setdefault(t.steps, t)
-    results, tried = _scan(grammar, list(first.values()), budget, library, max_depth)
+    results, tried, last_dl = _scan(grammar, list(first.values()), budget, library, max_depth)
     solved = dict(zip(first, results))  # steps -> the searched task's result
     out = StageResults()
     for t in tasks:
         r = solved[t.steps]
         out[t.task_id] = r if r.task_id == t.task_id else replace(r, task_id=t.task_id)
     out.candidates_compiled = tried
+    out.last_dl = last_dl
     return out

@@ -1,17 +1,20 @@
 """Curriculum advance logic, run artifacts, and determinism."""
 
 import hashlib
+import itertools
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from gridsynth import __version__, curriculum
+from gridsynth import __version__, curriculum, search
 from gridsynth.curriculum import (
     ADVANCE_RATE,
     CORPUS_SCHEMA,
+    DL_TOL,
     EVAL_HEADER,
     REPORT_SCHEMA,
     RUN_SCHEMA,
@@ -19,6 +22,8 @@ from gridsynth.curriculum import (
     CurriculumState,
     advance,
     default_config,
+    dream_recovery,
+    dream_windows,
     eval_run,
     final_iteration_dir,
     run_curriculum,
@@ -26,6 +31,8 @@ from gridsynth.curriculum import (
 from gridsynth.data import (
     checked_program,
     collect_oracle_rollouts,
+    collect_program_rollouts,
+    default_params,
     imitated,
     load_rollouts,
     load_task_set,
@@ -33,12 +40,15 @@ from gridsynth.data import (
     task_inputs,
 )
 from gridsynth.errors import GridSynthError
+from gridsynth.grammar import tables_for, term_dl, uniform_grammar
 from gridsynth.kernel import check_trajectory, compile_term
 from gridsynth.lang import inline
 from gridsynth.library import compress, definitions, load_library
 from gridsynth.primitives import primitive_table
-from gridsynth.search import STOP_REASONS
+from gridsynth.search import STOP_REASONS, SearchBudget, solve_many
 from gridsynth.sexpr import parse_program
+
+from conftest import learned_grammar
 
 
 def walk_rates(rates):
@@ -106,8 +116,8 @@ class TestConfig:
     def test_profiles(self):
         desk = default_config("maze", profile="desk")
         paper = default_config("maze", profile="paper")
-        assert desk.search_timeout_sec == 30.0 and desk.corpus_size == 2000
-        assert paper.search_timeout_sec == 720.0 and paper.corpus_size == 50000
+        assert desk.search_timeout_sec == 30.0 and desk.corpus_size == 100
+        assert paper.search_timeout_sec == 720.0 and paper.corpus_size == 100
 
     def test_overrides_win(self):
         cfg = default_config("maze", corpus_size=17, seed=9)
@@ -306,8 +316,35 @@ class TestRunRecord:
             (it / "library.json").read_text(),
             (out / "eval.csv").read_text(),
         ):
-            for field in ("stageSec", "timeoutStops", "stopReasons", "candidatesCompiled"):
+            for field in ("stageSec", "timeoutStops", "stopReasons", "candidatesCompiled",
+                          "dreamRecovery", "oracleSec", "evalSec"):
                 assert field not in text
+
+    def test_oracle_and_eval_timed(self, tmp_path, monkeypatch):
+        """run.json times oracle collection from its first write on, and
+        eval once eval has run: the run writes it once more after eval, and
+        returns what it wrote last."""
+        seen = []
+        real = curriculum.eval_run
+
+        def recording(run_dir, **kwargs):
+            seen.append(json.loads((Path(run_dir) / "run.json").read_text()))
+            return real(run_dir, **kwargs)
+
+        monkeypatch.setattr(curriculum, "eval_run", recording)
+        out = tmp_path / "run"
+        cfg = default_config(
+            "maze", out_dir=str(out), seed=7, corpus_size=0,
+            oracle_episodes=2, max_iterations=1, eval_episodes=1,
+        )
+        doc = run_curriculum(cfg)
+        [before] = seen
+        assert before["evalSec"] is None and before["oracleSec"] == doc["oracleSec"] >= 0.0
+        assert json.loads((out / "run.json").read_text()) == doc
+        assert doc["evalSec"] >= 0.0
+        assert {k: v for k, v in doc.items() if k != "evalSec"} == {
+            k: v for k, v in before.items() if k != "evalSec"
+        }
 
     def test_stop_reasons_and_compiled_candidates(self, micro_run):
         cfg, doc, out = micro_run
@@ -334,6 +371,18 @@ class TestRunRecord:
             for name in ("report.json", "library.json", "solved.json"):
                 assert "compressCandidates" not in (it / name).read_text()
         assert any(h["compressCandidates"]["scored"] > 0 for h in doc["history"])
+
+    def test_dream_recovery_in_history(self, micro_run):
+        """Each iteration checks every length-L window of its dreams, and
+        none is a violation."""
+        _, doc, out = micro_run
+        for h in doc["history"]:
+            corpus = json.loads((out / f"iter-{h['iteration']}" / "corpus.json").read_text())
+            rec = h["dreamRecovery"]
+            assert set(rec) == {"windows", "withinCap", "recovered", "violations"}
+            assert rec["windows"] == sum(n // h["L"] for n in corpus["lengths"]) > 0
+            assert rec["violations"] == 0
+            assert 0 < rec["withinCap"] <= rec["windows"] and rec["recovered"] <= rec["windows"]
 
     def test_version_recorded(self, micro_run):
         _, doc, out = micro_run
@@ -385,6 +434,9 @@ class TestEdgeCases:
         assert all(h["nSolved"] == 0 for h in doc["history"])
         assert all(h["librarySize"] == 0 for h in doc["history"])
         assert doc["finalL"] == 100
+        # every dream is shorter than L, so none has a window to search
+        assert all(h["dreamRecovery"]["windows"] == 0 for h in doc["history"])
+        assert dream_windows([], 3) == []
 
     def test_missing_run_dir_raises(self, tmp_path):
         with pytest.raises(GridSynthError):
@@ -433,6 +485,81 @@ def test_eval_hits_match_closure_reference(tmp_path, env_tag, overrides):
         want = _closure_hits(texts, library, windows, prims)
         assert imitated(terms, windows, prims) == want
         assert row == f"{L},{sum(want) / len(want):.6f},{len(want)}"
+
+
+# --- dream recovery ----------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _dream_stage(env_tag, learned):
+    """Grammar, library, oracle windows, dream windows, budget and depth
+    bound of one solve stage at L=3, the dreams drawn from the grammar with
+    the library. `learned` takes `conftest.learned_grammar`'s library."""
+    prims = primitive_table(env_tag)
+    grammar, library = learned_grammar(prims) if learned else (uniform_grammar(prims), ())
+    d_max, cap = {"maze": (6, 100), "spaceinvaders": (8, 300)}[env_tag]
+    oracle = slice_tasks(collect_oracle_rollouts(env_tag, 2, seed=5), 3).tasks
+    dreams = collect_program_rollouts(
+        grammar, env_tag, 30, default_params(env_tag), seed=9, d_max=d_max, library=library
+    )
+    budget = SearchBudget(timeout_sec=None, top_k=5, max_candidates=cap)
+    return grammar, library, oracle, dream_windows(dreams, 3), budget, d_max
+
+
+@pytest.mark.parametrize("learned", [False, True], ids=["no-library", "learned-library"])
+@pytest.mark.parametrize("env_tag", ["maze", "spaceinvaders"])
+def test_dream_windows_leave_oracle_results_alone(env_tag, learned):
+    """The oracle windows get the same results, wall time aside, with the
+    dreams' windows in their scan as without, and the dreams' windows are
+    recovered wherever the scan reached their programs."""
+    grammar, library, oracle, windows, budget, d_max = _dream_stage(env_tag, learned)
+    alone = solve_many(grammar, oracle, budget, library, d_max)
+    both = solve_many(grammar, oracle + tuple(w for w, _ in windows), budget, library, d_max)
+    assert list(both)[: len(alone)] == list(alone)
+    for tid, r in alone.items():
+        assert replace(both[tid], wall_time_sec=0.0) == replace(r, wall_time_sec=0.0), tid
+    assert {r.stop_reason for r in alone.values()} == {"top-k", "candidates"}
+    rec = dream_recovery(grammar, library, windows, both)
+    assert rec["windows"] == len(windows) > 0
+    assert rec["violations"] == 0 and rec["withinCap"] > 0
+
+
+def test_out_of_order_stream_is_a_violation(monkeypatch):
+    """A seeded mutation of the enumerator: two candidates out of DL order,
+    a dream's program and the first candidate past the cap, so the scan
+    never checks the program. Its window is within the cap and not
+    recovered."""
+    grammar, library, _, windows, _, d_max = _dream_stage("maze", False)
+    cap = 100
+    budget = SearchBudget(timeout_sec=None, top_k=10**6, max_candidates=cap)
+    results = solve_many(grammar, tuple(w for w, _ in windows), budget, library, d_max)
+    assert dream_recovery(grammar, library, windows, results)["violations"] == 0
+    tables = tables_for(grammar, grammar.request)
+    prims = primitive_table("maze")
+    for window, text in windows:  # one whose only hit no longer than its program is its program
+        program = parse_program(text, prims)
+        d = term_dl(tables, program)
+        r = results[window.task_id]
+        short = [term for term, dl in zip(r.programs, r.dl_nats) if dl <= d + DL_TOL]
+        if d < results.last_dl - DL_TOL and short == [program]:
+            break
+    else:
+        pytest.fail("no dream window is solved only by its own program")
+    real = search._stream
+
+    def swapped(tables, max_depth):
+        stream = real(tables, max_depth)
+        head = list(itertools.islice(stream, cap + 1))
+        i = [term for _, term in head].index(program)
+        head[i], head[cap] = head[cap], head[i]
+        yield from head
+        yield from stream
+
+    monkeypatch.setattr(search, "_stream", swapped)
+    mutated = solve_many(grammar, (window,), budget, library, d_max)
+    assert dream_recovery(grammar, library, [(window, text)], mutated) == {
+        "windows": 1, "withinCap": 1, "recovered": 0, "violations": 1,
+    }
 
 
 def _digest(root: Path) -> str:

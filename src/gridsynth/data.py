@@ -8,7 +8,9 @@ Rollouts of sampled programs run programs on the closure kernel. Every
 imitation check (search, `imitated`, `imitates`, `accuracy`) lays its
 windows' states end to end in one `kernel.StateBatch` (`window_batch`),
 checks each program once over all of them and reads the windows it
-imitates off the states it gets wrong (`kernel.covered`).
+imitates off the states it gets wrong (`kernel.covered`). The search checks
+each candidate from its derivation; the checks here take the
+library-expanded term (`StateBatch.check`).
 
 Trajectories are stored as rollouts JSON (`save_rollouts`); a task-set file
 names a rollouts file and L (`task_set_ref`) instead of holding steps.

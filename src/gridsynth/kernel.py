@@ -10,8 +10,14 @@ each node's value a partition of the states by value, and returns the
 bitset of the states on which it gives the recorded action. Every imitation
 check runs so: search, evaluation and `data.imitates` lay their windows end
 to end in one batch, and `covered` turns the bitset of the states a program
-gets wrong into the bitset of the windows it imitates. Both forms are built
-by one walk over the term, one node per subterm. One table, `_OPS`, says
+gets wrong into the bitset of the windows it imitates. The search builds
+its candidates' batch values node by node from their derivations instead,
+from what `StateBatch.nodes` resolves each name to, so it passes no terms;
+a library call there is built from its abstraction's body, which is built
+once per batch as a template of its parameters' values. Both forms, and
+those templates, are built by one walk over the term (`_build`), one node
+per subterm, with each de Bruijn variable bound to a value: a program's to
+the map and the direction, a body's to its parameters. One table, `_OPS`, says
 what each primitive but `if` and `get` computes from its operands' values,
 and each form lifts it to nodes with one generic builder; each form has its
 own `if` and `get`. The tree interpreter in `gridsynth.interp` stays the
@@ -118,15 +124,10 @@ def _get(m, x, y):
 _BUILDERS = {"if": _if, "get": _get, **{name: _closure(f) for name, f in _OPS.items()}}
 
 
-def _build(term: Term, prims: PrimTable, builders, constant, map_value, direction):
-    """Build a closed, library-expanded program term bottom-up: `builders[name]`
-    applied to the operands of each primitive, `constant(value)` for each
-    constant (actions as ids), and `map_value` and `direction` for the
-    binders."""
-    arity, body = peel(term)
-    if arity not in (1, 2):
-        raise KernelUnsupportedError(f"program arity {arity}")
-    action_ids = {w: i for i, w in enumerate(prims.action_words)}
+def _build(body: Term, prims: PrimTable, builders, constant, env):
+    """Build a lambda-free term bottom-up: `builders[name]` applied to the
+    operands of each name but a constant, `constant(value)` for each
+    constant (actions as ids), and `env[i]` for each Var(i)."""
 
     def build(term: Term):
         head, args = spine(term)
@@ -135,31 +136,47 @@ def _build(term: Term, prims: PrimTable, builders, constant, map_value, directio
         if isinstance(head, Var):
             if args:
                 raise KernelUnsupportedError("applied variable")
-            # arity 2: Var(1) = map, Var(0) = direction; arity 1: Var(0) = map
-            if head.index >= arity:
+            if head.index >= len(env):
                 raise KernelUnsupportedError("unbound variable")
-            return map_value if head.index == arity - 1 else direction
+            return env[head.index]
         name = head.name
         entry = prims.by_name.get(name)
-        if entry is None:
-            raise KernelUnsupportedError(f"unknown primitive {name!r}")
-        if len(args) != entry.arity:
-            raise KernelUnsupportedError(f"{name} takes {entry.arity} arguments, applied to {len(args)}")
-        if entry.kind == "action":
-            return constant(action_ids[entry.value])
-        if entry.kind != "function":
-            return constant(int(entry.value))
-        if name not in builders:
-            raise KernelUnsupportedError(f"no builder for {name}")
-        return builders[name](*map(build, args))
+        if entry is not None:
+            if len(args) != entry.arity:
+                raise KernelUnsupportedError(f"{name} takes {entry.arity} arguments, applied to {len(args)}")
+            if entry.kind != "function":
+                return constant(_constant_value(entry, prims))
+        builder = builders.get(name)
+        if builder is None:
+            raise KernelUnsupportedError(f"unknown primitive {name!r}" if entry is None else f"no builder for {name}")
+        return builder(*map(build, args))
 
     return build(body)
+
+
+def _constant_value(entry, prims: PrimTable) -> int:
+    return prims.action_words.index(entry.value) if entry.kind == "action" else int(entry.value)
+
+
+def _inputs(arity: int, map_value, direction) -> tuple:
+    """A program's inputs by de Bruijn index: the map is its first input and
+    the direction, for a maze program, its second, so Var(0) is the last."""
+    if arity not in (1, 2):
+        raise KernelUnsupportedError(f"program arity {arity}")
+    return (map_value,) if arity == 1 else (direction, map_value)
+
+
+def _program(term: Term, prims: PrimTable, builders, constant, map_value, direction):
+    """`_build` of a closed, library-expanded program, its inputs bound to
+    `map_value` and `direction`."""
+    arity, body = peel(term)
+    return _build(body, prims, builders, constant, _inputs(arity, map_value, direction))
 
 
 def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
     """Compile a closed, library-expanded program term to closures, one per
     node; constants, the map and the direction are nodes too."""
-    return CompiledProgram(code=_build(term, prims, _BUILDERS, _constant, _map, _direction))
+    return CompiledProgram(code=_program(term, prims, _BUILDERS, _constant, _map, _direction))
 
 
 def execute(code, grid, width, height, direction):
@@ -237,6 +254,29 @@ def _batch(f):
 _BATCH_BUILDERS = {"if": _batch_if, **{name: _batch(f) for name, f in _OPS.items()}}
 
 
+def _leaf(value):
+    """A node that takes no operands: a template of a constant, or the
+    builder of a value."""
+    return lambda *operands: value
+
+
+def _lift(builder):
+    """Builds template nodes: functions of a call's operands that apply
+    `builder` to their own operands' values."""
+    def build(*subs):
+        return lambda call: builder(*[s(call) for s in subs])
+    return build
+
+
+def _defined(name: str, arity: int, template):
+    """The builder of a defined name from the template of its body."""
+    def call(*operands):
+        if len(operands) != arity:
+            raise KernelUnsupportedError(f"{name} takes {arity} arguments, applied to {len(operands)}")
+        return template(operands)
+    return call
+
+
 def covered(wrong: int, starts: int, length: int) -> int:
     """The bits of `starts` whose windows, `length` states each from there,
     hold no bit of `wrong`: with `wrong` the states a program gets wrong,
@@ -271,11 +311,39 @@ class StateBatch:
     def check(self, term: Term, prims: PrimTable) -> int:
         """The bitset of the states on which a closed, library-expanded
         program evaluates, without failing, to the state's recorded action."""
-        parts = _build(term, prims, self._builders, self._constant, self._map, self._direction)
+        return self.correct(_program(term, prims, self._builders, self._constant, self._map, self._direction))
+
+    def correct(self, parts: dict) -> int:
+        """The bitset of the states on which a program's value `parts` is
+        the state's recorded action."""
         correct = 0
         for v, bits in parts.items():
             correct |= bits & self._acts.get(v, 0)
         return correct
+
+    def nodes(self, prims: PrimTable, defs, arity: int) -> tuple[dict, tuple]:
+        """What a program of `arity` inputs is built of over this batch, for
+        building it node by node: (name -> the builder of the name's value
+        from its operands' values, for every primitive and every name that
+        `defs` defines; the inputs' values by de Bruijn index).
+
+        A constant's builder takes no operands. A defined name's body, whose
+        calls may only be of names defined before it, is built once here,
+        by `_build`, as a template: a function of the call's operands to
+        the value of the library-expanded body with its parameters bound to
+        them. A name of no parameters is evaluated here, once."""
+        out = dict(self._builders)
+        lifted = {name: _lift(b) for name, b in out.items()}
+        for entry in prims.entries:
+            if entry.kind != "function":
+                out[entry.name] = _leaf(self._constant(_constant_value(entry, prims)))
+        for name, body in defs.items():
+            n, core = peel(body)
+            params = tuple(operator.itemgetter(n - 1 - i) for i in range(n))
+            template = _build(core, prims, lifted, lambda v: _leaf(self._constant(v)), params)
+            out[name] = _leaf(template(())) if n == 0 else _defined(name, n, template)
+            lifted[name] = _lift(out[name])
+        return out, _inputs(arity, self._map, self._direction)
 
     def _constant(self, value) -> dict:
         return {value: self.all}

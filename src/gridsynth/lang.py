@@ -7,40 +7,67 @@ variables that only ever occur in the signature of the polymorphic `if`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from gridsynth.errors import GridSynthError
 
 
 # ---------------------------------------------------------------------------
 # Types
+#
+# Types are interned: constructing one with the fields of an existing one
+# returns that object. So equal types are the same object, and they compare
+# and hash by identity, in C; the type-keyed tables of the grammar, the
+# enumerator and the compressor look types up on every step.
 
-@dataclass(frozen=True)
+_INTERNED: dict = {}
+
+
+def _interned(cls, *values):
+    key = (cls, *values)
+    ty = _INTERNED.get(key)
+    if ty is None:
+        ty = _INTERNED[key] = object.__new__(cls)
+    return ty
+
+
+@dataclass(frozen=True, eq=False)
 class Ty:
-    pass
+    def __reduce__(self):
+        # rebuild through the constructor, which returns the interned object
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaseTy(Ty):
     name: str
+
+    def __new__(cls, name):
+        return _interned(cls, name)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Arrow(Ty):
     src: Ty
     dst: Ty
+
+    def __new__(cls, src, dst):
+        return _interned(cls, src, dst)
 
     def __str__(self):
         src = f"({self.src})" if isinstance(self.src, Arrow) else str(self.src)
         return f"{src} -> {self.dst}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TyVar(Ty):
     id: int
+
+    def __new__(cls, id):
+        return _interned(cls, id)
 
     def __str__(self):
         return f"t{self.id}"

@@ -545,17 +545,17 @@ def test_out_of_order_stream_is_a_violation(monkeypatch):
             break
     else:
         pytest.fail("no dream window is solved only by its own program")
-    real = search._stream
+    real = search._derivations
 
     def swapped(tables, max_depth):
         stream = real(tables, max_depth)
         head = list(itertools.islice(stream, cap + 1))
-        i = [term for _, term in head].index(program)
+        i = [search._reconstruct(tables, path) for _, path in head].index(program)
         head[i], head[cap] = head[cap], head[i]
         yield from head
         yield from stream
 
-    monkeypatch.setattr(search, "_stream", swapped)
+    monkeypatch.setattr(search, "_derivations", swapped)
     mutated = solve_many(grammar, (window,), budget, library, d_max)
     assert dream_recovery(grammar, library, [(window, text)], mutated) == {
         "windows": 1, "withinCap": 1, "recovered": 0, "violations": 1,

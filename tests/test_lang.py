@@ -1,4 +1,7 @@
 """Term and type machinery: depth, library inlining, parsing of type strings."""
+import copy
+import pickle
+
 import pytest
 
 from gridsynth.errors import GridSynthError
@@ -6,9 +9,11 @@ from gridsynth.lang import (
     ACTION,
     BOOL,
     DIRECTION,
+    INT,
     MAP,
     Apply,
     Arrow,
+    BaseTy,
     Lambda,
     Prim,
     TyVar,
@@ -23,9 +28,10 @@ from gridsynth.lang import (
     return_type,
     spine,
 )
+from gridsynth.primitives import ENV_TAGS, primitive_table
 from gridsynth.sexpr import parse_program
 
-from conftest import LISTING_WALL_CHECK
+from conftest import LISTING_WALL_CHECK, learned_grammar
 
 
 def test_arrow_right_association():
@@ -40,6 +46,25 @@ def test_parse_type_round_trip():
                  "(bool -> bool) -> bool", "mapObject -> object -> bool"):
         ty = parse_type(text)
         assert parse_type(str(ty)) == ty
+
+
+@pytest.mark.parametrize("env_tag", ENV_TAGS)
+def test_types_are_canonical(env_tag):
+    """Every type is the one object of its kind and fields: each production,
+    request and library type of an environment parses back from its text as
+    itself, and equal types compare and hash equal."""
+    prims = primitive_table(env_tag)
+    grammar, library = learned_grammar(prims)
+    types = [p.type for p in grammar.productions] + [a.type for a in library] + [prims.request]
+    assert any(isinstance(a, TyVar) for t in types for a in arg_types(t))
+    for ty in types:
+        assert parse_type(str(ty)) is ty
+        assert parse_type(str(ty)) == ty and hash(parse_type(str(ty))) == hash(ty)
+        assert pickle.loads(pickle.dumps(ty)) is ty and copy.deepcopy(ty) is ty
+    assert BaseTy("int") is INT and Arrow(MAP, ACTION) is arrow(MAP, ACTION)
+    assert TyVar(0) is TyVar(0) and TyVar(0) != TyVar(1)
+    assert arrow(MAP, ACTION) != arrow(MAP, DIRECTION, ACTION)
+    assert len({arrow(MAP, ACTION), parse_type("map -> action"), Arrow(MAP, ACTION)}) == 1
 
 
 def test_parse_type_rejects_unknown():

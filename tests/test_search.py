@@ -3,23 +3,26 @@ the stage scan, batch-checked over every window at once, against per-task
 searches on the closure kernel."""
 import itertools
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
 
 from gridsynth import search
-from gridsynth.data import collect_oracle_rollouts, slice_tasks, task_inputs
-from gridsynth.grammar import refit, tables_for, uniform_grammar
-from gridsynth.kernel import StateBatch, check_trajectory, compile_term
-from gridsynth.lang import Lambda, Prim, Term, TyVar, Var, apply_all, arg_types, depth, inline, return_type
-from gridsynth.library import compress, definitions
+from gridsynth.data import collect_oracle_rollouts, slice_tasks, task_inputs, window_batch
+from gridsynth.grammar import add_abstractions, refit, tables_for, uniform_grammar
+from gridsynth.kernel import check_trajectory, compile_term
+from gridsynth.lang import (
+    INT, MAP, MAP_OBJECT, Lambda, Prim, Term, TyVar, Var, apply_all, arg_types, arrow, depth, inline, return_type,
+)
+from gridsynth.library import Abstraction, _prims_in, compress, definitions
 from gridsynth.primitives import arg_types_at, primitive_table
 from gridsynth.search import SearchBudget, SolvedTask, solve_many, solve_task
 from gridsynth.sexpr import print_program
 from gridsynth.state import GridState
 from gridsynth.typecheck import infer_type
 
-from conftest import maze_state
+from conftest import learned_grammar, maze_state
 
 
 @pytest.fixture
@@ -376,22 +379,83 @@ def test_each_distinct_window_is_searched_once(monkeypatch):
 
 @pytest.mark.parametrize("learned", [False, True], ids=["no-library", "learned-library"])
 def test_each_candidate_compiled_once_per_stage(monkeypatch, learned):
-    """Each candidate is checked over all of the stage's states by one batch
-    evaluation."""
+    """Each candidate is checked from its derivation over all of the stage's
+    states by one batch evaluation."""
     grammar, library, tasks, d_max = _stage("spaceinvaders", learned)
-    compiled = []
-    check = StateBatch.check
+    checked = []
+    check = search._check
 
-    def counting(self, term, prims):
-        compiled.append(term)
-        return check(self, term, prims)
+    def counting(batch, nodes, path):
+        checked.append(path)
+        return check(batch, nodes, path)
 
-    monkeypatch.setattr(StateBatch, "check", counting)
+    monkeypatch.setattr(search, "_check", counting)
     budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=2)
     got = solve_many(grammar, tasks, budget, library, d_max)
     longest = max(r.candidates_tried for r in got.values())
-    assert got.candidates_compiled == len(compiled) == longest == _STAGE_CAP
-    assert sum(r.candidates_tried for r in got.values()) > 10 * len(compiled)
+    assert got.candidates_compiled == len(checked) == longest == _STAGE_CAP
+    assert len({id(path) for path in checked}) == len(checked)
+    assert sum(r.candidates_tried for r in got.values()) > 10 * len(checked)
+
+
+def _differential_stage(env_tag, learned):
+    """Grammar, library, tasks and depth bound of a stage for the derivation
+    check's differential test. The learned library is `learned_grammar`'s,
+    whose abstractions take one to three parameters and call each other,
+    plus two more: `k0` takes no parameters and `k1`, of one, calls it."""
+    prims = primitive_table(env_tag)
+    tasks = tuple(slice_tasks(collect_oracle_rollouts(env_tag, 2, seed=3), 3).tasks)
+    d_max = 6 if env_tag == "maze" else 8
+    if not learned:
+        return uniform_grammar(prims), (), tasks, d_max
+    grammar, library = learned_grammar(prims)
+    more = [
+        Abstraction("k0", Prim("2"), INT, 0),
+        Abstraction("k1", Lambda(apply_all(Prim("get"), [Var(0), Prim("k0"), Prim("1")])), arrow(MAP, MAP_OBJECT), 0),
+    ]
+    grammar = add_abstractions(grammar, more)
+    # weighted up, so that the first candidates call both directly
+    prods = tuple(replace(p, logp=3.0) if p.name in ("k0", "k1") else p for p in grammar.productions)
+    return replace(grammar, productions=prods), tuple(library) + tuple(more), tasks, d_max
+
+
+@pytest.mark.parametrize("learned", [False, True], ids=["no-library", "learned-library"])
+@pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
+def test_derivation_check_is_the_term_check(monkeypatch, env_tag, learned):
+    """For each of a stage's first 500 derivations, the check straight from
+    the derivation gives the bitset that `StateBatch.check` gives for its
+    library-expanded term. A scan builds the term of a candidate that hits
+    a window once, and builds none for a candidate that hits none."""
+    grammar, library, tasks, d_max = _differential_stage(env_tag, learned)
+    prims = primitive_table(env_tag)
+    defs = definitions(library)
+    tables = tables_for(grammar, grammar.request)
+    batch, _ = window_batch(tasks, prims)
+    nodes = search._nodes(tables, batch, prims, defs)
+    used, values = set(), set()
+    for _, path in itertools.islice(search._derivations(tables, d_max), _STAGE_CAP):
+        term = search._reconstruct(tables, path)
+        want = batch.check(inline(term, defs), prims)
+        assert search._check(batch, nodes, path) == want, print_program(term)
+        used.update(p.name for p in _prims_in(term))
+        values.add(want)
+    assert len(values) >= 5
+    if learned:
+        arities = {a.name: a.arity for a in library}
+        assert {"k0", "k1"} <= used and any(arities.get(name, 0) > 1 for name in used)
+
+    built = []
+    reconstruct = search._reconstruct
+
+    def counting(tables, path):
+        built.append(reconstruct(tables, path))
+        return built[-1]
+
+    monkeypatch.setattr(search, "_reconstruct", counting)
+    budget = SearchBudget(timeout_sec=None, max_candidates=_STAGE_CAP, top_k=10**6)
+    got = solve_many(grammar, tasks, budget, library, d_max)
+    hits = {term for r in got.values() for term in r.programs}
+    assert hits and len(built) == len(hits) and set(built) == hits
 
 
 def test_texts_are_the_printed_programs():

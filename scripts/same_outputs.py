@@ -13,8 +13,10 @@ program calls a library function. The explanation bundle is written under
 the run directory. The script compares every file the two sides wrote, byte
 for byte, except `run.json`, which records wall times. The stdout of each
 command is compared too, with the run directory's path masked. It prints a
-count of identical and differing files per configuration and exits 1 if any
-file differs or exists on one side only.
+count of identical and differing files per configuration, and the dream
+recovery violations (`dreamRecovery.violations` in `run.json`) summed over
+the working tree's runs. It exits 1 if any file differs or exists on one
+side only, or if any iteration of a working-tree run has a violation.
 
 One more check, `compress-corpus`, runs no `gridsynth run`: it calls
 `library.compress` from an empty library on the 229 programs of
@@ -45,8 +47,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # name -> the `gridsynth run` flags of each of its runs
 CONFIGS = {
     "maze-desk": [["--env", "maze", "--profile", "desk", "--seed", str(s)] for s in range(5)],
-    # deeper dream programs fail to evaluate more often, so memos that
-    # dreams of one program share hold failed (None) actions too
+    # deeper dream programs fail to evaluate more often, so more dreams
+    # stop on a failed step, and many share a program that fails
     "maze-dreams-deep": [
         ["--env", "maze", "--profile", "desk", "--seed", "7", "--d-max", "8", "--max-iterations", "2"],
     ],
@@ -174,6 +176,15 @@ def compress_corpus(src: Path, out: Path) -> None:
         sys.exit(f"compress-corpus failed with {src}:\n{proc.stderr}")
 
 
+def violations(out: Path) -> int:
+    """The dream recovery violations of a run, summed over its iterations;
+    0 for a check that writes no run.json."""
+    path = out / "run.json"
+    if not path.exists():
+        return 0
+    return sum(h["dreamRecovery"]["violations"] for h in json.loads(path.read_text())["history"])
+
+
 # name -> one callable per run, called with a `src/` and an output directory
 CHECKS = {name: [functools.partial(run, flags) for flags in runs] for name, runs in CONFIGS.items()}
 CHECKS["compress-corpus"] = [compress_corpus]
@@ -204,7 +215,7 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         sides = {"base": export(args.base, tmp / "base-tree"), "work": ROOT / "src"}
         for name in args.only or CHECKS:
-            same, bad = 0, []
+            same, bad, violated = 0, [], 0
             for i, check in enumerate(CHECKS[name]):
                 outs = {side: tmp / side / f"{name}-{i}" for side in sides}
                 for side, src in sides.items():
@@ -212,10 +223,14 @@ def main(argv=None) -> int:
                 n, diff = compare(outs["base"], outs["work"])
                 same += n
                 bad += [f"{name}-{i}/{rel}" for rel in diff]
-            print(f"{name}: {same} identical, {len(bad)} differ ({len(CHECKS[name])} runs, run.json skipped)")
+                violated += violations(outs["work"])
+            print(
+                f"{name}: {same} identical, {len(bad)} differ, {violated} recovery violations"
+                f" ({len(CHECKS[name])} runs, run.json skipped)"
+            )
             for rel in bad:
                 print(f"  differs: {rel}")
-            failed |= bool(bad)
+            failed |= bool(bad) or violated > 0
     return 1 if failed else 0
 
 

@@ -200,10 +200,10 @@ def _cmd_library(args, parser) -> int:
 
 
 def _find_solved(run_dir: Path, task_id: str):
-    """The last iteration directory that solved the task, and the task's
-    first program there."""
-    iters = sorted(run_dir.glob("iter-*"), key=lambda p: int(p.name.split("-")[1]))
-    for it in reversed(iters):
+    """The directory of the last iteration in run.json's history that solved
+    the task, and the task's first program there."""
+    for h in reversed(load_run(run_dir)["history"]):
+        it = run_dir / f"iter-{h['iteration']}"
         doc = json.loads((it / "solved.json").read_text())
         check_schema(doc, SOLVED_SCHEMA, "solved")
         try:

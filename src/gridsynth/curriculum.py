@@ -11,8 +11,8 @@ before the next begins:
 
 Only the oracle's windows feed solved.json and the rest of the loop. The
 dreams' windows check the search: a dream's own program imitates each of
-them, so the scan must find it there once it has checked that far
-(`dream_recovery`).
+them, so once the scan has checked that far it must list that program
+among the window's hits (`dream_recovery`).
 
 The solved programs accumulate in one table, key "L<L>:<taskId>" ->
 program, in sorted key order ("L10:" before "L3:"), which compress's
@@ -62,10 +62,10 @@ from gridsynth.data import (
 from gridsynth.errors import GridSynthError
 from gridsynth.grammar import refit, save_grammar, tables_for, term_dl, uniform_grammar
 from gridsynth.lang import Term
-from gridsynth.library import compress, definitions, load_library, save_library
+from gridsynth.library import compress, load_library, save_library
 from gridsynth.primitives import primitive_table
 from gridsynth.search import STOP_REASONS, SearchBudget, solve_many
-from gridsynth.sexpr import parse_program, print_program
+from gridsynth.sexpr import print_program
 
 SOLVED_SCHEMA = "gridsynth-solved-v1"
 CORPUS_SCHEMA = "gridsynth-corpus-v1"
@@ -234,36 +234,36 @@ def _acc_key(L: int, task_id: str) -> str:
 
 
 def dream_windows(dreams, L: int) -> list:
-    """(window, program text) for each length-L window of the dreams."""
-    return [(w, t.provenance) for t in dreams if len(t.steps) >= L for w in slice_tasks([t], L).tasks]
+    """(window, dream) for each length-L window of the dreams."""
+    return [(w, t) for t in dreams if len(t.steps) >= L for w in slice_tasks([t], L).tasks]
 
 
-def dream_recovery(grammar, library, windows, results) -> dict:
+def dream_recovery(grammar, windows, results) -> dict:
     """Count the dream windows (`dream_windows`) that a solve stage's
     `results` recovered.
 
-    A dream's program p imitates each of its windows. The stream yields
-    candidates in non-decreasing DL, so if p's DL d under the search grammar
-    is below D, the DL of the last candidate checked against the window (its
-    last hit on a top-k stop, else the scan's last, inf when the stream ran
-    out), the scan checked p there: the window is within the cap, and must
-    be recovered, solved with a best DL of at most d. A window within the
-    cap that is not recovered is a violation of the enumerator, the DL or
-    the batch check.
+    A dream's program p (`Trajectory.program`) imitates each of its
+    windows. A window is recovered when p is among its hits. The stream
+    yields candidates in non-decreasing DL, so if p's DL d under the search
+    grammar is below D, the DL of the last candidate checked against the
+    window (its last hit on a top-k stop, else the scan's last, inf when the
+    stream ran out), the scan checked p there before it stopped: the window
+    is within the cap, and must be recovered. A window within the cap that
+    is not recovered is a violation of the enumerator, the DL or the batch
+    check.
     """
-    prims = primitive_table(grammar.env_tag)
-    defs = definitions(library)
     tables = tables_for(grammar, grammar.request)
     price: dict[str, float] = {}  # program text -> d, each priced once
     counts = dict.fromkeys(("windows", "withinCap", "recovered", "violations"), 0)
-    for window, text in windows:
+    for window, dream in windows:
+        text = dream.provenance
         if text not in price:
-            price[text] = term_dl(tables, parse_program(text, prims, extra=defs))
+            price[text] = term_dl(tables, dream.program)
         d = price[text]
         r = results[window.task_id]
         cap = r.dl_nats[-1] if r.stop_reason == "top-k" else results.last_dl
         within = d < cap - DL_TOL
-        recovered = r.solved and r.dl_nats[0] <= d + DL_TOL
+        recovered = text in r.texts
         counts["windows"] += 1
         counts["withinCap"] += within
         counts["recovered"] += recovered
@@ -346,7 +346,7 @@ def run_curriculum(config: RunConfig) -> dict:
             library=library,
             max_depth=config.d_max,
         )
-        recovery = dream_recovery(grammar, library, dreams, results)
+        recovery = dream_recovery(grammar, dreams, results)
         _write_json(iter_dir / "solved.json", _solved_doc(config.env_tag, state.L, tasks, results))
         _write_json(iter_dir / "taskset.json", task_set_ref(config.env_tag, state.L, "../oracle.json"))
         found = [results[t.task_id] for t in tasks.tasks]

@@ -13,13 +13,15 @@ each candidate from its derivation; the checks here take the
 library-expanded term (`StateBatch.check`).
 
 Trajectories are stored as rollouts JSON (`save_rollouts`); a task-set file
-names a rollouts file and L (`task_set_ref`) instead of holding steps.
+names a rollouts file and L (`task_set_ref`) instead of holding steps. A
+dream's trajectory also holds its sampled term (`Trajectory.program`),
+which dream recovery prices; the file keeps only its text.
 """
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import cycle, islice
 from pathlib import Path
 
@@ -37,7 +39,6 @@ from gridsynth.typecheck import infer_type
 TASKSET_SCHEMA = "gridsynth-taskset-v2"
 ROLLOUTS_SCHEMA = "gridsynth-rollouts-v1"
 _SEED_RANGE = 1 << 62
-_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,9 @@ class Trajectory:
     steps: tuple  # ((GridState, action word), ...)
     provenance: str  # "oracle" or the generating program text
     seeds: tuple  # (layout seed, dynamics seed)
+    # the sampled term `provenance` prints; None for the oracle's and for
+    # loaded rollouts, and not saved
+    program: Term | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -154,16 +158,16 @@ def collect_program_rollouts(
 
     The result is the same as running the program on every step, with less
     work. Each distinct sampled program is inlined, compiled and printed
-    once, and its dreams share one observation -> action memo, so it runs
-    once per distinct observation. Where the env has a `state_key`, a dream
-    that comes back to a state it was in has entered a cycle: the program
-    is deterministic, so the steps from that state's first visit repeat
-    until t, and are copied instead of stepped. An episode in a cycle never
-    ends, since it would have ended on the cycle's first pass.
+    once, and each trajectory holds its term (`program`). Where the env has
+    a `state_key`, a dream that comes back to a state it was in has entered
+    a cycle: the program is deterministic, so the steps from that state's
+    first visit repeat until t, and are copied instead of stepped. An
+    episode in a cycle never ends, since it would have ended on the cycle's
+    first pass.
     """
     prims = primitive_table(env_tag)
     rng = random.Random(seed)
-    programs: dict = {}  # sampled term -> (runner, printed text, observation -> action)
+    programs: dict = {}  # sampled term -> (runner, printed text)
     out = []
     for i in range(count):
         term = sample_program(grammar, d_max, rng.randrange(_SEED_RANGE))
@@ -180,8 +184,8 @@ def collect_program_rollouts(
                     break
         program = programs.get(term)
         if program is None:
-            program = programs[term] = (ProgramRunner(term, prims, library), print_program(term), {})
-        runner, text, actions = program
+            program = programs[term] = (ProgramRunner(term, prims, library), print_program(term))
+        runner, text = program
         steps = []
         first: dict = {}  # state key -> index of the step taken from that state
         while not done and len(steps) < t:
@@ -191,15 +195,13 @@ def collect_program_rollouts(
                 if start < len(steps):
                     steps.extend(islice(cycle(steps[start:]), t - len(steps)))
                     break
-            action = actions.get(obs, _UNSEEN)
-            if action is _UNSEEN:
-                action = actions[obs] = runner.run(obs)
+            action = runner.run(obs)
             if action is None:
                 break
             steps.append((obs, action))
             obs, done = env.step(action)
         if steps:
-            out.append(Trajectory(f"prog-{i:05d}", env_tag, tuple(steps), text, (layout, dynamics)))
+            out.append(Trajectory(f"prog-{i:05d}", env_tag, tuple(steps), text, (layout, dynamics), term))
     return out
 
 

@@ -7,8 +7,7 @@ sits at view cell (0, 2) facing +x, which shows four cells ahead and two to
 each side. The world is carved
 straight into one flat row-major tuple inside a border of VIEW - 1 walls,
 so cells outside the world read as walls and the view is 25 fixed offsets
-per direction. The world does not change within an episode, so each view is
-gathered once per cell and heading. Codes: 1 empty, 2 wall, 3 goal.
+per direction, read on every observation. Codes: 1 empty, 2 wall, 3 goal.
 
 Directions are absolute: 0 east, 1 south, 2 west, 3 north (screen axes,
 y grows downward). `left` and `right` rotate in place, `forward` advances
@@ -128,7 +127,6 @@ class MazeEnv:
     goal: tuple[int, int] = (1, 1)
     done: bool = False
     _dist: dict | None = field(default=None, repr=False)
-    _seen: dict | None = field(default=None, repr=False)  # this episode's observations
 
     def reset(self, layout_seed: int, dynamics_seed: int = 0) -> GridState:
         del dynamics_seed  # the maze has no stochastic dynamics
@@ -150,7 +148,6 @@ class MazeEnv:
         self.direction = direction
         self.done = False
         self._dist = None
-        self._seen = {}
         return self.observe()
 
     def _index(self, x: int, y: int) -> int:
@@ -167,15 +164,10 @@ class MazeEnv:
         return 4 * self._index(*self.pos) + self.direction
 
     def observe(self) -> GridState:
-        """The view from the agent's cell and heading, kept for the rest of
-        the episode."""
-        key = self.state_key()
-        obs = self._seen.get(key)
-        if obs is None:
-            world, at = self.world, key >> 2
-            view = tuple([world[at + o] for o in view_offsets(self.stride)[self.direction]])
-            obs = self._seen[key] = GridState(view, VIEW, self.direction)
-        return obs
+        """The view from the agent's cell and heading."""
+        world, at = self.world, self._index(*self.pos)
+        view = tuple([world[at + o] for o in view_offsets(self.stride)[self.direction]])
+        return GridState(view, VIEW, self.direction)
 
     def step(self, action: str) -> tuple[GridState, bool]:
         if action not in ACTIONS:

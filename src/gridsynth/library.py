@@ -187,26 +187,10 @@ def core_to_lambda(core: Term, arity: int) -> Term:
     return body
 
 
-def lambda_to_core(body: Term) -> Term:
-    """Inverse of core_to_lambda; bodies contain no internal lambdas."""
-    arity, body = peel(body)
-
-    def conv(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.index >= arity:
-                raise GridSynthError("abstraction body is not closed")
-            return Prim(f"${arity - 1 - t.index}")
-        if isinstance(t, Apply):
-            return Apply(conv(t.fn), conv(t.arg))
-        if isinstance(t, Prim):
-            return t
-        raise GridSynthError(f"unexpected node in abstraction body: {t!r}")
-
-    return conv(body)
-
-
 def body_text(a: Abstraction) -> str:
-    return print_program(lambda_to_core(a.body))
+    """The body's core, its parameters printed as the slots $0, $1, ..."""
+    arity, core = peel(a.body)
+    return print_program(core, binder_names=[f"${i}" for i in range(arity)], depth=arity)
 
 
 def definitions(library) -> dict:

@@ -84,6 +84,33 @@ class TestExitCodes:
         assert main(["explain", str(run_dir), "--task", "oracle-9999:000"]) == 2
         assert "not solved" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stray", ["iter-old", "iter-9.json"])
+    def test_explain_reads_the_iterations_run_json_names(self, run_dir, tmp_path, capsys, stray):
+        """A directory or file named like an iteration that run.json's
+        history does not name is never read: a solved task is explained, and
+        an unknown one is one line and exit 2."""
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        if stray.endswith(".json"):
+            (run / stray).write_text("{}")
+        else:
+            (run / stray).mkdir()
+        task_id = json.loads((run / "iter-0" / "solved.json").read_text())["solved"][0]["taskId"]
+        bundle = tmp_path / "bundle"
+        assert main(["explain", str(run), "--task", task_id, "--out", str(bundle), "--format", "ascii"]) == 0
+        assert (bundle / "manifest.json").exists()
+        assert main(["explain", str(run), "--task", "oracle-9999:000"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: task 'oracle-9999:000' was not solved in {run}\n"
+
+    def test_explain_without_run_json_is_runtime_error(self, run_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        (run / "run.json").unlink()
+        task_id = json.loads((run / "iter-0" / "solved.json").read_text())["solved"][0]["taskId"]
+        assert main(["explain", str(run), "--task", task_id]) == 2
+        assert capsys.readouterr().err == f"error: no run.json under {run}\n"
+
     @pytest.mark.parametrize("command", ["eval", "library"])
     def test_malformed_run_json_is_runtime_error(self, tmp_path, capsys, command):
         (tmp_path / "run.json").write_text('{"schema": ')

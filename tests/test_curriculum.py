@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gridsynth import __version__, curriculum, search
+from gridsynth import __version__, curriculum, kernel, search
 from gridsynth.curriculum import (
     ADVANCE_RATE,
     CORPUS_SCHEMA,
@@ -513,15 +513,19 @@ def test_dream_windows_leave_oracle_results_alone(env_tag, learned):
     dreams' windows in their scan as without, and the dreams' windows are
     recovered wherever the scan reached their programs."""
     grammar, library, oracle, windows, budget, d_max = _dream_stage(env_tag, learned)
+    for window, dream in windows:  # each window is a slice of its own dream
+        off = int(window.task_id.rpartition(":")[2])
+        assert window.task_id.startswith(dream.traj_id + ":")
+        assert window.steps == dream.steps[off : off + 3]
     alone = solve_many(grammar, oracle, budget, library, d_max)
     both = solve_many(grammar, oracle + tuple(w for w, _ in windows), budget, library, d_max)
     assert list(both)[: len(alone)] == list(alone)
     for tid, r in alone.items():
         assert replace(both[tid], wall_time_sec=0.0) == replace(r, wall_time_sec=0.0), tid
     assert {r.stop_reason for r in alone.values()} == {"top-k", "candidates"}
-    rec = dream_recovery(grammar, library, windows, both)
+    rec = dream_recovery(grammar, windows, both)
     assert rec["windows"] == len(windows) > 0
-    assert rec["violations"] == 0 and rec["withinCap"] > 0
+    assert rec["violations"] == 0 and 0 < rec["withinCap"] <= rec["recovered"]
 
 
 def test_out_of_order_stream_is_a_violation(monkeypatch):
@@ -533,11 +537,10 @@ def test_out_of_order_stream_is_a_violation(monkeypatch):
     cap = 100
     budget = SearchBudget(timeout_sec=None, top_k=10**6, max_candidates=cap)
     results = solve_many(grammar, tuple(w for w, _ in windows), budget, library, d_max)
-    assert dream_recovery(grammar, library, windows, results)["violations"] == 0
+    assert dream_recovery(grammar, windows, results)["violations"] == 0
     tables = tables_for(grammar, grammar.request)
-    prims = primitive_table("maze")
-    for window, text in windows:  # one whose only hit no longer than its program is its program
-        program = parse_program(text, prims)
+    for window, dream in windows:  # one whose only hit no longer than its program is its program
+        program = dream.program
         d = term_dl(tables, program)
         r = results[window.task_id]
         short = [term for term, dl in zip(r.programs, r.dl_nats) if dl <= d + DL_TOL]
@@ -557,9 +560,22 @@ def test_out_of_order_stream_is_a_violation(monkeypatch):
 
     monkeypatch.setattr(search, "_derivations", swapped)
     mutated = solve_many(grammar, (window,), budget, library, d_max)
-    assert dream_recovery(grammar, library, [(window, text)], mutated) == {
+    assert dream_recovery(grammar, [(window, dream)], mutated) == {
         "windows": 1, "withinCap": 1, "recovered": 0, "violations": 1,
     }
+
+
+def test_swapped_batch_if_is_a_violation(tmp_path, monkeypatch):
+    """A seeded fault of the batch check: `if` takes each branch on the
+    states where the other is taken. A dream's `(if c A B)` then fails its
+    windows, while `(if c B A)`, of the same DL, checks as it should have
+    and solves them no longer than d. Only a rule that asks for the dream's
+    own program among the hits sees the fault; on this run, a best DL of at
+    most d is found on every window within the cap."""
+    real = kernel._BATCH_BUILDERS["if"]
+    monkeypatch.setitem(kernel._BATCH_BUILDERS, "if", lambda c, t, e: real(c, e, t))
+    doc = run_curriculum(default_config("maze", out_dir=str(tmp_path / "run"), seed=7, eval_episodes=1))
+    assert sum(h["dreamRecovery"]["violations"] for h in doc["history"]) > 0
 
 
 def _digest(root: Path) -> str:

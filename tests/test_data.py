@@ -278,7 +278,7 @@ class TestCollect:
     def test_oracle_rollouts_reach_goal(self):
         for traj in collect_oracle_rollouts("maze", 5, seed=0, max_steps=144):
             assert 1 <= len(traj.steps) <= 144
-            assert traj.provenance == "oracle"
+            assert traj.provenance == "oracle" and traj.program is None
             assert all(a in ("left", "right", "forward") for _, a in traj.steps)
 
     def test_program_rollout_lengths_in_bounds(self):
@@ -305,9 +305,11 @@ class TestCollect:
     @pytest.mark.parametrize("learned", [False, True], ids=["uniform", "learned-library"])
     @pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
     def test_program_rollouts_match_a_run_on_every_step(self, env_tag, learned):
-        """A dream reuses its program's action for a repeated observation;
-        the reference runs the program on every step. On the maze, the ints
-        reach past the 5x5 view, so some programs fail to evaluate."""
+        """A dream shares its program's runner with the other dreams of that
+        program and copies a cycle's steps; the reference runs the program on
+        every step. On the maze, the ints reach past the 5x5 view, so some
+        programs fail to evaluate. Each dream holds the term it sampled,
+        which its provenance prints and parses back to."""
         prims = primitive_table(env_tag)
         grammar, library = learned_grammar(prims) if learned else (uniform_grammar(prims), ())
         params = RolloutParams(t_min=5, t_max=40, warmup_max=0 if env_tag == "maze" else 10)
@@ -318,6 +320,11 @@ class TestCollect:
         assert sum(len(t.steps) for t in got) > 100
         if env_tag == "maze":
             assert failed > 0
+        names = [a.name for a in library]
+        for t in got:
+            assert print_program(t.program) == t.provenance
+            assert parse_program(t.provenance, prims, extra=names) == t.program
+        assert not learned or any(name in t.provenance for t in got for name in names)
 
     def test_rollout_reuse_tells_headings_apart(self, monkeypatch):
         """One grid seen under four headings is four observations."""
@@ -387,14 +394,20 @@ class TestCollect:
 
 class TestSerialization:
     def test_rollouts_round_trip(self, tmp_path):
+        """Oracle rollouts and dreams load back equal; the file keeps a
+        dream's provenance but not its term, so a loaded dream holds none."""
         for env_tag in ("maze", "asterix", "spaceinvaders"):
-            trajs = collect_oracle_rollouts(env_tag, 2, seed=9, max_steps=30)
+            grammar = uniform_grammar(primitive_table(env_tag))
+            dreams = collect_program_rollouts(grammar, env_tag, 10, default_params(env_tag), seed=2, d_max=6)
+            assert dreams and all(t.program is not None for t in dreams)
+            trajs = collect_oracle_rollouts(env_tag, 2, seed=9, max_steps=30) + dreams
             doc = rollouts_to_json(trajs)
             assert doc["schema"] == "gridsynth-rollouts-v1"
             path = tmp_path / f"{env_tag}.json"
             save_rollouts(trajs, path)
             loaded = load_rollouts(path)
             assert loaded == trajs
+            assert all(t.program is None for t in loaded)
             assert all(type(state.cells) is tuple for t in loaded for state, _ in t.steps)
 
     @pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])

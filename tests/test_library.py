@@ -41,7 +41,6 @@ from gridsynth.library import (
     expand,
     library_from_json,
     library_report,
-    lambda_to_core,
     library_to_json,
     load_library,
     rewrite,
@@ -686,8 +685,7 @@ class TestGainBound:
         }
         grammar = uniform_grammar(PRIMS)
         res = compress(corpus, grammar)
-        core = lambda_to_core(res.new_abstractions[0].body)
-        slots = re.findall(r"\$\d", print_program(core))
+        slots = re.findall(r"\$\d", body_text(res.new_abstractions[0]))
         assert len(slots) > len(set(slots)) == res.new_abstractions[0].arity
         assert_matches_reference(corpus, grammar)
         assert bound_violations(corpus, grammar) == []
@@ -837,8 +835,10 @@ class TestSerialization:
     def test_body_lambdas_must_match_the_arity(self):
         core = parse_program("(get $0 1 $1)", PRIMS, extra=["$0", "$1"])
         body = core_to_lambda(core, 2)
-        assert lambda_to_core(body) == core
-        assert Abstraction("f0", body, arrow(MAP, INT, MAP_OBJECT), 0).arity == 2
+        a = Abstraction("f0", body, arrow(MAP, INT, MAP_OBJECT), 0)
+        assert body_text(a) == "(get $0 1 $1)"
+        assert parse_program(body_text(a), PRIMS, extra=["$0", "$1"]) == core
+        assert a.arity == 2
 
     def test_report_mentions_every_function(self):
         res = compress(ten_program_corpus(), uniform_grammar(PRIMS))

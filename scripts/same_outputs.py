@@ -27,6 +27,11 @@ programs, the `repr` of `dl_before` and `dl_after`, and `candidate_counts`
 exactly), so that a change to pruning shows even when the winners stay the
 same.
 
+Another, `collect-prompts`, pins the rollouts codec: per environment, it
+runs `gridsynth collect --count 3 --seed 5` into `oracle.json` and then
+`gridsynth export-prompts --rollouts oracle.json --L 3`, and compares the
+rollouts file, the prompts and both commands' stdout.
+
 The whole set takes a few minutes.
 """
 from __future__ import annotations
@@ -176,6 +181,16 @@ def compress_corpus(src: Path, out: Path) -> None:
         sys.exit(f"compress-corpus failed with {src}:\n{proc.stderr}")
 
 
+def collect_prompts(env: str, src: Path, out: Path) -> None:
+    """The collect-prompts check: collect oracle rollouts of `env` with
+    `src`, then export their prompts, into `out`."""
+    out.mkdir(parents=True)
+    rollouts, prompts = out / "oracle.json", out / "prompts.txt"
+    stdout = gridsynth(src, ["collect", "--env", env, "--count", "3", "--seed", "5", "--out", str(rollouts)], out)
+    stdout += gridsynth(src, ["export-prompts", "--rollouts", str(rollouts), "--L", "3", "--out", str(prompts)], out)
+    (out / "stdout.txt").write_text(stdout)
+
+
 def violations(out: Path) -> int:
     """The dream recovery violations of a run, summed over its iterations;
     0 for a check that writes no run.json."""
@@ -188,6 +203,7 @@ def violations(out: Path) -> int:
 # name -> one callable per run, called with a `src/` and an output directory
 CHECKS = {name: [functools.partial(run, flags) for flags in runs] for name, runs in CONFIGS.items()}
 CHECKS["compress-corpus"] = [compress_corpus]
+CHECKS["collect-prompts"] = [functools.partial(collect_prompts, env) for env in ("maze", "asterix", "spaceinvaders")]
 
 
 def compare(a: Path, b: Path) -> tuple[int, list[str]]:

@@ -434,12 +434,19 @@ def _write_run_json(out: Path, config, history, state, stop_reason, timing) -> d
 
 
 def load_run(run_dir: Path) -> dict:
+    """The run's run.json; GridSynthError with one line unless its history
+    is a list of entries that each hold an integer `iteration` and `L`."""
     path = run_dir / "run.json"
     if not path.exists():
         raise GridSynthError(f"no run.json under {run_dir}")
     doc = json.loads(path.read_text())
-    if doc.get("schema") != RUN_SCHEMA:
-        raise GridSynthError(f"unexpected run schema {doc.get('schema')!r}")
+    check_schema(doc, RUN_SCHEMA, "run")
+    history = doc.get("history")
+    if not isinstance(history, list):
+        raise GridSynthError("run document has no 'history' list")
+    for i, h in enumerate(history):
+        if not (isinstance(h, dict) and type(h.get("iteration")) is int and type(h.get("L")) is int):
+            raise GridSynthError(f"run history entry {i} has no integer 'iteration' and 'L'")
     return doc
 
 

@@ -12,10 +12,11 @@ imitates off the states it gets wrong (`kernel.covered`). The search checks
 each candidate from its derivation; the checks here take the
 library-expanded term (`StateBatch.check`).
 
-Trajectories are stored as rollouts JSON (`save_rollouts`); a task-set file
-names a rollouts file and L (`task_set_ref`) instead of holding steps. A
-dream's trajectory also holds its sampled term (`Trajectory.program`),
-which dream recovery prices; the file keeps only its text.
+Trajectories are stored as rollouts JSON (`save_rollouts`), each grid as
+its digit string (`GridState.digits`), as in prompts; a task-set file names
+a rollouts file and L (`task_set_ref`) instead of holding steps. A dream's
+trajectory also holds its sampled term (`Trajectory.program`), which dream
+recovery prices; the file keeps only its text.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from gridsynth.state import GridState
 from gridsynth.typecheck import infer_type
 
 TASKSET_SCHEMA = "gridsynth-taskset-v2"
-ROLLOUTS_SCHEMA = "gridsynth-rollouts-v1"
+ROLLOUTS_SCHEMA = "gridsynth-rollouts-v2"
 _SEED_RANGE = 1 << 62
 
 
@@ -327,7 +328,7 @@ def export_prompts(tasks: TaskSet, path) -> None:
 
 
 def _step_json(state: GridState, action: str) -> dict:
-    step = {"grid": state.flat(), "action": action}
+    step = {"grid": state.digits(), "action": action}
     if state.direction is not None:
         step["direction"] = state.direction
     return step
@@ -383,8 +384,8 @@ def rollouts_to_json(trajs) -> dict:
 
 def rollouts_from_json(doc):
     """The trajectories of a rollouts document; GridSynthError with one line
-    if it is malformed, such as a missing field or a grid that is not the
-    env's height by width."""
+    if it is malformed, such as a missing field or a grid that is not a
+    digit string of the env's height by width."""
     check_schema(doc, ROLLOUTS_SCHEMA, "rollouts")
     out = []
     try:
@@ -393,9 +394,9 @@ def rollouts_from_json(doc):
         for r in rollouts:
             steps = []
             for step in r["steps"]:
-                if len(step["grid"]) != height * width:
-                    raise ValueError(f"a grid of {len(step['grid'])} cells is not {height}x{width}")
-                state = GridState.from_flat(step["grid"], width, step.get("direction"))
+                state = GridState.from_digits(step["grid"], width, step.get("direction"))
+                if len(state.cells) != height * width:
+                    raise ValueError(f"a grid of {len(state.cells)} cells is not {height}x{width}")
                 steps.append((state, step["action"]))
             out.append(Trajectory(r["id"], env_tag, tuple(steps), r["provenance"], tuple(r["seeds"])))
     except KeyError as exc:
@@ -405,33 +406,10 @@ def rollouts_from_json(doc):
     return out
 
 
-_EMPTY_GRID = '"grid": []'
-
-
 def save_rollouts(trajs, path) -> None:
-    """Write `json.dumps(rollouts_to_json(trajs), indent=2)` and a newline.
-
-    With an indent, `json` encodes in pure Python, one call per grid cell, so
-    the grids are left empty for the dump and then joined in as text. Inside
-    a JSON string every quote is escaped, so `"grid": []` in the dump is
-    always a step's grid, in document order."""
-    doc = rollouts_to_json(trajs)
-    grids = []
-    for rollout in doc["rollouts"]:
-        for step in rollout["steps"]:
-            grids.append(step["grid"])
-            step["grid"] = []
-    pieces = json.dumps(doc, indent=2).split(_EMPTY_GRID)
-    out = [pieces[0]]
-    for grid, piece in zip(grids, pieces[1:]):
-        if grid:
-            line = out[-1][out[-1].rindex("\n") :]  # a newline and the key's indent
-            cell = line + "  "
-            out.append('"grid": [' + cell + ("," + cell).join(map(str, grid)) + line + "]")
-        else:
-            out.append(_EMPTY_GRID)
-        out.append(piece)
-    Path(path).write_text("".join(out) + "\n", encoding="utf-8")
+    """Write `json.dumps(rollouts_to_json(trajs), indent=2)` and a newline;
+    MultiDigitCodeError, and no file, if a cell code is not one digit."""
+    Path(path).write_text(json.dumps(rollouts_to_json(trajs), indent=2) + "\n", encoding="utf-8")
 
 
 def load_rollouts(path):

@@ -78,8 +78,7 @@ def test_criterion_02_prompt_byte_equality():
     steps = []
     for digits, action in zip(segments[0::2], segments[1::2]):
         assert len(digits) == 26
-        grid = [int(c) for c in digits[:25]]
-        state = GridState.from_flat(grid, 5, direction=int(digits[25]))
+        state = GridState.from_digits(digits[:25], 5, direction=int(digits[25]))
         steps.append((state, action))
     task = Task(task_id="golden", env_tag="maze", steps=tuple(steps))
     assert encode_prompt(task) == GOLDEN_PROMPT

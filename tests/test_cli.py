@@ -11,6 +11,15 @@ from gridsynth.cli import _RUN_KEYS, build_parser, main, parse_config_file
 from gridsynth.errors import GridSynthError
 
 
+def as_v1(doc):
+    """A rollouts document as `gridsynth-rollouts-v1` wrote it: each grid a
+    list of its cells. Edits `doc` in place."""
+    doc["schema"] = "gridsynth-rollouts-v1"
+    for rollout in doc["rollouts"]:
+        for step in rollout["steps"]:
+            step["grid"] = [int(c) for c in step["grid"]]
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "run"
@@ -111,6 +120,47 @@ class TestExitCodes:
         assert main(["explain", str(run), "--task", task_id]) == 2
         assert capsys.readouterr().err == f"error: no run.json under {run}\n"
 
+    def test_v1_oracle_is_runtime_error(self, run_dir, tmp_path, capsys):
+        """A run directory written before rollouts v2 is not read: explain
+        loads its task's windows from oracle.json and stops there."""
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        doc = json.loads((run / "oracle.json").read_text())
+        as_v1(doc)
+        (run / "oracle.json").write_text(json.dumps(doc, indent=2))
+        task_id = json.loads((run / "iter-0" / "solved.json").read_text())["solved"][0]["taskId"]
+        assert main(["explain", str(run), "--task", task_id]) == 2
+        assert capsys.readouterr().err == "error: unexpected rollouts schema 'gridsynth-rollouts-v1'\n"
+
+    @pytest.mark.parametrize("command", ["eval", "library", "explain"])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda h: [{}], "run history entry 0 has no integer 'iteration' and 'L'"),
+            (lambda h: [*h[:-1], {k: v for k, v in h[-1].items() if k != "L"}],
+             "run history entry 1 has no integer 'iteration' and 'L'"),
+            (lambda h: [{**h[0], "iteration": "0"}, *h[1:]],
+             "run history entry 0 has no integer 'iteration' and 'L'"),
+            (lambda h: [*h, []], "run history entry 2 has no integer 'iteration' and 'L'"),
+            (lambda h: None, "run document has no 'history' list"),
+        ],
+        ids=["empty-entry", "no-L", "string-iteration", "entry-not-an-object", "no-history"],
+    )
+    def test_malformed_run_history_is_runtime_error(self, run_dir, tmp_path, capsys, command, fault, message):
+        """`eval`, `library` and `explain` find the iterations they read in
+        run.json's history; a malformed entry is one line and exit 2."""
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        doc = json.loads((run / "run.json").read_text())
+        task_id = json.loads((run / "iter-0" / "solved.json").read_text())["solved"][0]["taskId"]
+        history = fault(doc.pop("history"))
+        if history is not None:
+            doc["history"] = history
+        (run / "run.json").write_text(json.dumps(doc))
+        argv = ["explain", str(run), "--task", task_id] if command == "explain" else [command, str(run)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command", ["eval", "library"])
     def test_malformed_run_json_is_runtime_error(self, tmp_path, capsys, command):
         (tmp_path / "run.json").write_text('{"schema": ')
@@ -189,12 +239,18 @@ class TestExitCodes:
             (lambda doc: doc.pop("rollouts"), "rollouts document has no 'rollouts' field"),
             (lambda doc: doc["rollouts"][0]["steps"][1].pop("action"),
              "rollouts document has no 'action' field"),
-            (lambda doc: doc["rollouts"][0]["steps"][1].update(grid=[1, 2]),
-             "malformed rollouts document: a grid of 2 cells is not 5x5"),
-            (lambda doc: doc["rollouts"][0]["steps"][1].update(grid=[1] * 10),
+            (lambda doc: doc["rollouts"][0]["steps"][1].update(grid="12"),
+             "malformed rollouts document: a grid of 2 digits does not split into rows of 5"),
+            (lambda doc: doc["rollouts"][0]["steps"][1].update(grid="1" * 10),
              "malformed rollouts document: a grid of 10 cells is not 5x5"),
+            (as_v1, "unexpected rollouts schema 'gridsynth-rollouts-v1'"),
+            (lambda doc: doc["rollouts"][0]["steps"][1].update(grid=[1] * 5),
+             "malformed rollouts document: a grid must be a string of ASCII digits, not [1, 1, 1, 1, 1]"),
+            (lambda doc: doc["rollouts"][0]["steps"][1].update(grid="1" * 24 + "x"),
+             "malformed rollouts document: a grid must be a string of ASCII digits, not '" + "1" * 24 + "x'"),
         ],
-        ids=["only-schema", "no-rollouts", "no-action", "two-cell-grid", "ten-cell-grid"],
+        ids=["only-schema", "no-rollouts", "no-action", "two-cell-grid", "ten-cell-grid", "v1-file", "list-grid",
+             "non-digit-grid"],
     )
     def test_malformed_oracle_is_runtime_error(self, run_dir, tmp_path, capsys, fault, message):
         """A run's oracle.json is a rollouts file that export-prompts reads;
@@ -286,7 +342,7 @@ class TestCollectAndPrompts:
         assert main(["collect", "--env", "maze", "--count", "2", "--seed", "3",
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "gridsynth-rollouts-v1"
+        assert doc["schema"] == "gridsynth-rollouts-v2"
         assert len(doc["rollouts"]) == 2
         assert "wrote 2 oracle trajectories" in capsys.readouterr().out
 

@@ -54,8 +54,7 @@ def golden_task() -> Task:
     """Rebuild the five-step reference sequence from its own digit strings."""
     steps = []
     for seg_state, seg_action in zip(GOLDEN_PROMPT.split()[0::2], GOLDEN_PROMPT.split()[1::2]):
-        grid, direction = seg_state[:25], int(seg_state[25])
-        state = GridState.from_flat([int(c) for c in grid], 5, direction)
+        state = GridState.from_digits(seg_state[:25], 5, int(seg_state[25]))
         steps.append((state, seg_action))
     return Task("golden:000", "maze", tuple(steps))
 
@@ -402,7 +401,9 @@ class TestSerialization:
             assert dreams and all(t.program is not None for t in dreams)
             trajs = collect_oracle_rollouts(env_tag, 2, seed=9, max_steps=30) + dreams
             doc = rollouts_to_json(trajs)
-            assert doc["schema"] == "gridsynth-rollouts-v1"
+            assert doc["schema"] == "gridsynth-rollouts-v2"
+            assert all(s["grid"] == state.digits() for r, t in zip(doc["rollouts"], trajs)
+                       for s, (state, _) in zip(r["steps"], t.steps))
             path = tmp_path / f"{env_tag}.json"
             save_rollouts(trajs, path)
             loaded = load_rollouts(path)
@@ -413,18 +414,24 @@ class TestSerialization:
     @pytest.mark.parametrize("env_tag", ["maze", "asterix", "spaceinvaders"])
     def test_files_are_indented_json(self, env_tag, tmp_path):
         """Rollout files hold `json.dumps(doc, indent=2)` and a newline, byte
-        for byte: with the maze's direction, with no rollouts, with a
-        provenance that quotes a step's grid key, and with a code of two
-        digits."""
+        for byte: with the maze's direction and with no rollouts."""
         trajs = collect_oracle_rollouts(env_tag, 3, seed=17, max_steps=40)
-        trajs[1] = replace(trajs[1], provenance='(λ(x) "grid": [] left-action)')
-        (state, action), *rest = trajs[2].steps
-        wide = replace(state, cells=(12,) + state.cells[1:])
-        trajs[2] = replace(trajs[2], steps=((wide, action), *rest))
         path = tmp_path / "out.json"
         for rollouts in (trajs, []):
             save_rollouts(rollouts, path)
             assert path.read_text(encoding="utf-8") == json.dumps(rollouts_to_json(rollouts), indent=2) + "\n"
+
+    @pytest.mark.parametrize("code", [12, -1])
+    def test_multi_digit_code_writes_no_file(self, code, tmp_path):
+        """A grid is stored as one digit per cell, so a code of two digits or
+        a negative one is an error, and no file is written."""
+        (traj,) = collect_oracle_rollouts("asterix", 1, seed=17, max_steps=5)
+        (state, action), *rest = traj.steps
+        wide = replace(state, cells=state.cells[:-1] + (code,))
+        path = tmp_path / "out.json"
+        with pytest.raises(MultiDigitCodeError, match=f"cell code {code} does not fit a single digit"):
+            save_rollouts([replace(traj, steps=((wide, action), *rest))], path)
+        assert not path.exists()
 
     def test_bad_schema_rejected(self, tmp_path):
         with pytest.raises(GridSynthError, match="unexpected rollouts schema 'nope'"):

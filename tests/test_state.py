@@ -1,7 +1,8 @@
-"""GridState: one row-major tuple of cells, read by index and stored as-is."""
+"""GridState: one row-major tuple of cells, read by index, stored as its digit string."""
 import numpy as np
 import pytest
 
+from gridsynth.errors import MultiDigitCodeError
 from gridsynth.state import GridState
 
 
@@ -31,3 +32,38 @@ def test_from_flat_coerces_to_int():
 def test_from_flat_rejects_bad_width(flat, width):
     with pytest.raises(ValueError):
         GridState.from_flat(flat, width)
+
+
+@pytest.mark.parametrize("cells, width, direction", [((0, 1, 9, 3, 5, 7), 3, 2), ((4,) * 25, 5, None), ((), 1, None)])
+def test_digits_round_trip(cells, width, direction):
+    state = GridState(cells, width, direction)
+    text = state.digits()
+    assert text == "".join(map(str, cells))
+    assert GridState.from_digits(text, width, direction) == state
+    assert all(type(c) is int for c in GridState.from_digits(text, width).cells)
+
+
+@pytest.mark.parametrize("code", [10, 12, 255, 256, -1])
+def test_digits_rejects_multi_digit_codes(code):
+    with pytest.raises(MultiDigitCodeError, match=f"cell code {code} does not fit a single digit"):
+        GridState((1, code, 2, 3), 2).digits()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ([1, 2, 3, 4], "a grid must be a string of ASCII digits, not [1, 2, 3, 4]"),
+        (1234, "a grid must be a string of ASCII digits, not 1234"),
+        ("123", "a grid of 3 digits does not split into rows of 2"),
+        ("12a4", "a grid must be a string of ASCII digits, not '12a4'"),
+        ("12 4", "a grid must be a string of ASCII digits, not '12 4'"),
+        ("12\u06634", "a grid must be a string of ASCII digits, not '12\u06634'"),
+    ],
+    ids=["not-a-string", "int", "wrong-length", "non-digit", "space", "non-ascii-digit"],
+)
+def test_from_digits_rejects(text, message):
+    """`"\u0663".isdigit()` is true (ARABIC-INDIC DIGIT THREE), but it is
+    not a cell code."""
+    with pytest.raises(ValueError) as exc:
+        GridState.from_digits(text, 2)
+    assert str(exc.value) == message

@@ -65,8 +65,8 @@ CONFIGS = {
         ["--env", "asterix", "--profile", "desk", "--seed", "7",
          "--corpus-size", "50", "--d-max", "8", "--max-iterations", "2"],
     ],
-    # the closure form on Space Invaders objects: the second iteration
-    # dreams with a 9-entry library
+    # dreams on the interpreter with Space Invaders objects: the second
+    # iteration dreams with a 9-entry library
     "spaceinvaders-dreams": [
         ["--env", "spaceinvaders", "--profile", "desk", "--seed", "7",
          "--corpus-size", "50", "--d-max", "8", "--max-iterations", "2"],

@@ -4,13 +4,13 @@ Trajectories come either from the scripted oracle or from sampled programs
 run inside a seeded environment. A trajectory is sliced into non-overlapping
 length-L windows, each of which becomes one imitation task: find a program
 whose action matches the recorded action on every state of the window.
-Rollouts of sampled programs run programs on the closure kernel. Every
-imitation check (search, `imitated`, `imitates`, `accuracy`) lays its
-windows' states end to end in one `kernel.StateBatch` (`window_batch`),
-checks each program once over all of them and reads the windows it
-imitates off the states it gets wrong (`kernel.covered`). The search checks
-each candidate from its derivation; the checks here take the
-library-expanded term (`StateBatch.check`).
+Rollouts of sampled programs run on the interpreter, the semantics of
+record (`ProgramRunner`). Every imitation check (search, `imitated`,
+`imitates`, `accuracy`) lays its windows' states end to end in one
+`kernel.StateBatch` (`window_batch`), checks each program once over all of
+them and reads the windows it imitates off the states it gets wrong
+(`kernel.covered`). The search checks each candidate from its derivation;
+the checks here take the library-expanded term (`StateBatch.check`).
 
 Trajectories are stored as rollouts JSON (`save_rollouts`), each grid as
 its digit string (`GridState.digits`), as in prompts; a task-set file names
@@ -27,9 +27,12 @@ from itertools import cycle, islice
 from pathlib import Path
 
 from gridsynth.envs import env_spec, make_env
-from gridsynth.errors import GridSynthError, IllegalActionError, TypeMismatchError, UnknownTaskIdError
+from gridsynth.errors import (
+    GridSynthError, IllegalActionError, OutOfBoundsGetError, TypeMismatchError, UnknownTaskIdError,
+)
 from gridsynth.grammar import Grammar, sample_program
-from gridsynth.kernel import StateBatch, compile_term, covered, execute
+from gridsynth.interp import exec_program
+from gridsynth.kernel import StateBatch, covered
 from gridsynth.lang import ACTION, MAP, Term, arrow, inline
 from gridsynth.library import definitions
 from gridsynth.primitives import PrimTable, primitive_table
@@ -102,23 +105,24 @@ def _as_term(program, prims: PrimTable, library=None) -> Term:
 
 
 class ProgramRunner:
-    """Executes one program on observations with the closure kernel.
+    """Executes one program on observations with the interpreter.
 
-    The program is library-expanded and compiled once; `run` then calls the
-    compiled closure on each state's flat grid.
+    The program is library-expanded once, so `run` evaluates a term of
+    primitives alone and builds no library definitions per step.
     """
 
     def __init__(self, term: Term, prims: PrimTable, library=None):
         defs = definitions(library)
         self.term = inline(term, defs) if defs else term
         self.prims = prims
-        self.compiled = compile_term(self.term, prims)
 
     def run(self, state: GridState) -> str | None:
-        """Action word for one state, or None if evaluation fails."""
-        direction = state.direction if state.direction is not None else 0
-        aid = execute(self.compiled.code, state.flat(), state.width, state.height, direction)
-        return None if aid < 0 else self.prims.action_words[aid]
+        """Action word for one state, or None if a `get` falls outside the
+        grid; any other evaluation error propagates."""
+        try:
+            return exec_program(self.term, state, self.prims)
+        except OutOfBoundsGetError:
+            return None
 
 
 def collect_oracle_rollouts(env_tag: str, count: int, seed: int, max_steps: int = 200):
@@ -154,14 +158,14 @@ def collect_program_rollouts(
 
     Each program runs for t ~ Uniform[t_min, t_max] steps after an optional
     oracle warmup of Uniform[0, warmup_max] steps. The episode ending or the
-    program failing to evaluate truncates the trajectory; empty trajectories
-    are dropped.
+    program's `get` falling outside the grid truncates the trajectory; empty
+    trajectories are dropped.
 
     The result is the same as running the program on every step, with less
-    work. Each distinct sampled program is inlined, compiled and printed
-    once, and each trajectory holds its term (`program`). Where the env has
-    a `state_key`, a dream that comes back to a state it was in has entered
-    a cycle: the program is deterministic, so the steps from that state's
+    work. Each distinct sampled program is inlined and printed once, and
+    each trajectory holds its term (`program`). Where the env has a
+    `state_key`, a dream that comes back to a state it was in has entered a
+    cycle: the program is deterministic, so the steps from that state's
     first visit repeat until t, and are copied instead of stepped. An
     episode in a cycle never ends, since it would have ended on the cycle's
     first pass.
@@ -238,31 +242,19 @@ def checked_program(program, prims: PrimTable, library=None) -> Term:
     return inline(term, defs) if defs else term
 
 
-def task_inputs(task: Task, prims: PrimTable):
-    """A task as the kernel reads it: flat grids, directions (0 where a state
-    has none), action ids, and the grids' width and height."""
-    ids = {w: i for i, w in enumerate(prims.action_words)}
-    illegal = [a for _, a in task.steps if a not in ids]
-    if illegal:
-        raise IllegalActionError(f"task {task.task_id} records {illegal[0]!r}, not one of {prims.action_words}")
-    states = [s for s, _ in task.steps]
-    grids = [s.flat() for s in states]
-    dirs = [s.direction or 0 for s in states]
-    acts = [ids[a] for _, a in task.steps]
-    width, height = (states[0].width, states[0].height) if states else (0, 0)
-    return grids, dirs, acts, width, height
-
-
 def window_batch(tasks, prims: PrimTable):
-    """The tasks' states laid end to end in one `StateBatch`, and the bit of
-    each task's first state."""
+    """The tasks' states laid end to end in one `StateBatch`, directions 0
+    where a state has none, and the bit of each task's first state."""
+    ids = {w: i for i, w in enumerate(prims.action_words)}
     grids, dirs, acts, starts = [], [], [], []
     for task in tasks:
-        g, d, a, _, _ = task_inputs(task, prims)
+        illegal = [a for _, a in task.steps if a not in ids]
+        if illegal:
+            raise IllegalActionError(f"task {task.task_id} records {illegal[0]!r}, not one of {prims.action_words}")
         starts.append(len(acts))
-        grids += g
-        dirs += d
-        acts += a
+        grids += [s.flat() for s, _ in task.steps]
+        dirs += [s.direction or 0 for s, _ in task.steps]
+        acts += [ids[a] for _, a in task.steps]
     height, width = env_spec(prims.env_tag).obs_shape
     return StateBatch(grids, dirs, acts, width, height), starts
 
@@ -382,10 +374,23 @@ def rollouts_to_json(trajs) -> dict:
     }
 
 
+def _step_direction(step: dict, env_tag: str) -> int | None:
+    """A maze step's direction, an int in 0-3; a MinAtar step has none."""
+    if env_tag != "maze":
+        if "direction" in step:
+            raise ValueError(f"{env_tag} steps have no direction, but one has {step['direction']!r:.40}")
+        return None
+    direction = step["direction"]
+    if type(direction) is not int or not 0 <= direction < 4:  # True is an int
+        raise ValueError(f"a maze direction must be an int in 0-3, not {direction!r:.40}")
+    return direction
+
+
 def rollouts_from_json(doc):
     """The trajectories of a rollouts document; GridSynthError with one line
-    if it is malformed, such as a missing field or a grid that is not a
-    digit string of the env's height by width."""
+    if it is malformed, such as a missing field, a grid that is not a digit
+    string of the env's height by width, or a direction on a MinAtar step
+    or not in 0-3 on a maze step."""
     check_schema(doc, ROLLOUTS_SCHEMA, "rollouts")
     out = []
     try:
@@ -394,7 +399,7 @@ def rollouts_from_json(doc):
         for r in rollouts:
             steps = []
             for step in r["steps"]:
-                state = GridState.from_digits(step["grid"], width, step.get("direction"))
+                state = GridState.from_digits(step["grid"], width, _step_direction(step, env_tag))
                 if len(state.cells) != height * width:
                     raise ValueError(f"a grid of {len(state.cells)} cells is not {height}x{width}")
                 steps.append((state, step["action"]))

@@ -1,28 +1,25 @@
-"""The kernel: run a library-expanded program on flat grids, one state at a
-time as closures or many states at once as bitsets.
+"""The kernel: evaluate a library-expanded program on many flat grids at once.
 
-`compile_term` turns a term into a tree of Python closures, one per node,
-each called as `node(grid, width, height, direction)` on a flat row-major
-grid; `execute` runs the root on one grid, and `check_trajectory` counts how
-many leading steps of a task it reproduces. Dream rollouts run on closures.
-`StateBatch.check` evaluates a program once over every state of a batch,
-each node's value a partition of the states by value, and returns the
-bitset of the states on which it gives the recorded action. Every imitation
-check runs so: search, evaluation and `data.imitates` lay their windows end
-to end in one batch, and `covered` turns the bitset of the states a program
-gets wrong into the bitset of the windows it imitates. The search builds
-its candidates' batch values node by node from their derivations instead,
-from what `StateBatch.nodes` resolves each name to, so it passes no terms;
-a library call there is built from its abstraction's body, which is built
-once per batch as a template of its parameters' values. Both forms, and
-those templates, are built by one walk over the term (`_build`), one node
-per subterm, with each de Bruijn variable bound to a value: a program's to
-the map and the direction, a body's to its parameters. One table, `_OPS`, says
-what each primitive but `if` and `get` computes from its operands' values,
-and each form lifts it to nodes with one generic builder; each form has its
-own `if` and `get`. The tree interpreter in `gridsynth.interp` stays the
-semantics of record: it drives `explain`, and the tests hold both forms to
-it.
+`StateBatch.value` evaluates a program once over every state of a batch,
+each node's value a partition of the states by value, and `StateBatch.check`
+returns the bitset of the states on which it gives the recorded action.
+Every imitation check runs so: search, evaluation and `data.imitates` lay
+their windows end to end in one batch, and `covered` turns the bitset of
+the states a program gets wrong into the bitset of the windows it imitates.
+The search builds its candidates' batch values node by node from their
+derivations instead, from what `StateBatch.nodes` resolves each name to, so
+it passes no terms; a library call there is built from its abstraction's
+body, which is built once per batch as a template of its parameters' values.
+Programs and templates are built by one walk over the term (`_build`), one
+node per subterm, with each de Bruijn variable bound to a value: a
+program's to the map and the direction, a body's to its parameters. One
+table, `_OPS`, says what each primitive but `if` and `get` computes from its
+operands' values. The tree interpreter in `gridsynth.interp` stays the
+semantics of record: it drives `explain` and the dream rollouts, and the
+tests hold the kernel to it. `compile_term`, `execute` and
+`check_trajectory` run one program through a `StateBatch` of one grid or
+one trajectory; nothing in the package calls them, and they stay for the
+benchmark's checks and layer probes, which name them.
 
 Values are ints: booleans as Python bools, object codes raw, mapObject
 packed as (code << 16) | (x << 8) | y, actions as indices into the table's
@@ -31,7 +28,7 @@ action list. `get` reads the grid directly, so the map is never a value;
 primitive evaluates all of its operands. An out-of-bounds `get` fails the
 imitation: `execute` returns -1, `check_trajectory` stops counting, and the
 batch leaves the state out of its bitset. Grids may be lists, tuples or
-numpy arrays of ints; lists and tuples are the fast form.
+numpy arrays of ints.
 
 Every closed, well-typed, first-order, library-expanded program compiles;
 anything else (an unexpanded library call, an open term, an inner lambda, a
@@ -42,8 +39,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
 
 from gridsynth.errors import GridSynthError
 from gridsynth.lang import Lambda, Term, Var, peel, spine
@@ -54,20 +49,16 @@ class KernelUnsupportedError(GridSynthError):
     """Term shape the kernel does not handle."""
 
 
-class _OutOfRange(Exception):
-    """A `get` outside the grid; never escapes this module."""
-
-
 BACKEND = "python"
 
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    code: Callable  # code(grid, width, height, direction) -> action id
+    code: tuple  # (term, prims), run by `execute` and `check_trajectory`
 
 
 # What each primitive but `if` and `get` computes, as a function of its
-# operands' values; both forms build their nodes from it.
+# operands' values.
 _OPS = {
     "eq-obj?": lambda o, m: o == m >> 16,
     "eq-direction?": operator.eq,
@@ -82,46 +73,6 @@ _OPS = {
     "and": operator.and_,
     "or": operator.or_,
 }
-
-
-@lru_cache(maxsize=None)
-def _constant(value: int):
-    """The closure of a constant, one per value."""
-    return lambda g, w, h, d: value
-
-
-_map = _constant(0)  # `get` reads the grid itself, so the map is never a value
-
-
-def _direction(g, w, h, d):
-    return d
-
-
-def _closure(f):
-    """Builds closure nodes that apply f to their one or two operands' values."""
-    def build(a, b=None):
-        if b is None:
-            return lambda g, w, h, d: f(a(g, w, h, d))
-        return lambda g, w, h, d: f(a(g, w, h, d), b(g, w, h, d))
-    return build
-
-
-def _if(c, t, e):
-    return lambda g, w, h, d: t(g, w, h, d) if c(g, w, h, d) else e(g, w, h, d)
-
-
-def _get(m, x, y):
-    def node(g, w, h, d):
-        m(g, w, h, d)  # a map chosen by `if`, whose condition may fail
-        xv = x(g, w, h, d)
-        yv = y(g, w, h, d)
-        if 0 <= xv < w and 0 <= yv < h:
-            return (g[yv * w + xv] << 16) | (xv << 8) | yv
-        raise _OutOfRange
-    return node
-
-
-_BUILDERS = {"if": _if, "get": _get, **{name: _closure(f) for name, f in _OPS.items()}}
 
 
 def _build(body: Term, prims: PrimTable, builders, constant, env):
@@ -166,50 +117,13 @@ def _inputs(arity: int, map_value, direction) -> tuple:
     return (map_value,) if arity == 1 else (direction, map_value)
 
 
-def _program(term: Term, prims: PrimTable, builders, constant, map_value, direction):
-    """`_build` of a closed, library-expanded program, its inputs bound to
-    `map_value` and `direction`."""
-    arity, body = peel(term)
-    return _build(body, prims, builders, constant, _inputs(arity, map_value, direction))
-
-
-def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
-    """Compile a closed, library-expanded program term to closures, one per
-    node; constants, the map and the direction are nodes too."""
-    return CompiledProgram(code=_program(term, prims, _BUILDERS, _constant, _map, _direction))
-
-
-def execute(code, grid, width, height, direction):
-    """Run one program on one flat grid; action id, or -1 on out-of-bounds."""
-    try:
-        return code(grid, width, height, direction)
-    except _OutOfRange:
-        return -1
-
-
-def check_trajectory(code, grids, dirs, acts, width, height):
-    """Count how many leading steps the program reproduces; stops at the
-    first mismatch or evaluation error."""
-    i = 0
-    try:
-        for grid, direction, act in zip(grids, dirs, acts):
-            if code(grid, width, height, direction) != act:
-                break
-            i += 1
-    except _OutOfRange:
-        pass
-    return i
-
-
-# --- The batch form: one program over many states at once -------------------
-#
 # A node's batch value is a partition: a dict mapping each value the node
 # takes to the bitset of the states on which it takes it, bit i standing for
 # state i. The bitsets are disjoint, and the states that none covers are
 # those on which evaluating the node fails: every builder intersects its
-# operands' bitsets, so a state an operand fails on stays uncovered. Values
-# are those of the closure form. A partition holds values of one type, which
-# is what lets the keys True and 1 share a dict slot.
+# operands' bitsets, so a state an operand fails on stays uncovered. A
+# partition holds values of one type, which is what lets the keys True and 1
+# share a dict slot.
 
 
 def _bitsets(column: bytes) -> dict:
@@ -294,8 +208,8 @@ class StateBatch:
     `get`'s coordinates are ints, and an int is a constant or an `if` of
     constants, so every `get` is a union of per-cell, per-code bitsets. Each
     cell's are built the first time a program reads it. Grids are flat and
-    row-major, as for `check_trajectory`; cell codes, directions and action
-    ids must each fit in a byte.
+    row-major, as `GridState.flat` gives them; cell codes, directions and
+    action ids must each fit in a byte.
     """
 
     def __init__(self, grids, dirs, acts, width: int, height: int):
@@ -308,10 +222,17 @@ class StateBatch:
         self._cells: dict = {}
         self._builders = {**_BATCH_BUILDERS, "get": self._get}
 
+    def value(self, term: Term, prims: PrimTable) -> dict:
+        """A closed, library-expanded program's value over the batch: the
+        partition of the states on which it evaluates by the action id it
+        gives."""
+        arity, body = peel(term)
+        return _build(body, prims, self._builders, self._constant, _inputs(arity, self._map, self._direction))
+
     def check(self, term: Term, prims: PrimTable) -> int:
         """The bitset of the states on which a closed, library-expanded
         program evaluates, without failing, to the state's recorded action."""
-        return self.correct(_program(term, prims, self._builders, self._constant, self._map, self._direction))
+        return self.correct(self.value(term, prims))
 
     def correct(self, parts: dict) -> int:
         """The bitset of the states on which a program's value `parts` is
@@ -371,3 +292,25 @@ class StateBatch:
                         if bits:
                             parts[v] = bits
         return parts
+
+
+def compile_term(term: Term, prims: PrimTable) -> CompiledProgram:
+    """A closed, library-expanded program term for `execute` and
+    `check_trajectory`, built once on an empty batch so that a term the
+    kernel does not handle raises KernelUnsupportedError here."""
+    StateBatch([], [], [], 0, 0).value(term, prims)
+    return CompiledProgram(code=(term, prims))
+
+
+def execute(code, grid, width, height, direction):
+    """Run one program on one flat grid; action id, or -1 on out-of-bounds."""
+    term, prims = code
+    return next(iter(StateBatch([grid], [direction], [0], width, height).value(term, prims)), -1)
+
+
+def check_trajectory(code, grids, dirs, acts, width, height):
+    """Count how many leading steps the program reproduces; stops at the
+    first mismatch or evaluation error."""
+    term, prims = code
+    correct = StateBatch(grids, dirs, acts, width, height).check(term, prims)
+    return (~correct & (correct + 1)).bit_length() - 1

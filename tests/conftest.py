@@ -1,6 +1,8 @@
 import pytest
 
+from gridsynth.errors import EvalError
 from gridsynth.grammar import add_abstractions, refit, uniform_grammar
+from gridsynth.interp import exec_program
 from gridsynth.library import _next_index, _Step, compress
 from gridsynth.primitives import primitive_table
 from gridsynth.sexpr import parse_program
@@ -38,6 +40,16 @@ def maze_state(wall_at=(), direction=0) -> GridState:
     for x, y in wall_at:
         cells[y * 5 + x] = 2
     return GridState.from_flat(cells, 5, direction=direction)
+
+
+def interp_imitates(term, task, prims, library=()) -> bool:
+    """The interpreter, the semantics of record, gives the recorded action
+    on every step of the task, running library calls by need; a step whose
+    evaluation fails (EvalError) is a miss."""
+    try:
+        return all(exec_program(term, state, prims, library) == action for state, action in task.steps)
+    except EvalError:
+        return False
 
 
 def learned_grammar(prims):

@@ -248,9 +248,22 @@ class TestExitCodes:
              "malformed rollouts document: a grid must be a string of ASCII digits, not [1, 1, 1, 1, 1]"),
             (lambda doc: doc["rollouts"][0]["steps"][1].update(grid="1" * 24 + "x"),
              "malformed rollouts document: a grid must be a string of ASCII digits, not '" + "1" * 24 + "x'"),
+            (lambda doc: doc["rollouts"][0]["steps"][0].update(direction="north"),
+             "malformed rollouts document: a maze direction must be an int in 0-3, not 'north'"),
+            (lambda doc: doc["rollouts"][0]["steps"][0].update(direction=True),
+             "malformed rollouts document: a maze direction must be an int in 0-3, not True"),
+            (lambda doc: doc["rollouts"][0]["steps"][0].update(direction=4),
+             "malformed rollouts document: a maze direction must be an int in 0-3, not 4"),
+            (lambda doc: doc["rollouts"][0]["steps"][1].pop("direction"),
+             "rollouts document has no 'direction' field"),
+            (lambda doc: doc.update(envTag="asterix", rollouts=[
+                {"id": "a", "provenance": "oracle", "seeds": [0, 0],
+                 "steps": [{"grid": "0" * 100, "action": "left", "direction": 2}]}]),
+             "malformed rollouts document: asterix steps have no direction, but one has 2"),
         ],
         ids=["only-schema", "no-rollouts", "no-action", "two-cell-grid", "ten-cell-grid", "v1-file", "list-grid",
-             "non-digit-grid"],
+             "non-digit-grid", "word-direction", "bool-direction", "direction-out-of-range", "no-direction",
+             "minatar-direction"],
     )
     def test_malformed_oracle_is_runtime_error(self, run_dir, tmp_path, capsys, fault, message):
         """A run's oracle.json is a rollouts file that export-prompts reads;

@@ -37,18 +37,15 @@ from gridsynth.data import (
     load_rollouts,
     load_task_set,
     slice_tasks,
-    task_inputs,
 )
 from gridsynth.errors import GridSynthError
 from gridsynth.grammar import tables_for, term_dl, uniform_grammar
-from gridsynth.kernel import check_trajectory, compile_term
-from gridsynth.lang import inline
 from gridsynth.library import compress, definitions, load_library
 from gridsynth.primitives import primitive_table
 from gridsynth.search import STOP_REASONS, SearchBudget, solve_many
 from gridsynth.sexpr import parse_program
 
-from conftest import learned_grammar
+from conftest import interp_imitates, learned_grammar
 
 
 def walk_rates(rates):
@@ -443,16 +440,11 @@ class TestEdgeCases:
             eval_run(tmp_path / "nope")
 
 
-def _closure_hits(texts, library, windows, prims) -> list[bool]:
-    """The eval reference: each program compiled to closures by
-    `compile_term`, and each window checked by `check_trajectory`."""
-    defs = definitions(library)
-    codes = [compile_term(inline(parse_program(t, prims, extra=defs), defs), prims).code for t in texts]
-    hits = []
-    for task in windows:
-        grids, dirs, acts, width, height = task_inputs(task, prims)
-        hits.append(any(check_trajectory(c, grids, dirs, acts, width, height) == len(acts) for c in codes))
-    return hits
+def _interp_hits(texts, library, windows, prims) -> list[bool]:
+    """The eval reference: each window checked step by step on the
+    interpreter (`interp_imitates`) against each program."""
+    terms = [parse_program(t, prims, extra=definitions(library)) for t in texts]
+    return [any(interp_imitates(term, task, prims, library) for term in terms) for task in windows]
 
 
 @pytest.mark.parametrize(
@@ -464,8 +456,8 @@ def _closure_hits(texts, library, windows, prims) -> list[bool]:
     ],
     ids=["maze", "asterix", "spaceinvaders"],
 )
-def test_eval_hits_match_closure_reference(tmp_path, env_tag, overrides):
-    """Each eval.csv row counts the fresh windows that the closure kernel
+def test_eval_hits_match_interpreter_reference(tmp_path, env_tag, overrides):
+    """Each eval.csv row counts the fresh windows that the interpreter
     finds imitated, window by window, by one of the final programs."""
     out = tmp_path / env_tag
     cfg = default_config(env_tag, out_dir=str(out), seed=7, eval_episodes=2, **overrides)
@@ -482,7 +474,7 @@ def test_eval_hits_match_closure_reference(tmp_path, env_tag, overrides):
     terms = [checked_program(t, prims, library) for t in texts]
     for row, L in zip(rows, lengths):
         windows = slice_tasks(fresh, L).tasks
-        want = _closure_hits(texts, library, windows, prims)
+        want = _interp_hits(texts, library, windows, prims)
         assert imitated(terms, windows, prims) == want
         assert row == f"{L},{sum(want) / len(want):.6f},{len(want)}"
 

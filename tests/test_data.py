@@ -33,6 +33,7 @@ from gridsynth.errors import (
     GridSynthError,
     IllegalActionError,
     MultiDigitCodeError,
+    OutOfBoundsGetError,
     TypeMismatchError,
     UnknownTaskIdError,
 )
@@ -354,23 +355,24 @@ class TestCollect:
         """At the maze's default params most dream steps repeat a cycle, and
         many dreams sample the same program. Filled cycles and shared
         programs give the trajectories of a run on every step, with fewer
-        env steps than recorded steps and one compile per distinct program."""
+        env steps than recorded steps and one runner per distinct program."""
         prims = primitive_table("maze")
         grammar = uniform_grammar(prims)
         params = default_params("maze")
         assert params.t_max == 60
         want, _ = reference_program_rollouts(grammar, "maze", 200, params, 9, 6, ())
-        calls = {"step": 0, "compile": 0}
+        calls = {"step": 0, "runner": 0}
         sampled = set()
-        step, compile_term, sample = MazeEnv.step, data.compile_term, data.sample_program
+        step, sample = MazeEnv.step, data.sample_program
 
         def counted_step(env, action):
             calls["step"] += 1
             return step(env, action)
 
-        def counted_compile(term, prims):
-            calls["compile"] += 1
-            return compile_term(term, prims)
+        class CountedRunner(ProgramRunner):
+            def __init__(self, *args):
+                calls["runner"] += 1
+                super().__init__(*args)
 
         def recorded_sample(grammar, d_max, seed):
             term = sample(grammar, d_max, seed)
@@ -378,13 +380,26 @@ class TestCollect:
             return term
 
         monkeypatch.setattr(MazeEnv, "step", counted_step)
-        monkeypatch.setattr(data, "compile_term", counted_compile)
+        monkeypatch.setattr(data, "ProgramRunner", CountedRunner)
         monkeypatch.setattr(data, "sample_program", recorded_sample)
         got = collect_program_rollouts(grammar, "maze", 200, params, seed=9, d_max=6)
         assert got == want
         recorded = sum(len(t.steps) for t in got)
         assert calls["step"] < recorded // 2
-        assert calls["compile"] == len(sampled) < 200
+        assert calls["runner"] == len(sampled) < 200
+
+    def test_runner_fails_a_step_only_on_an_out_of_bounds_get(self):
+        """An out-of-bounds `get` is a failed step; any other evaluation
+        error, such as a library call the runner was not given the library
+        of, is a fault in the term and propagates."""
+        prims = primitive_table("maze")
+        state = maze_state()
+        off_grid = parse_program("(λ(x) (λ(y) (if (eq-obj? wall-obj (get x 5 0)) left-action right-action)))", prims)
+        assert ProgramRunner(off_grid, prims).run(state) is None
+        for text in ["(λ(x) (λ(y) (if f0 left-action right-action)))", "(λ(x) (λ(y) (y left-action)))"]:
+            with pytest.raises(EvalError) as exc:
+                ProgramRunner(parse_program(text, prims, extra=["f0"]), prims).run(state)
+            assert not isinstance(exc.value, OutOfBoundsGetError)
 
     def test_minatar_default_params(self):
         assert default_params("maze") == RolloutParams(5, 60, 0)

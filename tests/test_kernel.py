@@ -1,12 +1,11 @@
-"""Differential tests: both kernel forms against the reference interpreter.
+"""Differential tests: the kernel against the reference interpreter.
 
-Every sampled program must compile, and the closure form must pick the same
-action as the interpreter on every state, including the error-to-(-1)
-mapping for out-of-bounds `get`; the batch form must set each state's bit
-exactly where the interpreter gives the recorded action. Programs are drawn
-from the uniform grammar and from grammars with a learned library; the
-latter are library-expanded before the kernel runs them, while the
-interpreter runs their library calls by need.
+Every sampled program must compile, and the batch form must set each
+state's bit exactly where the interpreter gives the recorded action, so
+`execute` picks the interpreter's action on every state, with -1 for an
+out-of-bounds `get`. Programs are drawn from the uniform grammar and from
+grammars with a learned library; the latter are library-expanded before the
+kernel runs them, while the interpreter runs their library calls by need.
 """
 
 import random
@@ -203,7 +202,7 @@ def test_backend_is_python():
 
 
 def test_every_function_primitive_has_kernel_semantics():
-    """`_OPS` with each form's own `if` and `get` covers every function
+    """`_OPS` with the batch form's `if` and `get` covers every function
     primitive of the three environments, and nothing else, so a primitive
     added without kernel support fails here, not in the middle of a run."""
     names = {e.name for env in ENVS for e in primitive_table(env).entries if e.kind == "function"}
@@ -457,12 +456,27 @@ class TestCompile:
             assert _kernel_result(compiled, state, prims) == _interp_result(term, state, prims)
         assert _kernel_result(compiled, maze_state(), prims) == "left"
 
-    def test_code_is_a_closure_over_flat_grids(self):
+    def test_compile_rejects_up_front_and_execute_takes_lists_tuples_and_arrays(self):
+        """`compile_term` rejects a term the kernel does not handle even
+        where no state would evaluate the part it does not handle, and
+        `execute` gives the interpreter's action id on a grid passed as a
+        list, a tuple or a numpy array, the forms the benchmark passes."""
         prims = primitive_table("maze")
-        code = compile_term(_sample(uniform_grammar(prims), 1), prims).code
-        assert callable(code)
-        aid = code(maze_state().flat(), 5, 5, 0)
-        assert type(aid) is int and 0 <= aid < len(prims.action_words)
+        text = "(λ(x) (λ(y) (if (eq-obj? wall-obj (get x 0 0)) (f0 x) left-action)))"
+        unexpanded = parse_program(text, prims, extra=["f0"])
+        assert _interp_result(unexpanded, maze_state(), prims) == "left"
+        with pytest.raises(KernelUnsupportedError):
+            compile_term(unexpanded, prims)
+        states = _env_states("maze", 6, seed=3) + _border_states("maze", 6, seed=3)
+        for k in range(30):
+            term = _sample(uniform_grammar(prims), 8000 + k)
+            code = compile_term(term, prims).code
+            for state in states:
+                want = _interp_result(term, state, prims)
+                aid = -1 if want is None else prims.action_words.index(want)
+                for grid in (list(state.flat()), state.flat(), np.array(state.flat(), dtype=np.int64)):
+                    got = execute(code, grid, 5, 5, state.direction)
+                    assert type(got) is int and got == aid
 
     @pytest.mark.parametrize(
         "text",

@@ -1,6 +1,6 @@
 """Enumeration order, completeness against a brute-force oracle, solving, and
 the stage scan, batch-checked over every window at once, against per-task
-searches on the closure kernel."""
+searches on the interpreter."""
 import itertools
 import math
 from dataclasses import replace
@@ -9,9 +9,8 @@ from functools import lru_cache
 import pytest
 
 from gridsynth import search
-from gridsynth.data import collect_oracle_rollouts, slice_tasks, task_inputs, window_batch
+from gridsynth.data import collect_oracle_rollouts, slice_tasks, window_batch
 from gridsynth.grammar import add_abstractions, refit, tables_for, uniform_grammar
-from gridsynth.kernel import check_trajectory, compile_term
 from gridsynth.lang import (
     INT, MAP, MAP_OBJECT, Lambda, Prim, Term, TyVar, Var, apply_all, arg_types, arrow, depth, inline, return_type,
 )
@@ -22,7 +21,7 @@ from gridsynth.sexpr import print_program
 from gridsynth.state import GridState
 from gridsynth.typecheck import infer_type
 
-from conftest import learned_grammar, maze_state
+from conftest import interp_imitates, learned_grammar, maze_state
 
 
 @pytest.fixture
@@ -45,18 +44,15 @@ def solve(grammar, task, budget, library=(), max_depth=6):
 
 
 def reference(grammar, task, budget, library=(), max_depth=6):
-    """A lone search on the closure kernel, the reference for the batch
-    check: each candidate is compiled by `compile_term` and checked by
-    `check_trajectory`, with `solve_task`'s top-k, candidate cap and hit
-    order. Its callers' budgets never let a timeout bind, so it has none."""
+    """A lone search on the interpreter, the reference for the batch check:
+    each candidate is run step by step by `exec_program` (`interp_imitates`),
+    with `solve_task`'s top-k, candidate cap and hit order. Its callers'
+    budgets never let a timeout bind, so it has none."""
     prims = primitive_table(grammar.env_tag)
-    defs = definitions(library)
-    grids, dirs, acts, width, height = task_inputs(task, prims)
     hits, tried, stop_reason = [], 0, "exhausted"
     for dl, term in stream(grammar, max_depth):
         tried += 1
-        code = compile_term(inline(term, defs) if defs else term, prims).code
-        if check_trajectory(code, grids, dirs, acts, width, height) == len(acts):
+        if interp_imitates(term, task, prims, library):
             hits.append((dl, print_program(term), term))
             if len(hits) >= budget.top_k:
                 stop_reason = "top-k"
@@ -293,8 +289,8 @@ def _outcome(result):
 
 
 def assert_shared_matches_reference(grammar, tasks, budget, library, max_depth):
-    """solve_many gives every task exactly what a lone search on the closure
-    kernel gives it. Returns the reference."""
+    """solve_many gives every task exactly what a lone search on the
+    interpreter gives it. Returns the reference."""
     want = {t.task_id: reference(grammar, t, budget, library, max_depth) for t in tasks}
     got = solve_many(grammar, tasks, budget, library, max_depth)
     assert list(got) == list(want)
